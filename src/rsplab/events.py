@@ -43,7 +43,6 @@ EVENT_ARITY = {
 }
 
 CLIENT_TRIGGER_TAGS = {"U0", "U1", "U2", "U3"}
-SERVER_TRIGGER_TAGS = {"S0", "S1", "S2", "S3"}
 
 
 @dataclass(frozen=True)
@@ -95,25 +94,41 @@ class Note:
         return f"note {self.kind} {self.who}: {self.detail}"
 
 
-TraceEntry = object  # Event | MessageOp | LearnOp | Note
-
-
 class Trace:
-    """Append-only log plus the little world metadata exclusions need."""
+    """Append-only log plus the little world metadata exclusions need.
+
+    ``append`` is the only writer.  It files each event under its tag as the
+    event arrives, so a lookup by tag costs the number of events with that
+    tag, not a scan of the whole log.
+    """
 
     def __init__(self, adversary_user: str = "user-adv") -> None:
         self.entries: list = []
         self.adversary_user = adversary_user
+        self._tagged: dict[str, list[tuple[int, Event]]] = {}
+        self._derived: dict = {}
 
     def append(self, entry) -> int:
+        i = len(self.entries)
         self.entries.append(entry)
-        return len(self.entries) - 1
+        if isinstance(entry, Event):
+            self._tagged.setdefault(entry.tag, []).append((i, entry))
+        return i
 
     def events(self) -> list[tuple[int, Event]]:
         return [(i, e) for i, e in enumerate(self.entries) if isinstance(e, Event)]
 
     def events_tagged(self, tag: str) -> list[tuple[int, Event]]:
-        return [(i, e) for i, e in self.events() if e.tag == tag]
+        return list(self._tagged.get(tag, ()))
+
+    def derived(self, build):
+        """``build(self)``, kept until the next append, so that several
+        readers of one trace state share what they derive from it.  The
+        result must not refer back to the trace."""
+        hit = self._derived.get(build)
+        if hit is None or hit[0] != len(self.entries):
+            hit = self._derived[build] = (len(self.entries), build(self))
+        return hit[1]
 
     def render(self) -> str:
         lines = [f"# adversary-user: {self.adversary_user}"]

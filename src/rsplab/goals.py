@@ -9,6 +9,15 @@ globally one-to-one assignment from trigger occurrences to witness events;
 this checker realizes that as a backtracking matching over candidate
 witness tuples, which on these small traces is exact.
 
+Cost model: the checker never scans the trace.  One index per trace state
+(``_TraceIndex``, shared by all goals checked on it) lists the events of
+each tag and, on first use, buckets them by the value at each position.  A
+conjunct's candidates are the smallest bucket over its already-bound
+variables, so a witness lookup costs about the number of events that agree
+on those values.  Witness tuples are enumerated in full only while an
+injective conjunct remains; after that the first consistent completion is
+enough.
+
 Secrecy goals bind a target parameter at the trigger and fail iff the
 end-of-run adversary knowledge derives it (knowledge only grows, so
 end-of-run is the strongest point to ask).
@@ -23,11 +32,10 @@ and ownership all come from the trace, never from hidden state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
-from .events import CLIENT_TRIGGER_TAGS, Event, Trace
-from .terms import Knowledge, NULL, Term, encode, is_null
+from .events import CLIENT_TRIGGER_TAGS, EVENT_ARITY, Event, Trace
+from .terms import Atom, Knowledge, Term, encode, is_null
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +65,13 @@ W = Wild()
 class EventPattern:
     tag: str
     params: tuple
+    # (position, name) of every Var slot, the positions the index can narrow on
+    var_slots: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "var_slots", tuple(
+            (pos, p.name) for pos, p in enumerate(self.params)
+            if isinstance(p, Var)))
 
     def match(self, event: Event, bindings: dict) -> Optional[dict]:
         if event.tag != self.tag:
@@ -233,37 +248,54 @@ def goal_catalog(injective_notification: bool = False,
     ]
 
 
-GOAL_NAMES = [g.name for g in goal_catalog()]
+# the fifteen goals as check_all and the forward-secrecy check use them
+CATALOG = tuple(goal_catalog())
+
+
+# ---------------------------------------------------------------------------
+# The per-trace index
+# ---------------------------------------------------------------------------
+
+class _TraceIndex:
+    """What the checkers look up in one trace, built once per trace state
+    (``Trace.derived``) and shared by every goal checked on it: the events
+    of each tag, a (tag, position) -> value -> events index filled on first
+    use, and the facts the exclusions read.  All event lists are in trace
+    order."""
+
+    def __init__(self, trace: Trace) -> None:
+        self.tagged = {tag: trace.events_tagged(tag) for tag in EVENT_ARITY}
+        self._by_value: dict = {}
+        self.adv_atom = Atom(trace.adversary_user)
+        self.adv_eids = trace.adversary_owned_eids()
+        self.mno_marks = trace.marked("CompromiseMno")
+
+    def with_value(self, tag: str, pos: int, value: Term) -> list:
+        """Events of `tag` whose parameter at `pos` equals `value`."""
+        buckets = self._by_value.get((tag, pos))
+        if buckets is None:
+            buckets = self._by_value[(tag, pos)] = {}
+            for i, e in self.tagged[tag]:
+                buckets.setdefault(e.params[pos], []).append((i, e))
+        return buckets.get(value, [])
+
+    def candidates(self, pattern: EventPattern, bindings: dict) -> list:
+        """A superset of the events `pattern` matches under `bindings`: the
+        smallest value bucket over the pattern's bound ``Var`` positions,
+        or every event of its tag when none is bound."""
+        best = self.tagged[pattern.tag]
+        for pos, name in pattern.var_slots:
+            value = bindings.get(name)
+            if value is not None:
+                bucket = self.with_value(pattern.tag, pos, value)
+                if len(bucket) < len(best):
+                    best = bucket
+        return best
 
 
 # ---------------------------------------------------------------------------
 # Exclusions
 # ---------------------------------------------------------------------------
-
-class _TraceIndex:
-    def __init__(self, trace: Trace) -> None:
-        from .terms import Atom
-        self.adv_atom = Atom(trace.adversary_user)
-        self.adv_eids = trace.adversary_owned_eids()
-        self.mno_marks = trace.marked("CompromiseMno")
-        self.orders = [e for _, e in trace.events_tagged("ORDER")]
-
-    def order_users(self, *, iac: Optional[Term] = None, p: Optional[Term] = None,
-                    u: Optional[Term] = None, mno: Optional[Term] = None) -> list:
-        out = []
-        for e in self.orders:
-            o_user, o_mno, _o_s, o_u, o_p, o_iac = e.params
-            if iac is not None and o_iac != iac:
-                continue
-            if p is not None and o_p != p:
-                continue
-            if u is not None and o_u != u:
-                continue
-            if mno is not None and o_mno != mno:
-                continue
-            out.append(o_user)
-        return out
-
 
 def _excluded(idx: _TraceIndex, event: Event) -> bool:
     """Is this trigger occurrence outside the threat model's interest?"""
@@ -284,11 +316,12 @@ def _excluded(idx: _TraceIndex, event: Event) -> bool:
         # nothing of anyone else's is at stake
         if tag == "S1":
             iac = params[5]
-            users = (idx.order_users(iac=iac) if not is_null(iac)
-                     else idx.order_users(u=u, mno=params[4]))
+            orders = (idx.with_value("ORDER", 5, iac) if not is_null(iac)
+                      else [(i, e) for i, e in idx.with_value("ORDER", 3, u)
+                            if e.params[1] == params[4]])
         else:
-            users = idx.order_users(p=params[4 if tag == "S3" else 5])
-        return bool(users) and all(x == idx.adv_atom for x in users)
+            orders = idx.with_value("ORDER", 4, params[4 if tag == "S3" else 5])
+        return bool(orders) and all(e.params[0] == idx.adv_atom for _, e in orders)
     return False
 
 
@@ -296,20 +329,28 @@ def _excluded(idx: _TraceIndex, event: Event) -> bool:
 # Correspondence checking
 # ---------------------------------------------------------------------------
 
-def _witness_tuples(events: list, upto: int, requires: tuple, bindings: dict):
-    """All consistent ways to satisfy the conjunction with earlier events."""
+def _witness_tuples(idx: _TraceIndex, upto: int, requires: tuple,
+                    bindings: dict) -> list:
+    """Consistent ways to satisfy the conjunction with events before `upto`,
+    as (witness indices, bindings) in trace order.  Once no injective
+    conjunct is left, the first completion stands for all of them:
+    ``_assign_injectively`` reads only the injective slots, which are fixed
+    by then."""
     if not requires:
         return [((), bindings)]
     req, rest = requires[0], requires[1:]
+    first_only = not any(r.injective for r in requires)
     out = []
-    for i, e in events:
+    for i, e in idx.candidates(req.pattern, bindings):
         if i >= upto:
             break
         nb = req.pattern.match(e, bindings)
         if nb is None:
             continue
-        for tail, fb in _witness_tuples(events, upto, rest, nb):
+        for tail, fb in _witness_tuples(idx, upto, rest, nb):
             out.append(((i,) + tail, fb))
+            if first_only:
+                return out
     return out
 
 
@@ -341,43 +382,33 @@ def _assign_injectively(trigger_options: list, requires: tuple) -> bool:
 def check_correspondence(trace: Trace, goal: GoalSpec) -> GoalVerdict:
     if goal.kind != "auth":
         raise ValueError(f"goal {goal.name} is not a correspondence")
-    idx = _TraceIndex(trace)
-    events = trace.events()
-    triggers = []
-    for i, e in events:
+    idx = trace.derived(_TraceIndex)
+    trigger_options = []
+    for i, e in idx.tagged[goal.trigger.tag]:
         b = goal.trigger.match(e, {})
         if b is None or _excluded(idx, e):
             continue
-        triggers.append((i, e, b))
-
-    trigger_options = []
-    for i, e, b in triggers:
-        options = _witness_tuples(events, i, goal.requires, b)
+        options = _witness_tuples(idx, i, goal.requires, b)
         if not options:
-            missing = _first_unmatchable(events, i, goal.requires, b)
-            return GoalVerdict(goal.name, "violated",
-                               _witness_text(goal, i, e, missing))
+            missing = _first_unmatchable(idx, i, goal.requires, b)
+            return GoalVerdict(goal.name, "violated", _witness_text(i, e, missing))
         trigger_options.append(options)
+        last = (i, e)
 
     if not _assign_injectively(trigger_options, goal.requires):
         return GoalVerdict(goal.name, "violated",
-                           _witness_text(goal, triggers[-1][0], triggers[-1][1],
-                                         "injective witness exhausted: one "
-                                         "matching event claimed by several triggers"))
+                           _witness_text(*last, "injective witness exhausted: "
+                                         "one matching event claimed by "
+                                         "several triggers"))
     return GoalVerdict(goal.name, "pass")
 
 
-def _first_unmatchable(events, upto, requires, bindings) -> str:
-    # best-effort minimal diagnosis: greedily satisfy the prefix, report the
-    # first conjunct with no candidates under some consistent prefix choice
+def _first_unmatchable(idx: _TraceIndex, upto: int, requires: tuple,
+                       bindings: dict) -> str:
+    # minimal diagnosis: the first conjunct that no consistent choice of
+    # witnesses for the conjuncts before it can extend
     for k, req in enumerate(requires):
-        prefix_ok = _witness_tuples(events, upto, requires[:k], bindings)
-        found = False
-        for _, fb in prefix_ok:
-            if _witness_tuples(events, upto, (req,), fb):
-                found = True
-                break
-        if not found:
+        if not _witness_tuples(idx, upto, requires[:k + 1], bindings):
             return (f"no earlier {req.pattern.tag} matches "
                     f"{_pattern_text(req.pattern, bindings)}")
     return "no consistent combination of witnesses"
@@ -398,7 +429,7 @@ def _pattern_text(pattern: EventPattern, bindings: dict) -> str:
     return f"{pattern.tag}({', '.join(parts)})"
 
 
-def _witness_text(goal: GoalSpec, index: int, event: Event, detail: str) -> str:
+def _witness_text(index: int, event: Event, detail: str) -> str:
     return f"trigger #{index} {event.render()}; {detail}"
 
 
@@ -409,8 +440,8 @@ def _witness_text(goal: GoalSpec, index: int, event: Event, detail: str) -> str:
 def check_secrecy(trace: Trace, knowledge: Knowledge, goal: GoalSpec) -> GoalVerdict:
     if goal.kind != "secrecy":
         raise ValueError(f"goal {goal.name} is not a secrecy goal")
-    idx = _TraceIndex(trace)
-    for i, e in trace.events():
+    idx = trace.derived(_TraceIndex)
+    for i, e in idx.tagged[goal.trigger.tag]:
         if goal.trigger.match(e, {}) is None or _excluded(idx, e):
             continue
         target = e.params[goal.secrecy_index]
@@ -429,7 +460,7 @@ def check_goal(trace: Trace, knowledge: Knowledge, goal: GoalSpec) -> GoalVerdic
 
 def check_all(trace: Trace, knowledge: Knowledge,
               catalog: Optional[list] = None) -> dict:
-    catalog = catalog or goal_catalog()
+    catalog = catalog or CATALOG
     return {g.name: check_goal(trace, knowledge, g) for g in catalog}
 
 
@@ -437,7 +468,7 @@ def check_forward_secrecy(world, mutant_expected: bool = False) -> GoalVerdict:
     """Leak every long-term private key after the run; the session key and
     profile secrecy goals must still hold."""
     post = world.adversary.knowledge.learn(*world.long_term_private_keys())
-    for g in goal_catalog():
+    for g in CATALOG:
         if g.kind != "secrecy":
             continue
         verdict = check_secrecy(world.trace, post, g)

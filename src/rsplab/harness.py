@@ -248,33 +248,40 @@ RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 # ---------------------------------------------------------------------------
 
 def _add_world_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--approach", choices=["ds", "ac"], default="ds",
+    # every world flag defaults to None, "not given", so that _cfg_from_args
+    # can tell a given flag from a default; the defaults are parse_config's
+    p.add_argument("--approach", choices=["ds", "ac"],
                    help="profile ordering approach: default-server or activation-code")
-    p.add_argument("--scenario", type=int, default=1)
+    p.add_argument("--scenario", type=int)
     tls = p.add_mutually_exclusive_group()
-    tls.add_argument("--tls", dest="tls", action="store_true", default=True)
-    tls.add_argument("--no-tls", dest="tls", action="store_false")
-    p.add_argument("--recs", default="",
+    tls.add_argument("--tls", dest="tls", action="store_true", default=None)
+    tls.add_argument("--no-tls", dest="tls", action="store_false", default=None)
+    p.add_argument("--recs",
                    help="comma-separated hardening set, e.g. R2,R7,R9 or R10")
     strict = p.add_mutually_exclusive_group()
     strict.add_argument("--strict-lpa", dest="lpa_strict", action="store_true",
-                        default=True)
-    strict.add_argument("--relaxed-lpa", dest="lpa_strict", action="store_false")
-    p.add_argument("--careless-user", action="store_true")
+                        default=None)
+    strict.add_argument("--relaxed-lpa", dest="lpa_strict", action="store_false",
+                        default=None)
+    p.add_argument("--careless-user", action="store_true", default=None)
     p.add_argument("--config", help="key=value scenario file; flags override")
     p.add_argument("--seed", type=int,
                    default=int(os.environ.get(DEFAULT_SEED_ENV, "0")))
 
 
 def _cfg_from_args(args) -> ScenarioConfig:
+    """The --config file, if any, with each flag given on the command line
+    laid over it as one more key=value line."""
+    text = ""
     if args.config:
         with open(args.config) as fh:
-            cfg = parse_config(fh.read())
-        return cfg
-    return ScenarioConfig(
-        args.approach, args.scenario, args.tls,
-        recs=expand_recs(args.recs.split(","), args.approach),
-        lpa_strict=args.lpa_strict, careless_user=args.careless_user)
+            text = fh.read()
+    given = {"approach": args.approach, "scenario": args.scenario,
+             "tls": args.tls, "recs": args.recs, "lpa_strict": args.lpa_strict,
+             "careless_user": args.careless_user}
+    text += "".join(f"\n{key}={value}" for key, value in given.items()
+                    if value is not None)
+    return parse_config(text)
 
 
 def _cmd_matrix(args) -> int:

@@ -17,6 +17,7 @@ and the session dies without emitting its next progress event.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -224,7 +225,9 @@ class ServerProcess:
     """
 
     def __init__(self, world, identity: ServerIdentity) -> None:
-        self.world = world
+        # weak: the world owns its roles, and a dropped world must be freed
+        # by reference counting alone
+        self.world = weakref.proxy(world)
         self.identity = identity
         self.orders: list[Order] = []
         self.sessions: dict = {}
@@ -452,7 +455,7 @@ class EuiccDevice:
     """Secure element: runs one download session at a time."""
 
     def __init__(self, world, identity: EuiccIdentity, owner: str) -> None:
-        self.world = world
+        self.world = weakref.proxy(world)  # weak, as in ServerProcess
         self.identity = identity
         self.owner = owner
         self.session: Optional[EuiccSession] = None

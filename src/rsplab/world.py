@@ -30,14 +30,15 @@ ADVERSARY_USER = "user-adv"
 class Adversary:
     """Dolev-Yao attacker: observed knowledge plus the deduction gate."""
 
-    def __init__(self, world: "World") -> None:
-        self.world = world
+    def __init__(self, trace: Trace, fresh: FreshSource) -> None:
+        self.trace = trace
+        self.fresh = fresh
         self.knowledge = Knowledge()
 
     def learn(self, *terms: Term) -> None:
         for t in terms:
             if t not in self.knowledge.base:
-                self.world.trace.append(LearnOp(t))
+                self.trace.append(LearnOp(t))
                 self.knowledge = self.knowledge.learn(t)
 
     grant = learn
@@ -50,12 +51,12 @@ class Adversary:
             raise GateViolation(f"adversary cannot derive {what}")
 
     def fresh_nonce(self, label: str = "adv-n") -> Term:
-        n = self.world.fresh.nonce(label)
+        n = self.fresh.nonce(label)
         self.learn(n)
         return n
 
     def fresh_dh(self, label: str = "adv-d") -> Term:
-        d = self.world.fresh.dhpriv(label)
+        d = self.fresh.dhpriv(label)
         self.learn(d)
         return d
 
@@ -63,7 +64,7 @@ class Adversary:
                   unsafe: bool = False) -> None:
         if not unsafe:
             self.require(term, f"message for {direction}")
-        self.world.trace.append(
+        self.trace.append(
             MessageOp(channel, direction, term, by_adversary=True, unsafe=unsafe))
 
 
@@ -98,7 +99,7 @@ class World:
         self.cfg = cfg
         self.fresh = FreshSource()
         self.trace = Trace(adversary_user=ADVERSARY_USER)
-        self.adversary = Adversary(self)
+        self.adversary = Adversary(self.trace, self.fresh)
         self.ci: Optional[CiRoot] = None
         self.servers: dict[str, ServerProcess] = {}
         self.mnos: dict[str, MnoProcess] = {}

@@ -87,3 +87,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "scenario=10" in out
+
+    def test_flags_override_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "world.cfg"
+        cfg.write_text("approach=ac\nscenario=10\ntls=off\n")
+        rc = main(["run", "--config", str(cfg), "--approach", "ds",
+                   "--scenario", "9"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        # the flags win; the file still sets what no flag names
+        assert out.startswith("approach=ds scenario=9 tls=off")

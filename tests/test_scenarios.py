@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from rsplab.fixture import GOALS, expected_matrix, scenario_rows
@@ -97,3 +100,20 @@ class TestWorldBuilding:
             honest_script(w)
             traces.append(w.trace.render())
         assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("approach", ["ds", "ac"])
+    def test_dropped_world_is_freed_by_reference_counting(self, approach):
+        # no reference cycle keeps a finished world alive until the cycle
+        # collector runs, index the goal checker left on the trace included
+        from rsplab.attacks import honest_script
+        from rsplab.goals import check_all
+        gc.disable()
+        try:
+            w = build_world(ScenarioConfig(approach, 4, False))
+            honest_script(w)
+            check_all(w.trace, w.adversary.knowledge)
+            trace = weakref.ref(w.trace)
+            del w
+            assert trace() is None
+        finally:
+            gc.enable()
