@@ -31,28 +31,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .events import LearnOp, MessageOp
-from .network import (CH_LPA_SERVER, Drop, GateViolation, Middlebox, Reply,
+from .network import (CH_LPA_SERVER, Drop, GateViolation, Middlebox,
                       adversary_request)
 from .pki import parse_certificate
-from .roles import (MSG_ERROR, ProtocolAbort, build_msg11, build_msg15,
-                    build_msg3, build_msg4, build_msg7, build_msg8,
-                    build_msg12, parse_msg12, parse_msg4, parse_msg7,
-                    parse_msg8, sig11_body, sig12_body, sig15_body,
-                    sig4_body, sig7_body, sig8_body)
+from .roles import (M3, M4, M7, M8, M11, M12, M15, MSG_ERROR, SIG4, SIG7,
+                    SIG8, SIG11, SIG12, SIG15)
 from .scenarios import (ADV_EID, BYSTANDER, MNO1, MNO2, SERVER1, SERVER2,
                         VICTIM, VICTIM_EID, ScenarioConfig)
-from .terms import (Atom, DhPub, Knowledge, NULL, Pair, Sign, Term, dh_pub,
-                    dh_shared, is_null, kdf, seal, unpairs)
+from .terms import Atom, Knowledge, NULL, Pair, Term, dh_pub, dh_shared, kdf, seal
 from .world import ADVERSARY_USER, Code, World
-
-
-def _flatten(term: Term) -> list[Term]:
-    out = []
-    while isinstance(term, Pair):
-        out.append(term.left)
-        term = term.right
-    out.append(term)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -89,24 +76,24 @@ class ImpersonateServer(Middlebox):
         recs = world.cfg.recs
         ident = self.identity
         if stage == "m3":
-            flat = _flatten(term)
-            n_u = flat[1]
+            n_u = M3.parse(term, "adv")["n_u"]
             self.n_s = adv.fresh_nonce("fake-ns")
             self.it = adv.fresh_nonce("fake-it")
             oid = ident.oid if "R7" in recs else None
             sig = seal("sign", ident.sk_sa,
-                       sig4_body(n_u, self.n_s, self.it, self.claim, oid))
-            return build_msg4(sig, ident.cert_sa)
+                       SIG4.build(n_u=n_u, n_s=self.n_s, it=self.it,
+                                  s=self.claim, oid=oid))
+            return M4.build(sig=sig, cert=ident.cert_sa)
         if stage == "m7":
-            _sig, cert_term = parse_msg7(term, "adv")
-            cert, _ = parse_certificate(cert_term)
+            cert, _ = parse_certificate(M7.parse(term, "adv")["cert"])
             self.eid = cert.subject
             eid = self.eid if "R9" in recs else None
-            return build_msg8(seal("sign", ident.sk_sp,
-                                   sig8_body(self.it, eid)), ident.cert_sp)
+            return M8.build(sig=seal("sign", ident.sk_sp,
+                                     SIG8.build(it=self.it, eid=eid)),
+                            cert=ident.cert_sp)
         if stage == "m11":
-            sig = _flatten(term)[1]
-            q_u = _flatten(sig.body)[2]
+            sig = M11.parse(term, "adv")["sig"]
+            q_u = SIG11.parse(sig.body, "adv")["q_u"]
             d = adv.fresh_dh("fake-ds")
             q_s = dh_pub(d)
             z = dh_shared(d, q_u)
@@ -114,10 +101,10 @@ class ImpersonateServer(Middlebox):
             k_mac = kdf(z, ident.oid, self.eid, "mac")
             fake_profile = Pair(Atom("profile-fake"), adv.fresh_nonce("fake-ki"))
             enc = seal("senc", k, fake_profile)
-            return build_msg12(seal("sign", ident.sk_sp,
-                                    sig12_body(self.it, q_s, q_u)),
-                               enc, seal("mac", k_mac, enc),
-                               self.mno, seal("mac", k_mac, self.mno))
+            return M12.build(sig=seal("sign", ident.sk_sp,
+                                      SIG12.build(it=self.it, q_s=q_s, q_u=q_u)),
+                             enc=enc, mac_enc=seal("mac", k_mac, enc),
+                             mno=self.mno, mac_mno=seal("mac", k_mac, self.mno))
         if stage == "m15":
             return Atom("ok")
         raise GateViolation(f"unexpected stage {stage}")
@@ -127,17 +114,18 @@ class DivergeDelivery(Middlebox):
     """Relay the victim's session to the real server, then swap the final
     delivery for one of the adversary's own making (needs the profile-
     binding key).  Server and client end the run believing different
-    profiles were installed."""
+    profiles were installed.  `eid` names the enrolling eUICC."""
 
-    def __init__(self, identity) -> None:
+    def __init__(self, identity, eid) -> None:
         self.identity = identity
+        self.eid = eid
         self.q_u = None
         self.it = None
 
     def on_request(self, world, stage, term):
         if stage == "m11":
-            sig = _flatten(term)[1]
-            _tag, self.it, self.q_u = _flatten(sig.body)
+            body = SIG11.parse(M11.parse(term, "adv")["sig"].body, "adv")
+            self.it, self.q_u = body["it"], body["q_u"]
         return term
 
     def on_response(self, world, stage, term):
@@ -145,24 +133,18 @@ class DivergeDelivery(Middlebox):
             return term
         adv = world.adversary
         ident = self.identity
-        _sig, _enc, _mac1, mno, _mac2 = parse_msg12(term, "adv")
+        mno = M12.parse(term, "adv")["mno"]
         d = adv.fresh_dh("diverge-ds")
         q_s = dh_pub(d)
         z = dh_shared(d, self.q_u)
-        eid = self._eid  # the enrolling eUICC, set by the script
-        k = kdf(z, ident.oid, eid, "enc")
-        k_mac = kdf(z, ident.oid, eid, "mac")
+        k = kdf(z, ident.oid, self.eid, "enc")
+        k_mac = kdf(z, ident.oid, self.eid, "mac")
         fake_profile = Pair(Atom("profile-fake"), adv.fresh_nonce("fake-ki"))
         enc = seal("senc", k, fake_profile)
-        return build_msg12(seal("sign", ident.sk_sp,
-                                sig12_body(self.it, q_s, self.q_u)),
-                           enc, seal("mac", k_mac, enc),
-                           mno, seal("mac", k_mac, mno))
-
-    _eid = None
-
-    def note_eid(self, eid) -> None:
-        self._eid = eid
+        return M12.build(sig=seal("sign", ident.sk_sp,
+                                  SIG12.build(it=self.it, q_s=q_s, q_u=self.q_u)),
+                         enc=enc, mac_enc=seal("mac", k_mac, enc),
+                         mno=mno, mac_mno=seal("mac", k_mac, mno))
 
 
 class CrossServerResign(Middlebox):
@@ -177,17 +159,17 @@ class CrossServerResign(Middlebox):
         if term == MSG_ERROR:
             return term
         if stage == "m4":
-            sig, _cert = parse_msg4(term, "adv")
-            return build_msg4(seal("sign", self.other.sk_sa, sig.body),
-                              self.other.cert_sa)
+            sig = M4.parse(term, "adv")["sig"]
+            return M4.build(sig=seal("sign", self.other.sk_sa, sig.body),
+                            cert=self.other.cert_sa)
         if stage == "m8":
-            sig, _cert = parse_msg8(term, "adv")
-            return build_msg8(seal("sign", self.other.sk_sp, sig.body),
-                              self.other.cert_sp)
+            sig = M8.parse(term, "adv")["sig"]
+            return M8.build(sig=seal("sign", self.other.sk_sp, sig.body),
+                            cert=self.other.cert_sp)
         if stage == "m12":
-            sig, enc, mac1, mno, mac2 = parse_msg12(term, "adv")
-            return build_msg12(seal("sign", self.other.sk_sp, sig.body),
-                               enc, mac1, mno, mac2)
+            m12 = M12.parse(term, "adv")
+            m12["sig"] = seal("sign", self.other.sk_sp, m12["sig"].body)
+            return M12.build(**m12)
         return term
 
 
@@ -203,15 +185,16 @@ class SwapClientIdentity(Middlebox):
 
     def on_request(self, world, stage, term):
         if stage == "m7":
-            sig = _flatten(term)[1]
-            return build_msg7(seal("sign", self.sk_u, sig.body), self.cert_u)
+            sig = M7.parse(term, "adv")["sig"]
+            return M7.build(sig=seal("sign", self.sk_u, sig.body), cert=self.cert_u)
         if stage == "m11":
-            sig = _flatten(term)[1]
+            sig = M11.parse(term, "adv")["sig"]
             if self.own_share:
-                tag, it, _q_u = _flatten(sig.body)
+                it = SIG11.parse(sig.body, "adv")["it"]
                 q_e = dh_pub(world.adversary.fresh_dh("swap-d"))
-                return build_msg11(seal("sign", self.sk_u, sig11_body(it, q_e)))
-            return build_msg11(seal("sign", self.sk_u, sig.body))
+                return M11.build(sig=seal("sign", self.sk_u,
+                                          SIG11.build(it=it, q_u=q_e)))
+            return M11.build(sig=seal("sign", self.sk_u, sig.body))
         return term
 
 
@@ -227,12 +210,10 @@ class SwapCode(Middlebox):
     def on_request(self, world, stage, term):
         if stage != "m7":
             return term
-        sig = _flatten(term)[1]
-        parts = _flatten(sig.body)
-        # sig7 layout: tag, n_s, it, s, iac [, oid]
-        parts[4] = self.new_iac
-        from .terms import pairs
-        return build_msg7(seal("sign", self.sk_u, pairs(parts)), self.cert_u)
+        body = SIG7.parse(M7.parse(term, "adv")["sig"].body, "adv", world.cfg.recs)
+        body["iac"] = self.new_iac
+        return M7.build(sig=seal("sign", self.sk_u, SIG7.build(**body)),
+                        cert=self.cert_u)
 
 
 class CaptureAndDrop(Middlebox):
@@ -260,29 +241,31 @@ def fake_client_download(world: World, domain: str, cert_u, sk_u,
     dial = world.servers[domain].identity.domain
     recs = world.cfg.recs
     n_u = adv.fresh_nonce("forged-nu")
-    m4 = adversary_request(world, dial, build_msg3(n_u, world.ci.ski))
+    m4 = adversary_request(world, dial, M3.build(n_u=n_u, ski=world.ci.ski))
     if m4 == MSG_ERROR:
         return None
-    sig, cert_sa_term = parse_msg4(m4, "adv")
-    cert_sa, _ = parse_certificate(cert_sa_term)
-    flat = _flatten(sig.body)  # tag, n_u, n_s, it, s [, oid]
-    n_s, it, s = flat[2], flat[3], flat[4]
+    m4 = M4.parse(m4, "adv")
+    cert_sa, _ = parse_certificate(m4["cert"])
+    body = SIG4.parse(m4["sig"].body, "adv", recs)
+    it, s = body["it"], body["s"]
     oid = cert_sa.oid if "R7" in recs else None
-    m8 = adversary_request(world, dial, build_msg7(
-        seal("sign", sk_u, sig7_body(n_s, it, s, iac, oid)), cert_u))
+    m8 = adversary_request(world, dial, M7.build(
+        sig=seal("sign", sk_u, SIG7.build(n_s=body["n_s"], it=it, s=s,
+                                          iac=iac, oid=oid)),
+        cert=cert_u))
     if m8 == MSG_ERROR:
         return None
     d = adv.fresh_dh("forged-d")
     q_u = qu_override if qu_override is not None else dh_pub(d)
-    m12 = adversary_request(world, dial, build_msg11(
-        seal("sign", sk_u, sig11_body(it, q_u))))
+    m12 = adversary_request(world, dial, M11.build(
+        sig=seal("sign", sk_u, SIG11.build(it=it, q_u=q_u))))
     if m12 == MSG_ERROR:
         return None
-    _sig12, enc, _m1, mno, _m2 = parse_msg12(m12, "adv")
+    m12 = M12.parse(m12, "adv")
     if notify:
-        adversary_request(world, dial, build_msg15(
-            seal("sign", sk_u, sig15_body(s, cert_sa.oid, it))))
-    return {"it": it, "enc": enc, "mno": mno, "s": s}
+        adversary_request(world, dial, M15.build(
+            sig=seal("sign", sk_u, SIG15.build(s=s, oid=cert_sa.oid, it=it))))
+    return {"it": it, "enc": m12["enc"], "mno": m12["mno"], "s": s}
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +293,8 @@ def _script_2(world: World) -> None:
     s1 = world.servers[SERVER1].identity
     impostor = ImpersonateServer(s1, s1.domain, world.mnos[MNO1].atom)
     world.start_download(VICTIM, code=code, middlebox=impostor)
-    diverge = DivergeDelivery(s1)
-    diverge.note_eid(world.euiccs[VICTIM_EID].eid)
-    world.start_download(VICTIM, code=code, middlebox=diverge)
+    world.start_download(VICTIM, code=code, middlebox=DivergeDelivery(
+        s1, world.euiccs[VICTIM_EID].eid))
 
 
 def _script_3(world: World) -> None:
@@ -593,13 +575,10 @@ def _ctl_replayed_server_share(world: World) -> None:
     sig12 = None
     for entry in world.trace.entries:
         if isinstance(entry, MessageOp) and entry.direction == "server->adv":
-            if not isinstance(entry.term, Pair):
-                continue
-            parts = _flatten(entry.term)
-            if parts and parts[0] == Atom("m12-profile-delivery"):
-                sig12 = parts[1]
+            if isinstance(entry.term, Pair) and entry.term.left == M12.tag:
+                sig12 = M12.parse(entry.term, "adv")["sig"]
     assert sig12 is not None
-    q_s_prev = _flatten(sig12.body)[2]
+    q_s_prev = SIG12.parse(sig12.body, "adv")["q_s"]
     code2 = world.request_profile(ADVERSARY_USER)
     second = fake_client_download(world, SERVER1, own.cert_u, own.sk_u,
                                   iac=code2.iac, notify=False,
@@ -704,7 +683,7 @@ def fuzz_adversary(world: World, steps: int, rng: random.Random) -> None:
                 adversary_request(world, dial, term)
         elif roll < 0.8:
             n = world.adversary.fresh_nonce("fuzz")
-            adversary_request(world, dial, build_msg3(n, world.ci.ski))
+            adversary_request(world, dial, M3.build(n_u=n, ski=world.ci.ski))
         else:
             adversary_request(world, dial, Atom("fuzz-noise"))
 

@@ -145,9 +145,5 @@ def expected_matrix() -> dict:
             for sc, rows in table.items()}
 
 
-def expected_cell(approach: str, scenario: int, goal: str) -> ExpectedVerdict:
-    return EXPECTED[approach][scenario][goal]
-
-
 def scenario_rows(approach: str) -> tuple:
     return tuple(sorted(EXPECTED[approach]))

@@ -464,7 +464,7 @@ def check_all(trace: Trace, knowledge: Knowledge,
     return {g.name: check_goal(trace, knowledge, g) for g in catalog}
 
 
-def check_forward_secrecy(world, mutant_expected: bool = False) -> GoalVerdict:
+def check_forward_secrecy(world) -> GoalVerdict:
     """Leak every long-term private key after the run; the session key and
     profile secrecy goals must still hold."""
     post = world.adversary.knowledge.learn(*world.long_term_private_keys())

@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import attacks as attacks_mod
 from .attacks import (ATTACKS_BY_ID, EXPLANATIONS, attack_registry,
                       audit_trace, fuzz_adversary, honest_script,
                       negative_controls)

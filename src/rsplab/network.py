@@ -43,12 +43,6 @@ class Drop:
     """Hook directive: swallow the message, the session stalls."""
 
 
-@dataclass
-class Reply:
-    """Hook directive: answer this request yourself with `term`."""
-    term: Term
-
-
 class Middlebox:
     """Adversary logic attached to one download's tunnel.
 
@@ -128,10 +122,6 @@ def tunnel_send(world, tun: Tunnel, stage: str, request: Term) -> Term:
         if isinstance(directive, Drop):
             world.trace.append(Note("blocked", "adversary", f"dropped {stage}"))
             raise ProtocolAbort("lpa", f"no response to {stage}")
-        if isinstance(directive, Reply):
-            adv.gate_send(CH_LPA_SERVER, f"fake-server->lpa:{stage}",
-                          directive.term, unsafe=mb.unsafe)
-            return directive.term
         delivered = directive
         if delivered != request:
             adv.gate_send(CH_LPA_SERVER, f"adv->server:{stage}", delivered,

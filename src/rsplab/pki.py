@@ -43,10 +43,6 @@ class Certificate:
     policy: Atom
     issuer_ski: Atom
 
-    @property
-    def term(self) -> Term:
-        raise NotImplementedError  # built via CiRoot.issue (needs the CI key)
-
 
 def cert_body(subject: Atom, subject_key: PubKey, oid: Term,
               policy: Atom, issuer_ski: Atom) -> Term:
@@ -125,7 +121,6 @@ class EuiccIdentity:
     cert_u: Term
     default_server: Optional[Atom] = None      # domain pre-provisioned on-chip
     default_server_oid: Optional[Atom] = None  # R2 extension (held by the LPA)
-    seq_counter: int = 0                       # present but unused
 
 
 def new_ci(fresh) -> CiRoot:
@@ -173,7 +168,7 @@ def compromise_server(world, domain: str, keys: frozenset = frozenset({"tls", "s
         leaked.append(ident.sk_sa)
     if "sp" in keys:
         leaked.append(ident.sk_sp)
-    world.adversary.grant(*leaked)
+    world.adversary.learn(*leaked)
     world.trace.append(Event("CompromiseServer", (ident.subject,)))
     world.compromised_servers.add(domain)
     if keys == {"tls", "sa", "sp"} or keys == frozenset({"tls", "sa", "sp"}):
@@ -182,7 +177,7 @@ def compromise_server(world, domain: str, keys: frozenset = frozenset({"tls", "s
 
 def compromise_euicc(world, eid: str) -> None:
     dev = world.euiccs[eid]
-    world.adversary.grant(dev.identity.sk_u, dev.identity.cert_u)
+    world.adversary.learn(dev.identity.sk_u, dev.identity.cert_u)
     world.trace.append(Event("CompromiseCert", (dev.identity.eid,)))
     world.compromised_euiccs.add(eid)
 

@@ -18,7 +18,7 @@ and the session dies without emitting its next progress event.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .events import Event
@@ -29,20 +29,6 @@ from .terms import (Atom, DhPub, NULL, Nonce, Pair, PubKey, SealError, Sign,
                     Term, dh_pub, dh_shared, is_null, kdf, pairs, seal,
                     unpairs, unseal)
 
-TAG_M3 = Atom("m3-init")
-TAG_M4 = Atom("m4-server-auth")
-TAG_SIG4 = Atom("sig4")
-TAG_M5 = Atom("m5-code-to-euicc")
-TAG_M7 = Atom("m7-client-auth")
-TAG_SIG7 = Atom("sig7")
-TAG_M8 = Atom("m8-profile-binding")
-TAG_SIG8 = Atom("sig8")
-TAG_M11 = Atom("m11-client-share")
-TAG_SIG11 = Atom("sig11")
-TAG_M12 = Atom("m12-profile-delivery")
-TAG_SIG12 = Atom("sig12")
-TAG_M15 = Atom("m15-notification")
-TAG_SIG15 = Atom("sig15")
 MSG_OK = Atom("ok")
 MSG_ERROR = Atom("error")
 
@@ -56,125 +42,71 @@ class ProtocolAbort(Exception):
         self.reason = reason
 
 
-def _tagged(term: Term, tag: Atom, arity: int, who: str) -> list[Term]:
-    try:
-        parts = unpairs(term, arity)
-    except SealError as exc:
-        raise ProtocolAbort(who, f"malformed message: {exc}") from exc
-    if parts[0] != tag:
-        raise ProtocolAbort(who, f"unexpected message tag")
-    return parts[1:]
-
-
 # ---------------------------------------------------------------------------
-# Message builders / parsers (shared by roles, attack scripts and tests)
+# Message schema: the only place that knows tags, field order and which
+# recommendation adds a field (shared by roles, attack scripts and tests)
 # ---------------------------------------------------------------------------
 
-def build_msg3(n_u: Term, ski: Atom) -> Term:
-    return pairs([TAG_M3, n_u, ski])
+@dataclass(frozen=True)
+class Message:
+    """A tagged tuple: the tag atom, then the fields in wire order.  At most
+    one optional field, always last, is on the wire exactly when
+    recommendation `rec` is in force."""
+    tag: Atom
+    fields: tuple
+    optional: Optional[str] = None
+    rec: Optional[str] = None
+
+    def names(self, recs=frozenset()) -> tuple:
+        if self.optional is not None and self.rec in recs:
+            return self.fields + (self.optional,)
+        return self.fields
+
+    def build(self, **values: Term) -> Term:
+        """Encode the fields by name; the optional one is left off when None."""
+        items = [self.tag] + [values.pop(name) for name in self.fields]
+        extra = values.pop(self.optional, None)
+        if values:
+            raise TypeError(f"{self.tag.label} has no field {sorted(values)[0]}")
+        return pairs(items + ([extra] if extra is not None else []))
+
+    def decode(self, term: Term, recs=frozenset()) -> tuple[Term, dict]:
+        """(tag, fields by name) without checking the tag; SealError if short."""
+        names = self.names(recs)
+        tag, *values = unpairs(term, len(names) + 1)
+        return tag, dict(zip(names, values))
+
+    def parse(self, term: Term, who: str, recs=frozenset()) -> dict:
+        """Fields by name, or ProtocolAbort for `who` on a bad shape or tag."""
+        try:
+            tag, values = self.decode(term, recs)
+        except SealError as exc:
+            raise ProtocolAbort(who, f"malformed message: {exc}") from exc
+        if tag != self.tag:
+            raise ProtocolAbort(who, "unexpected message tag")
+        return values
 
 
-def parse_msg3(term: Term, who: str = "server") -> tuple[Term, Term]:
-    n_u, ski = _tagged(term, TAG_M3, 3, who)
-    return n_u, ski
-
-
-def sig4_body(n_u: Term, n_s: Term, it: Term, s: Atom,
-              oid: Optional[Atom]) -> Term:
-    items = [TAG_SIG4, n_u, n_s, it, s]
-    if oid is not None:
-        items.append(oid)
-    return pairs(items)
-
-
-def build_msg4(sig: Term, cert_sa: Term) -> Term:
-    return pairs([TAG_M4, sig, cert_sa])
-
-
-def parse_msg4(term: Term, who: str = "lpa") -> tuple[Term, Term]:
-    sig, cert = _tagged(term, TAG_M4, 3, who)
-    return sig, cert
-
-
-def split_sig4(body: Term, with_oid: bool, who: str) -> list[Term]:
-    parts = _tagged(body, TAG_SIG4, 6 if with_oid else 5, who)
-    return parts
-
-
-def sig7_body(n_s: Term, it: Term, s: Term, iac: Term,
-              oid: Optional[Atom]) -> Term:
-    items = [TAG_SIG7, n_s, it, s, iac]
-    if oid is not None:
-        items.append(oid)
-    return pairs(items)
-
-
-def build_msg7(sig: Term, cert_u: Term) -> Term:
-    return pairs([TAG_M7, sig, cert_u])
-
-
-def parse_msg7(term: Term, who: str = "server") -> tuple[Term, Term]:
-    sig, cert = _tagged(term, TAG_M7, 3, who)
-    return sig, cert
-
-
-def split_sig7(body: Term, with_oid: bool, who: str) -> list[Term]:
-    return _tagged(body, TAG_SIG7, 6 if with_oid else 5, who)
-
-
-def sig8_body(it: Term, eid: Optional[Term]) -> Term:
-    items = [TAG_SIG8, it]
-    if eid is not None:
-        items.append(eid)
-    return pairs(items)
-
-
-def build_msg8(sig: Term, cert_sp: Term) -> Term:
-    return pairs([TAG_M8, sig, cert_sp])
-
-
-def parse_msg8(term: Term, who: str = "lpa") -> tuple[Term, Term]:
-    sig, cert = _tagged(term, TAG_M8, 3, who)
-    return sig, cert
-
-
-def sig11_body(it: Term, q_u: Term) -> Term:
-    return pairs([TAG_SIG11, it, q_u])
-
-
-def build_msg11(sig: Term) -> Term:
-    return pairs([TAG_M11, sig])
-
-
-def parse_msg11(term: Term, who: str = "server") -> Term:
-    (sig,) = _tagged(term, TAG_M11, 2, who)
-    return sig
-
-
-def sig12_body(it: Term, q_s: Term, q_u: Term) -> Term:
-    return pairs([TAG_SIG12, it, q_s, q_u])
-
-
-def build_msg12(sig: Term, enc: Term, mac_enc: Term, mno: Term,
-                mac_mno: Term) -> Term:
-    return pairs([TAG_M12, sig, enc, mac_enc, mno, mac_mno])
-
-
-def parse_msg12(term: Term, who: str = "lpa") -> list[Term]:
-    return _tagged(term, TAG_M12, 6, who)
-
-
-def sig15_body(s: Term, oid: Term, it: Term) -> Term:
-    return pairs([TAG_SIG15, s, oid, it])
-
-
-def build_msg15(sig: Term) -> Term:
-    return pairs([TAG_M15, sig])
-
-
-def parse_msg15(term: Term, who: str = "server") -> Term:
-    (sig,) = _tagged(term, TAG_M15, 2, who)
-    return sig
+M2 = Message(Atom("m2-challenge"), ("n_u", "ski"))
+M3 = Message(Atom("m3-init"), ("n_u", "ski"))
+M4 = Message(Atom("m4-server-auth"), ("sig", "cert"))
+SIG4 = Message(Atom("sig4"), ("n_u", "n_s", "it", "s"), "oid", "R7")
+M5 = Message(Atom("m5-code-to-euicc"), ("iac",))
+M7 = Message(Atom("m7-client-auth"), ("sig", "cert"))
+SIG7 = Message(Atom("sig7"), ("n_s", "it", "s", "iac"), "oid", "R7")
+M8 = Message(Atom("m8-profile-binding"), ("sig", "cert"))
+SIG8 = Message(Atom("sig8"), ("it",), "eid", "R9")
+M11 = Message(Atom("m11-client-share"), ("sig",))
+SIG11 = Message(Atom("sig11"), ("it", "q_u"))
+M12 = Message(Atom("m12-profile-delivery"),
+              ("sig", "enc", "mac_enc", "mno", "mac_mno"))
+SIG12 = Message(Atom("sig12"), ("it", "q_s", "q_u"))
+M15 = Message(Atom("m15-notification"), ("sig",))
+SIG15 = Message(Atom("sig15"), ("s", "oid", "it"))
+PROFILE_REQUEST = Message(Atom("profile-request"), ("user", "eid"))
+ORDER_REQUEST = Message(Atom("order-request"), ("user", "mno", "eid"))
+ORDER_REPLY = Message(Atom("order-reply"), ("iac", "s"), "oid", "R1")
+CODE_DELIVERY = Message(Atom("code-delivery"), ("iac", "s"), "oid", "R1")
 
 
 def signed_body(sig: Term, key: PubKey, who: str, what: str) -> Term:
@@ -270,15 +202,10 @@ class ServerProcess:
     # -- request dispatch ----------------------------------------------------
 
     def handle(self, term: Term) -> Term:
-        if isinstance(term, Pair) and term.left == TAG_M3:
-            return self._handle_init(term)
-        if isinstance(term, Pair) and term.left == TAG_M7:
-            return self._handle_auth_client(term)
-        if isinstance(term, Pair) and term.left == TAG_M11:
-            return self._handle_key_exchange(term)
-        if isinstance(term, Pair) and term.left == TAG_M15:
-            return self._handle_notification(term)
-        raise ProtocolAbort("server", "unknown request")
+        handler = self._HANDLERS.get(term.left) if isinstance(term, Pair) else None
+        if handler is None:
+            raise ProtocolAbort("server", "unknown request")
+        return handler(self, term)
 
     def _announced_order(self) -> Optional[Order]:
         for o in self.orders:
@@ -288,8 +215,9 @@ class ServerProcess:
 
     def _handle_init(self, term: Term) -> Term:
         world = self.world
-        n_u, ski = parse_msg3(term)
-        if ski != world.ci.ski:
+        m3 = M3.parse(term, "server")
+        n_u = m3["n_u"]
+        if m3["ski"] != world.ci.ski:
             raise ProtocolAbort("server", "unsupported root key identifier")
         n_s = world.fresh.nonce("n-s")
         it = world.fresh.nonce("i-t")
@@ -301,8 +229,8 @@ class ServerProcess:
                                 announced.iac if announced else NULL)))
         oid = self.oid if "R7" in self._recs() else None
         sig = seal("sign", self.identity.sk_sa,
-                   sig4_body(n_u, n_s, it, self.domain, oid))
-        return build_msg4(sig, self.identity.cert_sa)
+                   SIG4.build(n_u=n_u, n_s=n_s, it=it, s=self.domain, oid=oid))
+        return M4.build(sig=sig, cert=self.identity.cert_sa)
 
     def _session_for(self, it: Term, phase: str) -> ServerSession:
         session = self.sessions.get(it)
@@ -336,22 +264,22 @@ class ServerProcess:
     def _handle_auth_client(self, term: Term) -> Term:
         world = self.world
         recs = self._recs()
-        sig, cert_term = parse_msg7(term)
+        m7 = M7.parse(term, "server")
         try:
-            cert = verify_cert(cert_term, world.ci, POLICY_EUICC)
+            cert = verify_cert(m7["cert"], world.ci, POLICY_EUICC)
         except CertError as exc:
             raise ProtocolAbort("server", str(exc)) from exc
-        body = signed_body(sig, cert.subject_key, "server", "client auth")
-        parts = split_sig7(body, "R7" in recs, "server")
-        n_s, it, s_embedded, iac = parts[0], parts[1], parts[2], parts[3]
-        session = self._session_for(it, "await7")
-        if n_s != session.n_s:
+        body = SIG7.parse(
+            signed_body(m7["sig"], cert.subject_key, "server", "client auth"),
+            "server", recs)
+        session = self._session_for(body["it"], "await7")
+        if body["n_s"] != session.n_s:
             raise ProtocolAbort("server", "challenge mismatch")
-        if "R8" in recs and s_embedded != self.domain:
+        if "R8" in recs and body["s"] != self.domain:
             raise ProtocolAbort("server", "client dialed a different server name")
-        if "R7" in recs and parts[4] != self.oid:
+        if "R7" in recs and body["oid"] != self.oid:
             raise ProtocolAbort("server", "client authenticated a different server oid")
-        order = self._select_order(cert, iac)
+        order = self._select_order(cert, body["iac"])
         order.served_count += 1
         session.order = order
         session.peer_eid = cert.subject
@@ -360,24 +288,24 @@ class ServerProcess:
         world.emit(Event("S1", (cert.subject, self.subject, self.subject,
                                 session.it, order.mno, order.iac)))
         eid = cert.subject if "R9" in recs else None
-        sig8 = seal("sign", self.identity.sk_sp, sig8_body(session.it, eid))
-        return build_msg8(sig8, self.identity.cert_sp)
+        sig8 = seal("sign", self.identity.sk_sp, SIG8.build(it=session.it, eid=eid))
+        return M8.build(sig=sig8, cert=self.identity.cert_sp)
 
     def _handle_key_exchange(self, term: Term) -> Term:
         world = self.world
-        sig = parse_msg11(term)
+        sig = M11.parse(term, "server")["sig"]
         if not isinstance(sig, Sign):
             raise ProtocolAbort("server", "malformed key-exchange message")
         # locate the session first, then insist the signer is the session peer
-        body_peek = sig.body
         try:
-            _, it, _ = unpairs(body_peek, 3)
+            _, peek = SIG11.decode(sig.body)
         except SealError as exc:
             raise ProtocolAbort("server", "malformed key-exchange body") from exc
-        session = self._session_for(it, "await11")
-        body = signed_body(sig, session.peer_key, "server", "key exchange")
-        it2, q_u = _tagged(body, TAG_SIG11, 3, "server")
-        if it2 != session.it:
+        session = self._session_for(peek["it"], "await11")
+        body = SIG11.parse(
+            signed_body(sig, session.peer_key, "server", "key exchange"), "server")
+        q_u = body["q_u"]
+        if body["it"] != session.it:
             raise ProtocolAbort("server", "transaction id mismatch")
         if not isinstance(q_u, DhPub):
             raise ProtocolAbort("server", "client share is not a DH point")
@@ -395,10 +323,10 @@ class ServerProcess:
                                 session.it, k, order.profile, order.mno,
                                 order.iac)))
         sig12 = seal("sign", self.identity.sk_sp,
-                     sig12_body(session.it, q_s, q_u))
+                     SIG12.build(it=session.it, q_s=q_s, q_u=q_u))
         enc = seal("senc", k, order.profile)
-        msg = build_msg12(sig12, enc, seal("mac", k_mac, enc),
-                          order.mno, seal("mac", k_mac, order.mno))
+        msg = M12.build(sig=sig12, enc=enc, mac_enc=seal("mac", k_mac, enc),
+                        mno=order.mno, mac_mno=seal("mac", k_mac, order.mno))
         if self.leak_ephemeral:
             # mutant used by the forward-secrecy negative control: blurt the
             # ephemeral private share where the network can see it
@@ -409,25 +337,28 @@ class ServerProcess:
 
     def _handle_notification(self, term: Term) -> Term:
         world = self.world
-        sig = parse_msg15(term)
+        sig = M15.parse(term, "server")["sig"]
         if not isinstance(sig, Sign):
             raise ProtocolAbort("server", "malformed notification")
         try:
-            _, _, _, it = unpairs(sig.body, 4)
+            _, peek = SIG15.decode(sig.body)
         except SealError as exc:
             raise ProtocolAbort("server", "malformed notification body") from exc
-        session = self._session_for(it, "await15")
-        body = signed_body(sig, session.peer_key, "server", "notification")
-        s_emb, oid_emb, it2 = _tagged(body, TAG_SIG15, 4, "server")
-        if it2 != session.it:
+        session = self._session_for(peek["it"], "await15")
+        body = SIG15.parse(
+            signed_body(sig, session.peer_key, "server", "notification"), "server")
+        if body["it"] != session.it:
             raise ProtocolAbort("server", "transaction id mismatch")
-        if oid_emb != self.oid:
+        if body["oid"] != self.oid:
             raise ProtocolAbort("server", "notification names a different server oid")
         order = session.order
         session.phase = "done"
         world.emit(Event("S3", (session.peer_eid, self.subject, self.subject,
-                                session.it, order.profile, s_emb, order.mno)))
+                                session.it, order.profile, body["s"], order.mno)))
         return MSG_OK
+
+    _HANDLERS = {M3.tag: _handle_init, M7.tag: _handle_auth_client,
+                 M11.tag: _handle_key_exchange, M15.tag: _handle_notification}
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +404,7 @@ class EuiccDevice:
         self.session = EuiccSession(n_u=n_u)
         default_s = self.identity.default_server if world.cfg.approach == "ds" else None
         world.emit(Event("U0", (self.eid, default_s or NULL)))
-        return pairs([Atom("m2-challenge"), n_u, world.ci.ski])
+        return M2.build(n_u=n_u, ski=world.ci.ski)
 
     def challenge(self) -> tuple:
         session = self.session
@@ -492,18 +423,19 @@ class EuiccDevice:
         world = self.world
         recs = self._recs()
         session = self._session_in("await4")
-        sig, cert_term = parse_msg4(term, "euicc")
+        m4 = M4.parse(term, "euicc")
         try:
-            cert = verify_cert(cert_term, world.ci, POLICY_SERVER_AUTH)
+            cert = verify_cert(m4["cert"], world.ci, POLICY_SERVER_AUTH)
         except CertError as exc:
             raise ProtocolAbort("euicc", str(exc)) from exc
-        body = signed_body(sig, cert.subject_key, "euicc", "server auth")
-        parts = split_sig4(body, "R7" in recs, "euicc")
-        n_u, n_s, it, s = parts[0], parts[1], parts[2], parts[3]
-        if n_u != session.n_u:
+        body = SIG4.parse(
+            signed_body(m4["sig"], cert.subject_key, "euicc", "server auth"),
+            "euicc", recs)
+        n_s, it, s = body["n_s"], body["it"], body["s"]
+        if body["n_u"] != session.n_u:
             raise ProtocolAbort("euicc", "challenge mismatch")
         if "R7" in recs:
-            oid_emb = parts[4]
+            oid_emb = body["oid"]
             if oid_emb != cert.oid:
                 raise ProtocolAbort("euicc", "signed oid differs from certificate oid")
             if session.expected_oid is not None and oid_emb != session.expected_oid:
@@ -513,26 +445,26 @@ class EuiccDevice:
         world.emit(Event("U1", (self.eid, cert.subject, it, s)))
         oid = cert.oid if "R7" in recs else None
         sig7 = seal("sign", self.identity.sk_u,
-                    sig7_body(n_s, it, s, session.iac, oid))
-        return build_msg7(sig7, self.identity.cert_u)
+                    SIG7.build(n_s=n_s, it=it, s=s, iac=session.iac, oid=oid))
+        return M7.build(sig=sig7, cert=self.identity.cert_u)
 
     def process_msg8(self, term: Term) -> Term:
         world = self.world
         recs = self._recs()
         session = self._session_in("await8")
-        sig, cert_term = parse_msg8(term, "euicc")
+        m8 = M8.parse(term, "euicc")
         try:
-            cert = verify_cert(cert_term, world.ci, POLICY_PROFILE_BINDING)
+            cert = verify_cert(m8["cert"], world.ci, POLICY_PROFILE_BINDING)
         except CertError as exc:
             raise ProtocolAbort("euicc", str(exc)) from exc
-        body = signed_body(sig, cert.subject_key, "euicc", "profile binding")
-        parts = _tagged(body, TAG_SIG8, 3 if "R9" in recs else 2, "euicc")
-        it = parts[0]
-        if it != session.it:
+        body = SIG8.parse(
+            signed_body(m8["sig"], cert.subject_key, "euicc", "profile binding"),
+            "euicc", recs)
+        if body["it"] != session.it:
             raise ProtocolAbort("euicc", "transaction id mismatch")
         if cert.oid != session.sa_cert.oid:
             raise ProtocolAbort("euicc", "profile-binding oid differs from server oid")
-        if "R9" in recs and parts[1] != self.eid:
+        if "R9" in recs and body["eid"] != self.eid:
             raise ProtocolAbort("euicc", "profile binding names a different eUICC")
         session.sp_cert = cert
         session.phase = "await12"
@@ -541,19 +473,20 @@ class EuiccDevice:
         d_u = world.fresh.dhpriv("d-u")
         session.d_u, session.q_u = d_u, dh_pub(d_u)
         sig11 = seal("sign", self.identity.sk_u,
-                     sig11_body(session.it, session.q_u))
-        return build_msg11(sig11)
+                     SIG11.build(it=session.it, q_u=session.q_u))
+        return M11.build(sig=sig11)
 
     def process_msg12(self, term: Term) -> Term:
         world = self.world
         session = self._session_in("await12")
-        sig, enc, mac_enc, mno, mac_mno = parse_msg12(term, "euicc")
-        body = signed_body(sig, session.sp_cert.subject_key, "euicc",
-                           "key exchange")
-        it, q_s, q_u = _tagged(body, TAG_SIG12, 4, "euicc")
-        if it != session.it:
+        m12 = M12.parse(term, "euicc")
+        enc, mno = m12["enc"], m12["mno"]
+        body = SIG12.parse(signed_body(m12["sig"], session.sp_cert.subject_key,
+                                       "euicc", "key exchange"), "euicc")
+        q_s = body["q_s"]
+        if body["it"] != session.it:
             raise ProtocolAbort("euicc", "transaction id mismatch")
-        if q_u != session.q_u:
+        if body["q_u"] != session.q_u:
             raise ProtocolAbort("euicc", "own key share missing from signature")
         if not isinstance(q_s, DhPub):
             raise ProtocolAbort("euicc", "server share is not a DH point")
@@ -562,9 +495,9 @@ class EuiccDevice:
         k = kdf(shared, oid, self.eid, "enc")
         k_mac = kdf(shared, oid, self.eid, "mac")
         try:
-            if unseal("mac", k_mac, mac_enc) != enc:
+            if unseal("mac", k_mac, m12["mac_enc"]) != enc:
                 raise SealError("mac body mismatch")
-            if unseal("mac", k_mac, mac_mno) != mno:
+            if unseal("mac", k_mac, m12["mac_mno"]) != mno:
                 raise SealError("mac body mismatch")
             profile = unseal("senc", k, enc)
         except SealError as exc:
@@ -576,8 +509,8 @@ class EuiccDevice:
                                 session.sp_cert.subject, session.it, k,
                                 profile, mno, session.iac)))
         sig15 = seal("sign", self.identity.sk_u,
-                     sig15_body(session.s, oid, session.it))
-        return build_msg15(sig15)
+                     SIG15.build(s=session.s, oid=oid, it=session.it))
+        return M15.build(sig=sig15)
 
 
 # ---------------------------------------------------------------------------
@@ -600,31 +533,31 @@ class LpaContext:
 def lpa_check_msg4(ctx: LpaContext, world, term: Term) -> Optional[str]:
     """Return a block reason, or None to forward.  Blocking is not an abort:
     it is the LPA doing its job."""
+    recs = world.cfg.recs
     try:
-        sig, cert_term = parse_msg4(term, "lpa")
-        cert = verify_cert(cert_term, world.ci, POLICY_SERVER_AUTH)
-        body = unseal("sign", cert.subject_key, sig)
-        parts = split_sig4(body, "R7" in world.cfg.recs, "lpa")
+        m4 = M4.parse(term, "lpa")
+        cert = verify_cert(m4["cert"], world.ci, POLICY_SERVER_AUTH)
+        body = SIG4.parse(unseal("sign", cert.subject_key, m4["sig"]), "lpa", recs)
     except (ProtocolAbort, CertError, SealError) as exc:
         if ctx.strict:
             return f"unverifiable server message: {exc}"
-        # relaxed LPA still needs the embedded server name
+        # relaxed LPA still needs the embedded server name, tag unchecked
         try:
-            sig, _ = parse_msg4(term, "lpa")
+            sig = M4.parse(term, "lpa")["sig"]
             if not isinstance(sig, Sign):
                 return "unreadable server message"
-            parts = unpairs(sig.body, 6 if "R7" in world.cfg.recs else 5)[1:]
+            _, body = SIG4.decode(sig.body, recs)
         except (ProtocolAbort, SealError) as exc2:
             return f"unreadable server message: {exc2}"
         cert = None
-    s = parts[3]
+    s = body["s"]
     if s != ctx.dial:
         return f"server name {getattr(s, 'label', s)} does not match dialed {ctx.dial.label}"
     if cert is not None and ctx.expected_oid is not None and cert.oid != ctx.expected_oid:
         return "server oid does not match the expected oid"
-    if ctx.strict and parts[0] != ctx.n_u:
+    if ctx.strict and body["n_u"] != ctx.n_u:
         return "challenge mismatch"
-    ctx.sa_cert_term = cert_term if cert is not None else None
+    ctx.sa_cert_term = m4["cert"] if cert is not None else None
     return None
 
 
@@ -632,9 +565,9 @@ def lpa_check_msg8(ctx: LpaContext, world, term: Term) -> Optional[str]:
     if not ctx.strict:
         return None
     try:
-        sig, cert_term = parse_msg8(term, "lpa")
-        cert = verify_cert(cert_term, world.ci, POLICY_PROFILE_BINDING)
-        unseal("sign", cert.subject_key, sig)
+        m8 = M8.parse(term, "lpa")
+        cert = verify_cert(m8["cert"], world.ci, POLICY_PROFILE_BINDING)
+        unseal("sign", cert.subject_key, m8["sig"])
         if ctx.sa_cert_term is not None:
             sa_cert, _ = parse_certificate(ctx.sa_cert_term)
             if cert.oid != sa_cert.oid:
@@ -647,7 +580,7 @@ def lpa_check_msg8(ctx: LpaContext, world, term: Term) -> Optional[str]:
 def lpa_check_msg12(ctx: LpaContext, world, term: Term) -> Optional[str]:
     """The operator-confirmation step: user compares the displayed MNO id."""
     try:
-        _sig, _enc, _mac1, mno, _mac2 = parse_msg12(term, "lpa")
+        mno = M12.parse(term, "lpa")["mno"]
     except ProtocolAbort as exc:
         return str(exc)
     if ctx.careless:

@@ -24,8 +24,7 @@ shorthand for the full hardening set of the given approach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass
 
 from .events import Event
 from .pki import (compromise_euicc, compromise_mno, compromise_server,
@@ -201,7 +200,3 @@ def _apply_compromises(world: World, cfg: ScenarioConfig) -> None:
         compromise_user_channel(world, "spoof-code")
     else:
         raise ConfigError(f"scenario {scenario} not wired")
-
-
-def apply_recommendations(cfg: ScenarioConfig, recs) -> ScenarioConfig:
-    return replace(cfg, recs=expand_recs(recs, cfg.approach))

@@ -13,15 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from . import network
 from .events import Event, LearnOp, MessageOp, Note, Trace
 from .network import (CH_LPA_EUICC, CH_LPA_SERVER, CH_MNO_SERVER, CH_USER_MNO,
                       GateViolation, Middlebox, Tunnel, tls_connect,
                       tunnel_send)
 from .pki import CiRoot, EuiccIdentity, new_ci
-from .roles import (EuiccDevice, LpaContext, MnoProcess, MSG_ERROR, Order,
-                    ProtocolAbort, ServerProcess, TAG_M5, build_msg3,
-                    lpa_check_msg12, lpa_check_msg4, lpa_check_msg8, pairs)
+from .roles import (CODE_DELIVERY, M3, M5, MSG_ERROR, ORDER_REPLY,
+                    ORDER_REQUEST, PROFILE_REQUEST, EuiccDevice, LpaContext,
+                    Message, MnoProcess, Order, ProtocolAbort, ServerProcess,
+                    lpa_check_msg12, lpa_check_msg4, lpa_check_msg8)
 from .terms import Atom, FreshSource, Knowledge, NULL, Term, is_null
 
 ADVERSARY_USER = "user-adv"
@@ -40,8 +40,6 @@ class Adversary:
             if t not in self.knowledge.base:
                 self.trace.append(LearnOp(t))
                 self.knowledge = self.knowledge.learn(t)
-
-    grant = learn
 
     def knows(self, t: Term) -> bool:
         return self.knowledge.deduce(t)
@@ -84,6 +82,10 @@ class Code:
     oid: Optional[Atom] = None
     for_user: Optional[str] = None
 
+    def message(self, msg: Message) -> Term:
+        """The code on the wire, as an order reply or a code delivery."""
+        return msg.build(iac=self.iac, s=self.s, oid=self.oid)
+
 
 @dataclass
 class DownloadResult:
@@ -124,12 +126,6 @@ class World:
         self.trace.append(MessageOp(CH_LPA_SERVER, f"{who}->*", term))
         self.adversary.learn(term)
 
-    def server_for_oid(self, oid: Atom) -> ServerProcess:
-        for srv in self.servers.values():
-            if srv.oid == oid:
-                return srv
-        raise KeyError(oid.label)
-
     def long_term_private_keys(self) -> list:
         keys: list[Term] = [self.ci.sk]
         for srv in self.servers.values():
@@ -140,25 +136,31 @@ class World:
 
     # -- profile ordering ------------------------------------------------------
 
-    def _mno_book_order(self, mno: MnoProcess, user_atom: Atom, eid: Term) -> Order:
-        """MNO forwards the order on its private channel; the server prepares."""
+    def _code_for(self, server: ServerProcess, order: Order) -> Code:
+        """The activation code an order yields; it names the oid under R1."""
+        oid = server.oid if "R1" in self.cfg.recs else None
+        return Code(order.iac, server.domain, oid)
+
+    def _mno_book_order(self, mno: MnoProcess, user_atom: Atom,
+                        eid: Term) -> Optional[Code]:
+        """MNO forwards the order on its private channel; the server prepares.
+        Activation-code approach: returns the code the server replies with."""
         server = self.servers[mno.server_domain]
-        request = pairs([Atom("order-request"), user_atom, mno.atom, eid])
+        request = ORDER_REQUEST.build(user=user_atom, mno=mno.atom, eid=eid)
         self.trace.append(MessageOp(CH_MNO_SERVER, f"{mno.label}->server", request))
-        if (mno.label in self.adversary_mno_proxies
-                or mno.server_domain in self.order_channel_proxies):
+        proxied = (mno.label in self.adversary_mno_proxies
+                   or mno.server_domain in self.order_channel_proxies)
+        if proxied:
             self.adversary.learn(request)
         order = server.create_order(user_atom, mno.atom, eid)
-        if self.cfg.approach == "ac":
-            reply_items = [Atom("order-reply"), order.iac, server.domain]
-            if "R1" in self.cfg.recs:
-                reply_items.append(server.oid)
-            reply = pairs(reply_items)
-            self.trace.append(MessageOp(CH_MNO_SERVER, f"server->{mno.label}", reply))
-            if (mno.label in self.adversary_mno_proxies
-                    or mno.server_domain in self.order_channel_proxies):
-                self.adversary.learn(reply)
-        return order
+        if self.cfg.approach != "ac":
+            return None
+        code = self._code_for(server, order)
+        reply = code.message(ORDER_REPLY)
+        self.trace.append(MessageOp(CH_MNO_SERVER, f"server->{mno.label}", reply))
+        if proxied:
+            self.adversary.learn(reply)
+        return code
 
     def request_profile(self, user_label: str, mno_label: Optional[str] = None,
                         deliver_hook: Optional[Callable] = None) -> Optional[Code]:
@@ -173,23 +175,18 @@ class World:
         user = self.users[user_label]
         mno = self.mnos[mno_label or user.mno]
         eid_atom = self.euiccs[user.euicc].eid
-        request = pairs([Atom("profile-request"), user.atom, eid_atom])
+        request = PROFILE_REQUEST.build(user=user.atom, eid=eid_atom)
         self.trace.append(MessageOp(CH_USER_MNO, f"{user_label}->{mno.label}", request))
         if self.cfg.approach == "ds":
             self.emit(Event("INTENT", (user.atom, mno.atom, eid_atom, NULL)))
             self._mno_book_order(mno, user.atom, eid_atom)
             return None
-        order = self._mno_book_order(mno, user.atom, eid_atom)
-        server = self.servers[mno.server_domain]
-        oid = server.oid if "R1" in self.cfg.recs else None
-        delivery_items = [Atom("code-delivery"), order.iac, server.domain]
-        if oid is not None:
-            delivery_items.append(oid)
-        delivery = pairs(delivery_items)
+        code = self._mno_book_order(mno, user.atom, eid_atom)
+        code.for_user = user_label
+        delivery = code.message(CODE_DELIVERY)
         self.trace.append(MessageOp(CH_USER_MNO, f"{mno.label}->{user_label}", delivery))
         if "read-code" in self.user_channel_fraud:
             self.adversary.learn(delivery)
-        code = Code(order.iac, server.domain, oid, for_user=user_label)
         if user_label == ADVERSARY_USER or user_label in self.compromised_lpa_users:
             # the adversary reads codes it legitimately receives, and a
             # subverted LPA leaks the ones passing through it
@@ -199,10 +196,8 @@ class World:
                     or user_label in self.compromised_lpa_users):
                 raise GateViolation("user channel integrity is intact")
             code = deliver_hook(code)
-            self.adversary.gate_send(
-                CH_USER_MNO, f"adv->{user_label}",
-                pairs([Atom("code-delivery"), code.iac, code.s]
-                      + ([code.oid] if code.oid is not None else [])))
+            self.adversary.gate_send(CH_USER_MNO, f"adv->{user_label}",
+                                     code.message(CODE_DELIVERY))
             code.for_user = user_label
         self.emit(Event("INTENT", (user.atom, mno.atom, eid_atom, code.iac)))
         return code
@@ -225,17 +220,13 @@ class World:
         else:  # order-for-euicc
             target_eid = self.euiccs[eid_label].eid
         self.emit(Event("FraudOrder", (Atom(mode), claimed, target_eid)))
-        if self.cfg.approach == "ds":
-            if is_null(target_eid):
-                raise ValueError("default-server fraud order needs an eUICC id")
-            self._mno_book_order(mno, claimed, target_eid)
-            return None
-        order = self._mno_book_order(mno, claimed, target_eid)
-        server = self.servers[mno.server_domain]
-        oid = server.oid if "R1" in self.cfg.recs else None
-        # the code goes back to whoever placed the order: the adversary
-        self.adversary.learn(order.iac)
-        return Code(order.iac, server.domain, oid, for_user=None)
+        if self.cfg.approach == "ds" and is_null(target_eid):
+            raise ValueError("default-server fraud order needs an eUICC id")
+        code = self._mno_book_order(mno, claimed, target_eid)
+        if code is not None:
+            # the code goes back to whoever placed the order: the adversary
+            self.adversary.learn(code.iac)
+        return code
 
     def proxy_order(self, mno_label: str, user_atom: Atom, eid_label: Optional[str]) -> Optional[Code]:
         """Order injected straight onto a compromised MNO's server channel."""
@@ -244,22 +235,18 @@ class World:
         mno = self.mnos[mno_label]
         server = self.servers[mno.server_domain]
         eid = self.euiccs[eid_label].eid if eid_label else NULL
-        request = pairs([Atom("order-request"), user_atom, mno.atom, eid])
+        request = ORDER_REQUEST.build(user=user_atom, mno=mno.atom, eid=eid)
         self.adversary.gate_send(CH_MNO_SERVER, f"adv-as-{mno_label}->server", request)
-        if self.cfg.approach == "ds":
-            if is_null(eid):
-                raise ValueError("default-server order needs an eUICC id")
-            order = server.create_order(user_atom, mno.atom, eid)
-            return None
+        if self.cfg.approach == "ds" and is_null(eid):
+            raise ValueError("default-server order needs an eUICC id")
         order = server.create_order(user_atom, mno.atom, eid)
-        reply_items = [Atom("order-reply"), order.iac, server.domain]
-        if "R1" in self.cfg.recs:
-            reply_items.append(server.oid)
-        reply = pairs(reply_items)
+        if self.cfg.approach == "ds":
+            return None
+        code = self._code_for(server, order)
+        reply = code.message(ORDER_REPLY)
         self.trace.append(MessageOp(CH_MNO_SERVER, f"server->{mno_label}", reply))
         self.adversary.learn(reply)
-        oid = server.oid if "R1" in self.cfg.recs else None
-        return Code(order.iac, server.domain, oid, for_user=None)
+        return code
 
     def spoof_code_delivery(self, user_label: str, code: Code) -> Code:
         """Unsolicited or substituted code pushed at a user whose delivery
@@ -268,10 +255,8 @@ class World:
         if "spoof-code" not in self.user_channel_fraud \
                 and user_label not in self.compromised_lpa_users:
             raise GateViolation("user channel integrity is intact")
-        items = [Atom("code-delivery"), code.iac, code.s]
-        if code.oid is not None:
-            items.append(code.oid)
-        self.adversary.gate_send(CH_USER_MNO, f"adv->{user_label}", pairs(items))
+        self.adversary.gate_send(CH_USER_MNO, f"adv->{user_label}",
+                                 code.message(CODE_DELIVERY))
         return Code(code.iac, code.s, code.oid, for_user=user_label)
 
     def adversary_code(self, iac: Term, s: Atom, oid: Optional[Atom] = None) -> Code:
@@ -329,11 +314,8 @@ class World:
             strict=cfg.lpa_strict,
             careless=careless_flag or adversary_client or lpa_compromised)
 
-        try:
-            tun = tls_connect(self, dial_to, middlebox,
-                              client_is_adversary=adversary_client or lpa_compromised)
-        except GateViolation:
-            raise
+        tun = tls_connect(self, dial_to, middlebox,
+                          client_is_adversary=adversary_client or lpa_compromised)
 
         # challenge from the secure element
         m2 = device.begin_session()
@@ -346,13 +328,13 @@ class World:
             return DownloadResult(False, stage, reason)
 
         try:
-            m4 = tunnel_send(self, tun, "m3", build_msg3(n_u, ski))
+            m4 = tunnel_send(self, tun, "m3", M3.build(n_u=n_u, ski=ski))
             if m4 == MSG_ERROR:
                 return DownloadResult(False, "m3", "server abort")
             reason = lpa_check_msg4(ctx, self, m4)
             if reason:
                 return blocked("m4", reason)
-            ctx5 = pairs([TAG_M5, iac])
+            ctx5 = M5.build(iac=iac)
             self.trace.append(MessageOp(CH_LPA_EUICC, "lpa->euicc:m5", ctx5))
             device.set_context(iac, expected_oid)
             m7 = device.process_msg4(m4)

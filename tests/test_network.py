@@ -8,7 +8,7 @@ from rsplab.attacks import (ImpersonateServer, audit_trace, fake_client_download
 from rsplab.events import LearnOp, MessageOp
 from rsplab.network import (CH_LPA_SERVER, GateViolation, adversary_request,
                             tls_connect)
-from rsplab.roles import MSG_ERROR, build_msg3
+from rsplab.roles import M3, MSG_ERROR
 from rsplab.scenarios import (ADV_EID, MNO1, SERVER1, SERVER2, VICTIM,
                               VICTIM_EID, ScenarioConfig, build_world)
 from rsplab.terms import Atom, subterms
@@ -81,7 +81,7 @@ class TestTunnel:
     def test_anonymous_clients_always_connect(self):
         w = build_world(ScenarioConfig("ds", 1, True))
         n = w.adversary.fresh_nonce("probe")
-        reply = adversary_request(w, Atom(SERVER1), build_msg3(n, w.ci.ski))
+        reply = adversary_request(w, Atom(SERVER1), M3.build(n_u=n, ski=w.ci.ski))
         assert reply != MSG_ERROR
 
 

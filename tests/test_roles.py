@@ -2,15 +2,19 @@
 symmetry, and the fault-injection sweep proving every checked field of
 every signed message has a live abort site."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from rsplab.attacks import _flatten, honest_script
-from rsplab.events import Event, MessageOp
+from rsplab import roles
+from rsplab.attacks import honest_script
 from rsplab.network import Middlebox
-from rsplab.roles import ProtocolAbort
-from rsplab.scenarios import (SERVER1, SERVER2, VICTIM, VICTIM_EID,
-                              ScenarioConfig, build_world)
-from rsplab.terms import Atom, Sign, pairs, seal
+from rsplab.roles import (M4, M7, M8, M11, M12, M15, SIG4, SIG7, SIG8, SIG11,
+                          SIG12, SIG15, Message, ProtocolAbort)
+from rsplab.scenarios import (SERVER1, VICTIM, VICTIM_EID, ScenarioConfig,
+                              build_world)
+from rsplab.terms import Atom, pairs, seal
 
 
 def run_honest(approach, tls=True, recs=frozenset()):
@@ -69,108 +73,165 @@ class TestHonestRun:
 
 
 # ---------------------------------------------------------------------------
+# The message schema: one declaration per wire message
+# ---------------------------------------------------------------------------
+
+MESSAGES = [m for m in vars(roles).values() if isinstance(m, Message)]
+
+
+def sample(msg, recs):
+    return {name: Atom(f"v-{name}") for name in msg.names(recs)}
+
+
+class TestSchema:
+    @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: m.tag.label)
+    def test_parse_inverts_build_with_and_without_the_optional_field(self, msg):
+        for recs in {frozenset(), frozenset({msg.rec} - {None})}:
+            values = sample(msg, recs)
+            assert msg.parse(msg.build(**values), "x", recs) == values
+            has_optional = msg.optional is not None and msg.rec in recs
+            assert (msg.optional in values) == has_optional
+        if msg.optional is not None:
+            base = sample(msg, frozenset())
+            assert msg.build(**base, **{msg.optional: None}) == msg.build(**base)
+
+    @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: m.tag.label)
+    def test_wrong_tag_and_short_term_abort_for_the_caller(self, msg):
+        items = list(sample(msg, frozenset()).values())
+        with pytest.raises(ProtocolAbort) as wrong:
+            msg.parse(pairs([Atom("not-" + msg.tag.label)] + items), "who")
+        assert (wrong.value.who, wrong.value.reason) == ("who", "unexpected message tag")
+        n = len(items) + 1
+        with pytest.raises(ProtocolAbort) as short:
+            msg.parse(pairs([msg.tag] + items[:-1]), "who")
+        assert (short.value.who, short.value.reason) == (
+            "who", f"malformed message: expected {n}-tuple, ran out at {n - 2}")
+
+    def test_unknown_field_name_is_refused(self):
+        with pytest.raises(TypeError):
+            SIG8.build(it=Atom("it"), eid_=Atom("eid"))
+
+    def test_signed_handshake_wire_layout(self):
+        n_u, n_s, it, s, oid, eid = (Atom(x) for x in
+                                     ("n_u", "n_s", "it", "s", "oid", "eid"))
+        assert SIG4.build(n_u=n_u, n_s=n_s, it=it, s=s) == \
+            pairs([Atom("sig4"), n_u, n_s, it, s])
+        assert SIG4.build(n_u=n_u, n_s=n_s, it=it, s=s, oid=oid) == \
+            pairs([Atom("sig4"), n_u, n_s, it, s, oid])
+        assert SIG8.build(it=it) == pairs([Atom("sig8"), it])
+        assert SIG8.build(it=it, eid=eid) == pairs([Atom("sig8"), it, eid])
+
+    def test_only_roles_spells_a_message_tag(self):
+        tags = {m.tag.label for m in MESSAGES}
+        offenders = []
+        for path in sorted(Path(roles.__file__).parent.glob("*.py")):
+            if path.name == "roles.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and node.value in tags:
+                    offenders.append(f"{path.name}:{node.lineno} {node.value!r}")
+        assert not offenders
+
+
+# ---------------------------------------------------------------------------
 # Fault injection: flip each field of each signed message (and the MAC-
 # protected delivery fields), re-sealing with the legitimate key so that the
 # field comparison itself - not the signature - must catch the change.
 # ---------------------------------------------------------------------------
 
+# stage -> (message, its signed body, signing key attribute of the sender)
+SIGNED = {
+    "m4": (M4, SIG4, "sk_sa"),
+    "m7": (M7, SIG7, "sk_u"),
+    "m8": (M8, SIG8, "sk_sp"),
+    "m11": (M11, SIG11, "sk_u"),
+    "m12": (M12, SIG12, "sk_sp"),
+    "m15": (M15, SIG15, "sk_u"),
+}
+
+# Every other flip must stop the run.  The sig7 activation code stops in
+# both approaches: an unknown code is refused, and in the default-server
+# approach the null code slot refuses any non-null value.
+UNCHECKED = {
+    ("m7", "s"),   # deliberate gap: no base-mode comparison at the server
+    ("m15", "s"),  # verified but not compared
+}
+
+
+def _flips():
+    """(stage, field, recommendation putting it on the wire, outcome)."""
+    rows = []
+    for stage, (_msg, body, _key) in SIGNED.items():
+        for name in body.names({body.rec}):
+            rec = body.rec if name == body.optional else None
+            outcome = "unchecked" if (stage, name) in UNCHECKED else "stops"
+            rows.append((stage, name, rec, outcome))
+    # the delivery fields outside the signature, protected by the MACs
+    rows += [("m12", name, None, "stops") for name in M12.fields if name != "sig"]
+    return rows
+
+
+FLIPS = _flips()
+
+
 class FlipField(Middlebox):
     unsafe = True  # test-only fault injector, exempt from the deduction gate
 
-    def __init__(self, world, stage, index):
-        self.world = world
+    def __init__(self, stage, name):
         self.stage = stage
-        self.index = index
+        self.name = name
 
-    def _flip_signed(self, term, sig_pos, key):
-        parts = _flatten(term)
-        sig = parts[sig_pos]
-        body = _flatten(sig.body)
-        body[self.index] = Atom("flipped")
-        parts[sig_pos] = seal("sign", key, pairs(body))
-        return pairs(parts)
+    def _flip(self, world, term, identity):
+        msg, body_msg, key = SIGNED[self.stage]
+        fields = msg.parse(term, "test")
+        if self.name in fields:
+            fields[self.name] = Atom("flipped")
+        else:
+            body = body_msg.parse(fields["sig"].body, "test", world.cfg.recs)
+            body[self.name] = Atom("flipped")
+            fields["sig"] = seal("sign", getattr(identity, key),
+                                 body_msg.build(**body))
+        return msg.build(**fields)
 
     def on_request(self, world, stage, term):
         if stage != self.stage:
             return term
-        dev = world.euiccs[VICTIM_EID].identity
-        return self._flip_signed(term, 1, dev.sk_u)
+        return self._flip(world, term, world.euiccs[VICTIM_EID].identity)
 
     def on_response(self, world, stage, term):
         if stage != self.stage:
             return term
-        srv = world.servers[SERVER1].identity
-        if stage == "m4":
-            return self._flip_signed(term, 1, srv.sk_sa)
-        if stage == "m8":
-            return self._flip_signed(term, 1, srv.sk_sp)
-        if stage == "m12":
-            if self.index < 0:  # non-signature component, by position
-                parts = _flatten(term)
-                parts[-self.index] = Atom("flipped")
-                return pairs(parts)
-            return self._flip_signed(term, 1, srv.sk_sp)
-        return term
+        return self._flip(world, term, world.servers[SERVER1].identity)
 
 
-# (stage, field index, description, expected outcome)
-# index >= 0: field inside the signed body (after the tag)
-# index < 0: -n = component n of the delivery message
-FLIPS = [
-    ("m4", 1, "euicc challenge", "stops"),
-    ("m4", 2, "server nonce", "stops"),          # caught later, at the server
-    ("m4", 3, "transaction id", "stops"),
-    ("m4", 4, "server name", "stops"),           # the LPA's one mandated check
-    ("m7", 1, "server nonce", "stops"),
-    ("m7", 2, "transaction id", "stops"),
-    ("m7", 3, "server name", "unchecked"),       # deliberate gap: no base-mode
-                                                 # comparison at the server
-    ("m7", 4, "activation code", "stops"),
-    ("m11", 1, "transaction id", "stops"),
-    ("m11", 2, "client key share", "stops"),
-    ("m12", 1, "transaction id", "stops"),
-    ("m12", 2, "server key share", "stops"),
-    ("m12", 3, "client key share", "stops"),
-    ("m12", -2, "encrypted profile", "stops"),
-    ("m12", -3, "profile integrity tag", "stops"),
-    ("m12", -4, "operator id", "stops"),
-    ("m12", -5, "operator integrity tag", "stops"),
-    ("m15", 1, "server name", "unchecked"),  # verified but not compared
-    ("m15", 2, "server oid", "stops"),
-    ("m15", 3, "transaction id", "stops"),
-]
-
-
-def flip_once(approach, stage, index, recs=frozenset()):
-    cfg = ScenarioConfig(approach, 1, False, recs=recs)
-    w = build_world(cfg)
+def flip_once(approach, stage, name, rec=None):
+    recs = frozenset({rec}) if rec else frozenset()
+    w = build_world(ScenarioConfig(approach, 1, False, recs=recs))
     code = w.request_profile(VICTIM)
     result = w.start_download(VICTIM, code=code,
-                              middlebox=FlipField(w, stage, index))
+                              middlebox=FlipField(stage, name))
     return w, result
 
 
 class TestFaultInjection:
     @pytest.mark.parametrize("approach", ["ds", "ac"])
-    @pytest.mark.parametrize("stage,index,what,outcome", FLIPS)
+    @pytest.mark.parametrize("stage,name,rec,outcome", FLIPS)
     def test_each_flipped_field_hits_its_abort_site(self, approach, stage,
-                                                    index, what, outcome):
-        if approach == "ds" and stage == "m7" and index == 4:
-            outcome = "stops"  # null code slot: any non-null value is refused
-        w, result = flip_once(approach, stage, index)
+                                                    name, rec, outcome):
+        w, result = flip_once(approach, stage, name, rec)
         if outcome == "stops":
-            assert not result.completed, f"{what} flip went unnoticed"
+            assert not result.completed, f"{stage} {name} flip went unnoticed"
             notes = [e for e in w.trace.entries
                      if getattr(e, "kind", None) in ("abort", "blocked")]
-            assert notes, f"{what} flip left no abort/block record"
+            assert notes, f"{stage} {name} flip left no abort/block record"
             # a run cut short never reaches both acceptance events
             assert not (w.trace.events_tagged("U3")
                         and w.trace.events_tagged("S3"))
         else:
-            assert result.completed, f"{what} was expected to be unchecked"
+            assert result.completed, f"{stage} {name} was expected to be unchecked"
 
     def test_server_name_gap_closes_under_r8(self):
-        w, result = flip_once("ac", "m7", 3, recs=frozenset({"R8"}))
+        w, result = flip_once("ac", "m7", "s", rec="R8")
         assert not result.completed
 
     def test_unsigned_resign_with_wrong_key_is_caught(self):
@@ -185,10 +246,10 @@ class TestFaultInjection:
             def on_response(self, world, stage, term):
                 if stage != "m4":
                     return term
-                parts = _flatten(term)
+                m4 = M4.parse(term, "test")
                 rogue = world.fresh.privkey("rogue")
-                parts[1] = seal("sign", rogue, parts[1].body)
-                return pairs(parts)
+                m4["sig"] = seal("sign", rogue, m4["sig"].body)
+                return M4.build(**m4)
 
         result = w.start_download(VICTIM, middlebox=WrongKey())
         assert not result.completed
