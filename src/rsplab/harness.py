@@ -76,7 +76,7 @@ class MatrixReport:
         return {(c.approach, c.scenario, c.tls, c.goal): c for c in self.cells}
 
 
-def run_world_suite(cfg: ScenarioConfig, seed: int = 0) -> list[RunOutcome]:
+def run_world_suite(cfg: ScenarioConfig) -> list[RunOutcome]:
     """Honest script, then every applicable attack and negative control,
     each in a freshly built world."""
     outcomes = []
@@ -98,9 +98,9 @@ def run_world_suite(cfg: ScenarioConfig, seed: int = 0) -> list[RunOutcome]:
     return outcomes
 
 
-def evaluate_cell_group(cfg: ScenarioConfig, compare: bool, seed: int) -> tuple:
+def evaluate_cell_group(cfg: ScenarioConfig, compare: bool) -> tuple:
     """All 15 goal cells for one (approach, scenario, tls)."""
-    outcomes = run_world_suite(cfg, seed)
+    outcomes = run_world_suite(cfg)
     expected = expected_matrix().get((cfg.approach, cfg.scenario))
     cells = []
     audit_failures = []
@@ -143,7 +143,7 @@ def run_matrix(approaches=("ds", "ac"), scenarios=None, tls_values=(True, False)
                 cfg = ScenarioConfig(approach, scenario, tls,
                                      recs=expand_recs(recs, approach),
                                      lpa_strict=lpa_strict)
-                group, audits = evaluate_cell_group(cfg, compare, seed)
+                group, audits = evaluate_cell_group(cfg, compare)
                 cells.extend(group)
                 audit_failures.extend(audits)
     return MatrixReport(cells, seed, tuple(sorted(recs)),
@@ -306,7 +306,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _cfg_from_args(args)
-    outcomes = run_world_suite(cfg, args.seed)
+    outcomes = run_world_suite(cfg)
     wanted = None if args.attack in ("all", "") else args.attack
     exp = expected_matrix()[(cfg.approach, cfg.scenario)]
     status = 0

@@ -27,7 +27,7 @@ Two design points matter for everything downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 
@@ -39,7 +39,30 @@ class SealError(ValueError):
 # Term constructors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _term(cls):
+    """Frozen dataclass whose structural hash is computed once per instance.
+
+    The value is the dataclass's own hash of the field tuple, so it never
+    changes (``hash(Pair(a, b)) == hash((a, b))``); what goes is the
+    recursive recomputation on every set probe.  This is the cheap half of
+    hash-consing: equal terms stay separate objects, compared by structure.
+    """
+    cls = dataclass(frozen=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    cls._hash = None  # class-level default until the first hash
+    return cls
+
+
+@_term
 class Atom:
     """Public constant: identifiers, domain names, tags. Always derivable."""
     label: str
@@ -48,36 +71,36 @@ class Atom:
         return f"Atom({self.label})"
 
 
-@dataclass(frozen=True)
+@_term
 class Nonce:
     """Fresh unguessable value (challenges, session ids, activation codes)."""
     id: int
     label: str = ""
 
 
-@dataclass(frozen=True)
+@_term
 class PrivKey:
     id: int
     label: str = ""
 
 
-@dataclass(frozen=True)
+@_term
 class PubKey:
     of: PrivKey
 
 
-@dataclass(frozen=True)
+@_term
 class DhPriv:
     id: int
     label: str = ""
 
 
-@dataclass(frozen=True)
+@_term
 class DhPub:
     of: DhPriv
 
 
-@dataclass(frozen=True)
+@_term
 class DhShared:
     """Canonical DH shared secret: the two private components, id-sorted."""
     lo: DhPriv
@@ -88,33 +111,33 @@ class DhShared:
             raise ValueError("DhShared must be built through dh_shared()")
 
 
-@dataclass(frozen=True)
+@_term
 class Pair:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@_term
 class Sign:
     """Signature by `key` over `body`; reveals body, proves origin."""
     key: PrivKey
     body: "Term"
 
 
-@dataclass(frozen=True)
+@_term
 class SEnc:
     """Symmetric encryption; the only confidentiality-providing constructor."""
     key: "Term"
     body: "Term"
 
 
-@dataclass(frozen=True)
+@_term
 class Mac:
     key: "Term"
     body: "Term"
 
 
-@dataclass(frozen=True)
+@_term
 class Kdf:
     """Session key derived from a DH secret, the server OID and eUICC id."""
     shared: "Term"
@@ -323,56 +346,76 @@ def encode(t: Term) -> str:
 class Knowledge:
     """Immutable set of observed terms plus the derivation rules.
 
-    ``learn`` returns a new Knowledge (monotone).  ``deduce`` is sound and
-    complete for the rule set described in the module docstring: it first
-    saturates the base under destructors (projection, body extraction,
-    conditional decryption) and then answers goal-directed constructor
-    queries against the saturated set.
+    ``learn`` returns a new Knowledge (monotone) and leaves its parent as it
+    was.  ``deduce`` is sound and complete for the rule set described in the
+    module docstring: it first saturates the base under destructors
+    (projection, body extraction, conditional decryption) and then answers
+    goal-directed constructor queries against the saturated set.
+
+    Saturation is incremental.  A Knowledge made by ``learn`` remembers the
+    nearest ancestor whose closure is built (its source), and its own
+    closure starts from a copy of that one: only the terms learned since
+    are pushed through the rules.  Once built, a closure drops its source,
+    so a long learn chain is never kept alive.
     """
 
-    __slots__ = ("base", "_closure")
+    __slots__ = ("base", "_src", "_closure", "_parked")
 
     def __init__(self, base: Iterable[Term] = ()) -> None:
         self.base: frozenset = frozenset(base)
+        self._src: Optional[Knowledge] = None
         self._closure: Optional[frozenset] = None
+        # ciphertexts in the closure whose key is not derivable (yet)
+        self._parked: tuple = ()
 
     def learn(self, *ts: Term) -> "Knowledge":
         new = self.base.union(ts)
-        if new == self.base:
+        if len(new) == len(self.base):
             return self
-        return Knowledge(new)
-
-    def __contains__(self, t: Term) -> bool:
-        return t in self.base
-
-    def __len__(self) -> int:
-        return len(self.base)
+        child = Knowledge(new)
+        child._src = self if self._closure is not None else self._src
+        return child
 
     # -- destructor saturation ---------------------------------------------
 
     def closure(self) -> frozenset:
         if self._closure is not None:
             return self._closure
-        known = set(self.base)
-        while True:
-            added = False
-            for t in list(known):
+        src = self._src
+        if src is None:
+            known, parked, todo = set(), [], list(self.base)
+        else:
+            known, parked = set(src._closure), list(src._parked)
+            todo = list(self.base - src.base)
+        while todo:
+            size = len(known)
+            while todo:
+                t = todo.pop()
+                if t in known:
+                    continue
+                known.add(t)
                 if isinstance(t, Pair):
-                    for part in (t.left, t.right):
-                        if part not in known:
-                            known.add(part)
-                            added = True
+                    todo += (t.left, t.right)
                 elif isinstance(t, (Sign, Mac)):
-                    if t.body not in known:
-                        known.add(t.body)
-                        added = True
+                    todo.append(t.body)
                 elif isinstance(t, SEnc):
-                    if t.body not in known and _derivable(t.key, known, set()):
-                        known.add(t.body)
-                        added = True
-            if not added:
+                    parked.append(t)
+            if len(known) == size:
                 break
+            # the growth may have made a parked key derivable, by learning
+            # it or by letting the attacker construct it (Kdf, DhShared)
+            waiting = []
+            for c in parked:
+                if c.body in known:
+                    continue
+                if _derivable(c.key, known, set()):
+                    todo.append(c.body)
+                else:
+                    waiting.append(c)
+            parked = waiting
         self._closure = frozenset(known)
+        self._parked = tuple(parked)
+        self._src = None
         return self._closure
 
     def deduce(self, goal: Term) -> bool:

@@ -1,5 +1,6 @@
 """Harness contract: exit codes, deterministic reports, renderers, CLI."""
 
+import hashlib
 import json
 
 import pytest
@@ -44,6 +45,14 @@ class TestCli:
     def test_matrix_exits_zero_on_agreement(self, capsys):
         assert main(["matrix", "--approach", "ds", "--scenario", "1"]) == 0
         assert "disagreements: 0" in capsys.readouterr().out
+
+    def test_matrix_json_is_byte_identical_to_the_pinned_product(self, capsys):
+        # the product itself: any change to a verdict, witness, ref or the
+        # rendering moves this digest
+        assert main(["matrix", "--format", "json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == \
+            "97c2546b37e691c18b88178b4c755c06393796d961ae7e56922f373ad32e8fa6"
 
     def test_run_prints_violations_with_witness(self, capsys):
         rc = main(["run", "--approach", "ds", "--scenario", "9", "--tls",

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from dy_oracle import oracle_deduce
 from term_gen import TermGen
 from rsplab.terms import (Atom, FreshSource, Knowledge, NULL, Nonce, Pair,
                           PubKey, SEnc, SealError, Sign, dh_pub, dh_shared,
-                          encode, kdf, pairs, pub, seal, unpairs, unseal)
+                          encode, kdf, pairs, pub, seal, subterms, unpairs,
+                          unseal)
 
 
 @pytest.fixture
@@ -158,3 +160,73 @@ def test_deduce_matches_brute_force_oracle(seed, goals_per_base):
         goal = gen.term(rng.randrange(1, 5))
         assert kb.deduce(goal) == oracle_deduce(base, goal), \
             f"disagreement on {encode(goal)} from {[encode(t) for t in base]}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_learn_chain_matches_brute_force_oracle(seed):
+    """One learn at a time, deducing at random steps in between, so closures
+    are extended from built ancestors at varying distances."""
+    rng = random.Random(seed)
+    gen = TermGen(rng)
+    terms = sorted(gen.base(max_terms=12), key=encode)
+    rng.shuffle(terms)
+    k, seen = Knowledge(), []
+    for t in terms:
+        parent, parent_seen = k, list(seen)
+        k = k.learn(t)
+        seen.append(t)
+        if rng.random() < 0.4:
+            continue  # no read: the next learn extends an unbuilt child
+        # goals: hidden parts of what was learned, plus fresh random terms
+        inner = sorted({s for x in seen for s in subterms(x)}, key=encode)
+        goals = rng.sample(inner, min(3, len(inner))) + [gen.term(3)]
+        for goal in goals:
+            got = k.deduce(goal)
+            assert got == oracle_deduce(seen, goal), \
+                f"disagreement on {encode(goal)} after {[encode(x) for x in seen]}"
+            if got and not oracle_deduce(parent_seen, goal):
+                assert not parent.deduce(goal)  # the parent is unchanged
+    assert k.closure() == Knowledge(k.base).closure()
+
+
+class TestCachedHash:
+    def test_equal_terms_built_apart_hash_equal(self):
+        a = TermGen(random.Random(9)).term(5)
+        b = TermGen(random.Random(9)).term(5)
+        assert a is not b and a == b and hash(a) == hash(b)
+
+    def test_hash_is_the_structural_dataclass_hash(self, fresh):
+        a, b = Atom("a"), fresh.nonce("n")
+        assert hash(Pair(a, b)) == hash((a, b))
+        assert hash(a) == hash(("a",))
+        k = kdf(dh_shared(fresh.dhpriv(), dh_pub(fresh.dhpriv())), a, b, "mac")
+        assert hash(k) == hash((k.shared, k.oid, k.eid, "mac"))
+
+
+def _knowledge_referents(k):
+    return [r for r in gc.get_referents(k) if isinstance(r, Knowledge)]
+
+
+class TestIncrementalClosure:
+    def test_a_learn_chain_is_not_kept_alive(self):
+        gen = TermGen(random.Random(3))
+        k = Knowledge()
+        for i in range(40):
+            k = k.learn(gen.term(3))
+            if i % 7 == 0:
+                k.deduce(NULL)
+        # an unbuilt Knowledge holds only its nearest built ancestor ...
+        (src,) = _knowledge_referents(k)
+        assert not _knowledge_referents(src)
+        # ... and a built one holds no other Knowledge at all
+        k.closure()
+        assert not _knowledge_referents(k)
+
+    def test_key_constructed_later_opens_a_parked_ciphertext(self, fresh):
+        du, ds, p = fresh.dhpriv("du"), fresh.dhpriv("ds"), fresh.nonce("p")
+        key = kdf(dh_shared(du, dh_pub(ds)), Atom("oid"), Atom("eid"), "enc")
+        k = Knowledge([SEnc(key, p), dh_pub(ds)])
+        assert not k.deduce(p)
+        child = k.learn(du)  # the key is now constructible, never learned
+        assert child.deduce(p) and not k.deduce(p)
