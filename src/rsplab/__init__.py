@@ -9,10 +9,10 @@ goals against execution traces.
 from .fixture import expected_matrix
 from .goals import check_all, check_forward_secrecy, goal_catalog
 from .scenarios import ScenarioConfig, build_world, parse_config
-from .terms import Knowledge, deduce, learn
+from .terms import Knowledge
 
 __all__ = [
     "ScenarioConfig", "build_world", "parse_config", "expected_matrix",
     "goal_catalog", "check_all", "check_forward_secrecy",
-    "Knowledge", "deduce", "learn",
+    "Knowledge",
 ]

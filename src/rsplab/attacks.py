@@ -36,8 +36,8 @@ from .network import (CH_LPA_SERVER, Drop, GateViolation, Middlebox,
 from .pki import parse_certificate
 from .roles import (M3, M4, M7, M8, M11, M12, M15, MSG_ERROR, SIG4, SIG7,
                     SIG8, SIG11, SIG12, SIG15)
-from .scenarios import (ADV_EID, BYSTANDER, MNO1, MNO2, SERVER1, SERVER2,
-                        VICTIM, VICTIM_EID, ScenarioConfig)
+from .scenarios import (AC_SCENARIOS, ADV_EID, BYSTANDER, MNO1, MNO2, SERVER1,
+                        SERVER2, VICTIM, VICTIM_EID, ScenarioConfig)
 from .terms import Atom, Knowledge, NULL, Pair, Term, dh_pub, dh_shared, kdf, seal
 from .world import ADVERSARY_USER, Code, World
 
@@ -353,7 +353,9 @@ def _script_7(world: World) -> None:
 
 
 def _script_8(world: World) -> None:
-    code = world.request_profile(VICTIM)  # delivery is being shoulder-surfed
+    # the code leaks on its way to the victim: a read delivery (8) or a
+    # proxied ordering interface (f)
+    code = world.request_profile(VICTIM)
     stolen = world.adversary_code(code.iac, code.s, code.oid)
     world.start_download(ADVERSARY_USER, code=stolen)
 
@@ -411,12 +413,6 @@ def _script_e(world: World) -> None:
                          middlebox=SwapCode(victim.sk_u, victim.cert_u, own.iac))
 
 
-def _script_f(world: World) -> None:
-    code = world.request_profile(VICTIM)  # ordering interface is proxied
-    stolen = world.adversary_code(code.iac, code.s, code.oid)
-    world.start_download(ADVERSARY_USER, code=stolen)
-
-
 def _both(scenarios, tls=None):
     def applies(cfg: ScenarioConfig) -> bool:
         if cfg.scenario not in scenarios:
@@ -438,10 +434,9 @@ def _ds_only(scenarios, tls=None):
 
 
 def attack_registry() -> list[AttackScript]:
-    ac_all = (1, 2, 3, 4, 5, 6, 7, 8, 10, 11)
     return [
         AttackScript("1", "stolen activation code replay",
-                     _ac_only(ac_all, tls=False), _script_1,
+                     _ac_only(AC_SCENARIOS, tls=False), _script_1,
                      frozenset({"Bp", "G", "K"})),
         AttackScript("2", "compromised server impersonation and diverted delivery",
                      _both({2}), _script_2,
@@ -484,7 +479,7 @@ def attack_registry() -> list[AttackScript]:
                      _ac_only({3}, tls=False), _script_e,
                      frozenset({"E", "F", "J"})),
         AttackScript("f", "activation codes exposed at the compromised server",
-                     _ac_only({2}), _script_f,
+                     _ac_only({2}), _script_8,
                      frozenset({"Bp", "G", "K"})),
     ]
 

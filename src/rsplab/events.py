@@ -11,8 +11,7 @@ trace itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .terms import Term, encode
 

@@ -29,7 +29,6 @@ GOALS = ("A", "B", "Bp", "C", "D", "E", "F", "G", "I", "J", "K",
 
 @dataclass(frozen=True)
 class ExpectedVerdict:
-    goal: str
     mark: str                  # PASS | FAIL | NO_TLS
     attack_refs: tuple = ()
 
@@ -47,10 +46,10 @@ def _row(**cells) -> dict:
     for g in GOALS:
         spec = cells.get(g, PASS)
         if spec == PASS:
-            out[g] = ExpectedVerdict(g, PASS)
+            out[g] = ExpectedVerdict(PASS)
         else:
             mark, refs = spec
-            out[g] = ExpectedVerdict(g, mark, tuple(refs))  # one char per script id
+            out[g] = ExpectedVerdict(mark, tuple(refs))  # one char per script id
     return out
 
 

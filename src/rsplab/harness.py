@@ -26,11 +26,10 @@ from typing import Optional
 from .attacks import (ATTACKS_BY_ID, EXPLANATIONS, attack_registry,
                       audit_trace, fuzz_adversary, honest_script,
                       negative_controls)
-from .fixture import (FAIL, GOALS, NO_TLS, PASS, PAPER_DIVERGENCES,
-                      expected_matrix, scenario_rows)
-from .goals import check_all, check_forward_secrecy, goal_catalog
-from .scenarios import (AC_SCENARIOS, DS_SCENARIOS, ScenarioConfig,
-                        build_world, expand_recs, parse_config)
+from .fixture import GOALS, expected_matrix, scenario_rows
+from .goals import check_all, goal_catalog
+from .scenarios import (ConfigError, ScenarioConfig, build_world, expand_recs,
+                        parse_config)
 
 DEFAULT_SEED_ENV = "RSP_LAB_SEED"
 
@@ -98,9 +97,10 @@ def run_world_suite(cfg: ScenarioConfig) -> list[RunOutcome]:
     return outcomes
 
 
-def evaluate_cell_group(cfg: ScenarioConfig, compare: bool) -> tuple:
-    """All 15 goal cells for one (approach, scenario, tls)."""
-    outcomes = run_world_suite(cfg)
+def evaluate_cell_group(cfg: ScenarioConfig, outcomes: list[RunOutcome],
+                        compare: bool) -> tuple:
+    """All 15 goal cells for one (approach, scenario, tls) from the runs of
+    its world, plus the audit failures and crashes of those runs."""
     expected = expected_matrix().get((cfg.approach, cfg.scenario))
     cells = []
     audit_failures = []
@@ -143,7 +143,8 @@ def run_matrix(approaches=("ds", "ac"), scenarios=None, tls_values=(True, False)
                 cfg = ScenarioConfig(approach, scenario, tls,
                                      recs=expand_recs(recs, approach),
                                      lpa_strict=lpa_strict)
-                group, audits = evaluate_cell_group(cfg, compare)
+                group, audits = evaluate_cell_group(
+                    cfg, run_world_suite(cfg), compare)
                 cells.extend(group)
                 audit_failures.extend(audits)
     return MatrixReport(cells, seed, tuple(sorted(recs)),
@@ -264,6 +265,9 @@ def _add_world_flags(p: argparse.ArgumentParser) -> None:
                         default=None)
     p.add_argument("--careless-user", action="store_true", default=None)
     p.add_argument("--config", help="key=value scenario file; flags override")
+
+
+def _add_seed_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int,
                    default=int(os.environ.get(DEFAULT_SEED_ENV, "0")))
 
@@ -283,6 +287,19 @@ def _cfg_from_args(args) -> ScenarioConfig:
     return parse_config(text)
 
 
+def _chosen_attack(attack_id: str, cfg: ScenarioConfig):
+    """The attack script `--attack` names, None if it names none; an unknown
+    id or one that does not apply to `cfg` is a usage error."""
+    if not attack_id:
+        return None
+    script = ATTACKS_BY_ID.get(attack_id)
+    if script is None:
+        raise ConfigError(f"unknown attack id {attack_id!r}")
+    if not script.applicable(cfg):
+        raise ConfigError(f"attack {attack_id} does not apply to {cfg.describe()}")
+    return script
+
+
 def _cmd_matrix(args) -> int:
     approaches = ("ds", "ac") if args.approach_filter == "both" \
         else (args.approach_filter,)
@@ -291,6 +308,8 @@ def _cmd_matrix(args) -> int:
     recs = frozenset(x for x in args.recs.split(",") if x.strip())
     report = run_matrix(approaches, scenarios, tls_values, recs=recs,
                         seed=args.seed)
+    if not report.cells:
+        raise ConfigError("no scenario row matches the selection")
     text = RENDERERS[args.format](report)
     if args.out:
         with open(args.out, "w") as fh:
@@ -306,46 +325,32 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _cfg_from_args(args)
+    script = _chosen_attack(args.attack, cfg)
     outcomes = run_world_suite(cfg)
-    wanted = None if args.attack in ("all", "") else args.attack
-    exp = expected_matrix()[(cfg.approach, cfg.scenario)]
-    status = 0
+    if script is not None:
+        outcomes = [o for o in outcomes if o.script in ("honest", script.id)]
     print(cfg.describe())
     for o in outcomes:
-        if wanted and o.script not in ("honest", wanted):
-            continue
         bad = [g for g in GOALS if not o.verdicts[g].ok]
         print(f"  run {o.script}: " +
               ("all goals hold" if not bad else "violated " + ", ".join(bad)))
         for g in bad:
             print(f"    {g}: {o.verdicts[g].witness}")
-    if not cfg.recs:
-        for goal in GOALS:
-            actual = "violated" if any(not o.verdicts[goal].ok for o in outcomes
-                                       if not wanted or o.script in ("honest", wanted)) \
-                else "pass"
-            want = exp[goal].resolved(cfg.tls)
-            if wanted is None and actual != want:
-                print(f"  MISMATCH {goal}: actual={actual} expected={want}")
-                status = 1
-    return status
+    cells, audit_failures = evaluate_cell_group(
+        cfg, outcomes, compare=not cfg.recs and script is None)
+    mismatches = [c for c in cells if c.agree is False]
+    for c in mismatches:
+        print(f"  MISMATCH {c.goal}: actual={c.actual} expected={c.expected}")
+    for msg in audit_failures:
+        print(f"  AUDIT {msg}")
+    return 1 if mismatches or audit_failures else 0
 
 
 def _cmd_trace(args) -> int:
     cfg = _cfg_from_args(args)
+    script = _chosen_attack(args.attack, cfg)
     world = build_world(cfg)
-    if args.attack:
-        script = ATTACKS_BY_ID.get(args.attack)
-        if script is None:
-            print(f"unknown attack id {args.attack!r}", file=sys.stderr)
-            return 2
-        if not script.applicable(cfg):
-            print(f"attack {args.attack} does not apply to {cfg.describe()}",
-                  file=sys.stderr)
-            return 2
-        script.run(world)
-    else:
-        honest_script(world)
+    (honest_script if script is None else script.run)(world)
     print(world.trace.render())
     return 0
 
@@ -404,8 +409,7 @@ def main(argv=None) -> int:
     p.add_argument("--recs", default="")
     p.add_argument("--format", choices=sorted(RENDERERS), default="text")
     p.add_argument("--out")
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get(DEFAULT_SEED_ENV, "0")))
+    _add_seed_flag(p)
     p.set_defaults(fn=_cmd_matrix)
 
     p = sub.add_parser("run", help="run one world: honest plus applicable attacks")
@@ -429,11 +433,15 @@ def main(argv=None) -> int:
     p = sub.add_parser("fuzz", help="bounded random adversary smoke test")
     _add_world_flags(p)
     p.add_argument("--steps", type=int, default=50)
+    _add_seed_flag(p)
     p.set_defaults(fn=_cmd_fuzz)
 
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except ConfigError as exc:
+        print(f"rsp-lab {args.command}: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 0
 

@@ -67,10 +67,8 @@ class Middlebox:
 
 @dataclass
 class Tunnel:
-    dial: Atom
     server: Optional[object]          # ServerProcess, or None when terminated by the adversary
-    middlebox: Optional[Middlebox]
-    intercepted: bool                 # middlebox may read/modify in flight
+    middlebox: Optional[Middlebox]    # may read/modify in flight
     client_is_adversary: bool         # adversary-side LPA sees its own plaintext
 
 
@@ -89,17 +87,17 @@ def tls_connect(world, dial: Atom, middlebox: Optional[Middlebox] = None,
                 raise GateViolation(
                     f"cannot intercept tunnel to {dial.label}: transport key not held")
         if middlebox.terminates:
-            return Tunnel(dial, None, middlebox, True, client_is_adversary)
+            return Tunnel(None, middlebox, client_is_adversary)
         if server is None:
             raise GateViolation(f"no server answers for {dial.label}")
-        return Tunnel(dial, server, middlebox, True, client_is_adversary)
+        return Tunnel(server, middlebox, client_is_adversary)
     if server is None:
         raise GateViolation(f"no server answers for {dial.label}")
-    return Tunnel(dial, server, None, False, client_is_adversary)
+    return Tunnel(server, None, client_is_adversary)
 
 
 def _visible_to_adversary(world, tun: Tunnel) -> bool:
-    return (not world.cfg.tls) or tun.intercepted or tun.client_is_adversary
+    return (not world.cfg.tls) or tun.middlebox is not None or tun.client_is_adversary
 
 
 def tunnel_send(world, tun: Tunnel, stage: str, request: Term) -> Term:
@@ -112,7 +110,7 @@ def tunnel_send(world, tun: Tunnel, stage: str, request: Term) -> Term:
 
     delivered = request
     mb = tun.middlebox
-    if mb is not None and tun.intercepted:
+    if mb is not None:
         if tun.server is None:
             response = mb.serve(world, stage, request)
             adv.gate_send(CH_LPA_SERVER, f"fake-server->lpa:{stage}", response,
@@ -137,7 +135,7 @@ def tunnel_send(world, tun: Tunnel, stage: str, request: Term) -> Term:
     world.trace.append(MessageOp(CH_LPA_SERVER, f"server->lpa:{resp_stage}", response))
     if visible and not (mb and mb.unsafe):
         adv.learn(response)
-    if mb is not None and tun.intercepted and tun.server is not None:
+    if mb is not None and tun.server is not None:
         directive = mb.on_response(world, resp_stage, response)
         if isinstance(directive, Drop):
             world.trace.append(Note("blocked", "adversary", f"dropped response to {stage}"))

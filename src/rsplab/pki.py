@@ -21,7 +21,7 @@ from typing import Optional
 
 from .events import Event
 from .terms import (Atom, NULL, PrivKey, PubKey, Sign, Term,
-                    SealError, is_null, pairs, pub, seal, unpairs, unseal)
+                    SealError, pairs, pub, seal, unpairs, unseal)
 
 POLICY_TLS = Atom("policy-tls")
 POLICY_SERVER_AUTH = Atom("policy-server-auth")
@@ -179,7 +179,6 @@ def compromise_euicc(world, eid: str) -> None:
     dev = world.euiccs[eid]
     world.adversary.learn(dev.identity.sk_u, dev.identity.cert_u)
     world.trace.append(Event("CompromiseCert", (dev.identity.eid,)))
-    world.compromised_euiccs.add(eid)
 
 
 def compromise_mno(world, mno: str) -> None:

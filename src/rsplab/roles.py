@@ -124,7 +124,6 @@ def signed_body(sig: Term, key: PubKey, who: str, what: str) -> Term:
 class Order:
     user: Atom
     mno: Atom
-    server_domain: Atom
     eid: Term              # target/registered eUICC id, or NULL
     profile: Term
     iac: Term              # activation code nonce, or NULL
@@ -140,10 +139,6 @@ class ServerSession:
     order: Optional[Order] = None
     peer_eid: Optional[Term] = None
     peer_key: Optional[PubKey] = None
-    q_u: Optional[Term] = None
-    d_s: Optional[Term] = None
-    k: Optional[Term] = None
-    k_mac: Optional[Term] = None
 
 
 class ServerProcess:
@@ -163,7 +158,6 @@ class ServerProcess:
         self.identity = identity
         self.orders: list[Order] = []
         self.sessions: dict = {}
-        self.leak_ephemeral = False  # mutant hook for the forward-secrecy test
 
     # convenience
     @property
@@ -189,11 +183,11 @@ class ServerProcess:
         if world.cfg.approach == "ac":
             iac = world.fresh.nonce("iac")
             registered = eid if "R3" in self._recs() else NULL
-            order = Order(user, mno, self.domain, registered, profile, iac)
+            order = Order(user, mno, registered, profile, iac)
         else:
             if is_null(eid):
                 raise ValueError("default-server orders must name an eUICC")
-            order = Order(user, mno, self.domain, eid, profile, NULL)
+            order = Order(user, mno, eid, profile, NULL)
         self.orders.append(order)
         world.emit(Event("ORDER", (user, mno, self.domain, order.eid,
                                    profile, order.iac)))
@@ -316,7 +310,6 @@ class ServerProcess:
         shared = dh_shared(d_s, q_u)
         k = kdf(shared, self.oid, session.peer_eid, "enc")
         k_mac = kdf(shared, self.oid, session.peer_eid, "mac")
-        session.q_u, session.d_s, session.k, session.k_mac = q_u, d_s, k, k_mac
         order = session.order
         session.phase = "await15"
         world.emit(Event("S2", (session.peer_eid, self.subject, self.subject,
@@ -325,15 +318,8 @@ class ServerProcess:
         sig12 = seal("sign", self.identity.sk_sp,
                      SIG12.build(it=session.it, q_s=q_s, q_u=q_u))
         enc = seal("senc", k, order.profile)
-        msg = M12.build(sig=sig12, enc=enc, mac_enc=seal("mac", k_mac, enc),
-                        mno=order.mno, mac_mno=seal("mac", k_mac, order.mno))
-        if self.leak_ephemeral:
-            # mutant used by the forward-secrecy negative control: blurt the
-            # ephemeral private share where the network can see it
-            world.public_broadcast(
-                seal("sign", self.identity.sk_sp,
-                     Pair(Atom("session-debug"), d_s)), "server-mutant")
-        return msg
+        return M12.build(sig=sig12, enc=enc, mac_enc=seal("mac", k_mac, enc),
+                         mno=order.mno, mac_mno=seal("mac", k_mac, order.mno))
 
     def _handle_notification(self, term: Term) -> Term:
         world = self.world
@@ -378,17 +364,14 @@ class EuiccSession:
     sp_cert: Optional[Certificate] = None
     d_u: Optional[Term] = None
     q_u: Optional[Term] = None
-    keys: Optional[tuple] = None
-    installed: Optional[Term] = None
 
 
 class EuiccDevice:
     """Secure element: runs one download session at a time."""
 
-    def __init__(self, world, identity: EuiccIdentity, owner: str) -> None:
+    def __init__(self, world, identity: EuiccIdentity) -> None:
         self.world = weakref.proxy(world)  # weak, as in ServerProcess
         self.identity = identity
-        self.owner = owner
         self.session: Optional[EuiccSession] = None
 
     @property
@@ -502,8 +485,6 @@ class EuiccDevice:
             profile = unseal("senc", k, enc)
         except SealError as exc:
             raise ProtocolAbort("euicc", f"download integrity failure: {exc}") from exc
-        session.keys = (k, k_mac)
-        session.installed = profile
         session.phase = "done"
         world.emit(Event("U3", (self.eid, session.sa_cert.subject,
                                 session.sp_cert.subject, session.it, k,
@@ -519,11 +500,9 @@ class EuiccDevice:
 
 @dataclass
 class LpaContext:
-    user: str
     dial: Atom
     expected_mno: Optional[Atom]
     expected_oid: Optional[Atom] = None
-    iac: Term = NULL
     strict: bool = True
     careless: bool = False
     n_u: Optional[Term] = None

@@ -53,10 +53,6 @@ class ConfigError(ValueError):
     pass
 
 
-def scenario_ids(approach: str) -> tuple:
-    return DS_SCENARIOS if approach == "ds" else AC_SCENARIOS
-
-
 def expand_recs(recs, approach: str) -> frozenset:
     out = set()
     for r in recs:
@@ -162,8 +158,8 @@ def build_world(cfg: ScenarioConfig) -> World:
         ident.default_server = Atom(SERVER1)
         if "R2" in cfg.recs:
             ident.default_server_oid = s1.oid
-        world.euiccs[eid] = EuiccDevice(world, ident, owner)
-        world.users[owner] = UserAgent(owner, Atom(owner), eid, MNO1)
+        world.euiccs[eid] = EuiccDevice(world, ident)
+        world.users[owner] = UserAgent(Atom(owner), eid, MNO1)
         world.emit(Event("OWNER", (Atom(owner), ident.eid)))
 
     _apply_compromises(world, cfg)

@@ -184,16 +184,6 @@ class FreshSource:
     def dhpriv(self, label: str = "") -> DhPriv:
         return DhPriv(self._take(), label)
 
-    def fresh(self, kind: str, label: str = "") -> Term:
-        """Uniform entry point: kind is one of nonce / privkey / dhpriv."""
-        if kind == "nonce":
-            return self.nonce(label)
-        if kind == "privkey":
-            return self.privkey(label)
-        if kind == "dhpriv":
-            return self.dhpriv(label)
-        raise ValueError(f"unknown fresh kind {kind!r}")
-
 
 # ---------------------------------------------------------------------------
 # Operations on terms
@@ -456,11 +446,3 @@ def _derivable(goal: Term, known: set | frozenset, pending: set) -> bool:
                 and _derivable(goal.oid, known, pending)
                 and _derivable(goal.eid, known, pending))
     raise TypeError(f"not a term: {goal!r}")
-
-
-def deduce(k: Knowledge, goal: Term) -> bool:
-    return k.deduce(goal)
-
-
-def learn(k: Knowledge, t: Term) -> Knowledge:
-    return k.learn(t)

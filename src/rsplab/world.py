@@ -10,14 +10,13 @@ principals' step functions are pure and the world mediates every message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .events import Event, LearnOp, MessageOp, Note, Trace
-from .network import (CH_LPA_EUICC, CH_LPA_SERVER, CH_MNO_SERVER, CH_USER_MNO,
-                      GateViolation, Middlebox, Tunnel, tls_connect,
-                      tunnel_send)
-from .pki import CiRoot, EuiccIdentity, new_ci
+from .network import (CH_LPA_EUICC, CH_MNO_SERVER, CH_USER_MNO, GateViolation,
+                      Middlebox, tls_connect, tunnel_send)
+from .pki import CiRoot
 from .roles import (CODE_DELIVERY, M3, M5, MSG_ERROR, ORDER_REPLY,
                     ORDER_REQUEST, PROFILE_REQUEST, EuiccDevice, LpaContext,
                     Message, MnoProcess, Order, ProtocolAbort, ServerProcess,
@@ -68,7 +67,6 @@ class Adversary:
 
 @dataclass
 class UserAgent:
-    label: str
     atom: Atom
     euicc: str            # eid label of the owned device
     mno: str              # subscribed operator
@@ -92,8 +90,6 @@ class DownloadResult:
     completed: bool
     stage: str
     reason: Optional[str] = None
-    it: Optional[Term] = None
-    profile: Optional[Term] = None
 
 
 class World:
@@ -108,7 +104,6 @@ class World:
         self.users: dict[str, UserAgent] = {}
         self.euiccs: dict[str, EuiccDevice] = {}
         self.compromised_servers: set[str] = set()
-        self.compromised_euiccs: set[str] = set()
         self.adversary_mno_proxies: set[str] = set()
         self.order_channel_proxies: set[str] = set()
         self.user_channel_fraud: set[str] = set()
@@ -121,10 +116,6 @@ class World:
 
     def note(self, kind: str, who: str, detail: str) -> None:
         self.trace.append(Note(kind, who, detail))
-
-    def public_broadcast(self, term: Term, who: str) -> None:
-        self.trace.append(MessageOp(CH_LPA_SERVER, f"{who}->*", term))
-        self.adversary.learn(term)
 
     def long_term_private_keys(self) -> list:
         keys: list[Term] = [self.ci.sk]
@@ -162,18 +153,17 @@ class World:
             self.adversary.learn(reply)
         return code
 
-    def request_profile(self, user_label: str, mno_label: Optional[str] = None,
-                        deliver_hook: Optional[Callable] = None) -> Optional[Code]:
+    def request_profile(self, user_label: str) -> Optional[Code]:
         """Honest ordering flow for `user_label`'s own eUICC.
 
         Default-server approach: the user's intent is recorded at request
         time and the order names their eUICC.  Activation-code approach: the
         code travels back over the user channel and the intent event binds
-        the code the user actually received (a spoofed delivery therefore
-        shows up inside the user's intent, which is the point).
+        the code the user received.  A spoofed code arrives through
+        `spoof_code_delivery` instead, with no intent behind it.
         """
         user = self.users[user_label]
-        mno = self.mnos[mno_label or user.mno]
+        mno = self.mnos[user.mno]
         eid_atom = self.euiccs[user.euicc].eid
         request = PROFILE_REQUEST.build(user=user.atom, eid=eid_atom)
         self.trace.append(MessageOp(CH_USER_MNO, f"{user_label}->{mno.label}", request))
@@ -191,14 +181,6 @@ class World:
             # the adversary reads codes it legitimately receives, and a
             # subverted LPA leaks the ones passing through it
             self.adversary.learn(code.iac)
-        if deliver_hook is not None:
-            if not ("spoof-code" in self.user_channel_fraud
-                    or user_label in self.compromised_lpa_users):
-                raise GateViolation("user channel integrity is intact")
-            code = deliver_hook(code)
-            self.adversary.gate_send(CH_USER_MNO, f"adv->{user_label}",
-                                     code.message(CODE_DELIVERY))
-            code.for_user = user_label
         self.emit(Event("INTENT", (user.atom, mno.atom, eid_atom, code.iac)))
         return code
 
@@ -269,14 +251,11 @@ class World:
 
     def start_download(self, user_label: str, code: Optional[Code] = None,
                        middlebox: Optional[Middlebox] = None,
-                       dial: Optional[Atom] = None,
-                       inject_code: Optional[Code] = None,
-                       careless: Optional[bool] = None,
-                       euicc_label: Optional[str] = None) -> DownloadResult:
+                       inject_code: Optional[Code] = None) -> DownloadResult:
         """Drive one full download attempt for `user_label`'s device."""
         cfg = self.cfg
         user = self.users[user_label]
-        device = self.euiccs[euicc_label or user.euicc]
+        device = self.euiccs[user.euicc]
         adversary_client = (user_label == ADVERSARY_USER)
         lpa_compromised = user_label in self.compromised_lpa_users
 
@@ -287,11 +266,11 @@ class World:
                 raise GateViolation("code was not delivered to this user")
             if code.for_user is None and adversary_client:
                 self.adversary.require(code.iac, "activation code")
-            dial_to = dial or code.s
+            dial_to = code.s
             iac = code.iac
             expected_oid = code.oid if "R1" in cfg.recs else None
         else:
-            dial_to = dial or device.identity.default_server
+            dial_to = device.identity.default_server
             iac = NULL
             expected_oid = (device.identity.default_server_oid
                             if "R2" in cfg.recs else None)
@@ -306,13 +285,11 @@ class World:
         elif inject_code is not None:
             raise GateViolation("only a compromised LPA can swap the code")
 
-        careless_flag = cfg.careless_user if careless is None else careless
         ctx = LpaContext(
-            user=user_label, dial=dial_to,
+            dial=dial_to,
             expected_mno=None if adversary_client else self.mnos[user.mno].atom,
-            expected_oid=expected_oid, iac=iac,
-            strict=cfg.lpa_strict,
-            careless=careless_flag or adversary_client or lpa_compromised)
+            expected_oid=expected_oid, strict=cfg.lpa_strict,
+            careless=cfg.careless_user or adversary_client or lpa_compromised)
 
         tun = tls_connect(self, dial_to, middlebox,
                           client_is_adversary=adversary_client or lpa_compromised)
@@ -361,10 +338,8 @@ class World:
             m16 = tunnel_send(self, tun, "m15", m15)
             self.trace.append(MessageOp(CH_LPA_EUICC, "lpa->euicc:m17",
                                         Atom("notification-delete-ack")))
-            session = device.session
             return DownloadResult(m16 != MSG_ERROR, "done",
-                                  None if m16 != MSG_ERROR else "notification rejected",
-                                  it=session.it, profile=session.installed)
+                                  None if m16 != MSG_ERROR else "notification rejected")
         except ProtocolAbort as exc:
             self.note("abort", exc.who, exc.reason)
             return DownloadResult(False, exc.who, exc.reason)

@@ -22,7 +22,7 @@ from rsplab.attacks import honest_script
 from rsplab.fixture import GOALS, PAPER_DIVERGENCES, expected_matrix
 from rsplab.goals import check_all, check_forward_secrecy
 from rsplab.harness import run_matrix, run_world_suite
-from rsplab.scenarios import SERVER1, VICTIM, ScenarioConfig, build_world
+from rsplab.scenarios import ScenarioConfig, build_world
 from rsplab.terms import Knowledge
 
 
@@ -126,9 +126,11 @@ def test_criterion_5_forward_secrecy():
             world = build_world(ScenarioConfig(approach, 1, tls))
             honest_script(world)
             assert check_forward_secrecy(world).ok, (approach, tls)
+    # the mutant: the server's ephemeral private share leaks after the run
     mutant = build_world(ScenarioConfig("ds", 1, False))
-    mutant.servers[SERVER1].leak_ephemeral = True
     honest_script(mutant)
+    (_, sent_qs), = mutant.trace.events_tagged("SENT_QS")
+    mutant.adversary.learn(sent_qs.params[0].of)
     caught = not check_forward_secrecy(mutant).ok
     _verdict_line(5, caught, "long-term key leak after the run reveals "
                              "nothing; the ephemeral-leaking mutant is caught")

@@ -6,9 +6,9 @@ import pytest
 
 from rsplab.attacks import (ATTACKS_BY_ID, attack_registry, audit_trace,
                             fuzz_adversary, honest_script, negative_controls)
-from rsplab.fixture import GOALS, expected_matrix
+from rsplab.fixture import GOALS, expected_matrix, scenario_rows
 from rsplab.goals import check_all, goal_catalog
-from rsplab.scenarios import ScenarioConfig, build_world, scenario_ids
+from rsplab.scenarios import ScenarioConfig, build_world
 
 # one representative world per script (approach, scenario, tls)
 SAMPLE_WORLDS = {
@@ -69,7 +69,7 @@ class TestScriptClaims:
         registry = attack_registry()
         matrix = expected_matrix()
         for approach in ("ds", "ac"):
-            for scenario in scenario_ids(approach):
+            for scenario in scenario_rows(approach):
                 for tls in (True, False):
                     cfg = ScenarioConfig(approach, scenario, tls)
                     wanted = {g for g, exp in matrix[(approach, scenario)].items()
@@ -139,7 +139,7 @@ class TestControls:
     def test_controls_leave_every_goal_intact_on_pass_rows(self):
         ran = 0
         for approach in ("ds", "ac"):
-            for scenario in scenario_ids(approach):
+            for scenario in scenario_rows(approach):
                 for tls in (True, False):
                     cfg = ScenarioConfig(approach, scenario, tls)
                     for control in negative_controls(cfg):

@@ -213,10 +213,11 @@ class TestTransitivity:
     def test_whole_handshake_goal_follows_from_stepwise_ones(self):
         # every world trace where F, D and B hold must satisfy I as well
         from rsplab.attacks import attack_registry, honest_script
-        from rsplab.scenarios import ScenarioConfig, build_world, scenario_ids
+        from rsplab.fixture import scenario_rows
+        from rsplab.scenarios import ScenarioConfig, build_world
         checked = 0
         for approach in ("ds", "ac"):
-            for scenario in scenario_ids(approach):
+            for scenario in scenario_rows(approach):
                 for tls in (True, False):
                     cfg = ScenarioConfig(approach, scenario, tls)
                     runs = [honest_script] + [

@@ -1,10 +1,12 @@
 """Harness contract: exit codes, deterministic reports, renderers, CLI."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from rsplab import harness
 from rsplab.harness import (main, render_csv, render_json, render_text,
                             run_matrix)
 
@@ -88,6 +90,39 @@ class TestCli:
 
     def test_unknown_attack_id_usage_error(self, capsys):
         assert main(["trace", "--approach", "ds", "--attack", "zz"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--approach", "ds", "--attack", "zz"],
+        ["run", "--approach", "ds", "--scenario", "1", "--attack", "a"],
+        ["trace", "--approach", "ds", "--scenario", "1", "--attack", "a"],
+        ["matrix", "--recs", "R2"],
+        ["run", "--approach", "ac", "--recs", "R2"],
+        ["matrix", "--scenario", "42"],
+        ["matrix", "--approach", "ac", "--scenario", "9"],
+    ], ids=" ".join)
+    def test_input_errors_exit_2_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_seed_is_refused_where_nothing_reads_it(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1"])
+        assert exc.value.code == 2
+
+    def test_run_reports_a_crashed_script(self, monkeypatch, capsys):
+        def crash(world):
+            raise RuntimeError("boom")
+
+        controls = harness.negative_controls
+        monkeypatch.setattr(harness, "negative_controls", lambda cfg: [
+            dataclasses.replace(c, run=crash) for c in controls(cfg)])
+        rc = main(["run", "--approach", "ds", "--scenario", "1"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "run=ctl-no-forgery: run crashed: RuntimeError: boom" in out
 
     def test_config_file_round_trip(self, tmp_path, capsys):
         cfg = tmp_path / "world.cfg"

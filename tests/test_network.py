@@ -76,7 +76,7 @@ class TestTunnel:
         s1 = w.servers[SERVER1].identity
         mb = ImpersonateServer(s1, s1.domain, w.mnos[MNO1].atom)
         tun = tls_connect(w, Atom(SERVER1), mb)
-        assert tun.intercepted
+        assert tun.middlebox is mb
 
     def test_anonymous_clients_always_connect(self):
         w = build_world(ScenarioConfig("ds", 1, True))

@@ -6,7 +6,7 @@ import pytest
 from rsplab.fixture import GOALS, expected_matrix, scenario_rows
 from rsplab.scenarios import (AC_SCENARIOS, DS_SCENARIOS, ConfigError,
                               ScenarioConfig, build_world, expand_recs,
-                              parse_config, scenario_ids)
+                              parse_config)
 
 
 class TestConfig:
@@ -57,7 +57,7 @@ class TestConfig:
 class TestWorldBuilding:
     @pytest.mark.parametrize("approach", ["ds", "ac"])
     def test_every_fixture_row_is_buildable(self, approach):
-        for scenario in scenario_ids(approach):
+        for scenario in scenario_rows(approach):
             for tls in (True, False):
                 w = build_world(ScenarioConfig(approach, scenario, tls))
                 assert len(w.servers) == 2

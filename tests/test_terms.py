@@ -20,18 +20,14 @@ def fresh():
 
 class TestFreshness:
     def test_fresh_values_never_repeat(self, fresh):
-        seen = {fresh.fresh(kind, "x")
-                for kind in ("nonce", "privkey", "dhpriv") for _ in range(50)}
+        seen = {make("x") for make in (fresh.nonce, fresh.privkey, fresh.dhpriv)
+                for _ in range(50)}
         assert len(seen) == 150
 
     def test_two_sources_issue_identical_sequences(self):
         a, b = FreshSource(), FreshSource()
         for _ in range(20):
             assert a.nonce("n") == b.nonce("n")
-
-    def test_unknown_kind_rejected(self, fresh):
-        with pytest.raises(ValueError):
-            fresh.fresh("quantum", "x")
 
 
 class TestDh:
