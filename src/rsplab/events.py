@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Term, encode
+from .terms import Atom, Term, encode
 
 # Tags and their arities.  U*/S* events mark handshake progress on the two
 # endpoints, OWNER/INTENT/ORDER/AUTHORIZE anchor runs to out-of-band facts,
@@ -42,6 +42,9 @@ EVENT_ARITY = {
 }
 
 CLIENT_TRIGGER_TAGS = {"U0", "U1", "U2", "U3"}
+
+# the adversary's own user account; goal exclusions spare what it owns
+ADVERSARY_USER = "user-adv"
 
 
 @dataclass(frozen=True)
@@ -94,16 +97,15 @@ class Note:
 
 
 class Trace:
-    """Append-only log plus the little world metadata exclusions need.
+    """Append-only log plus the lookups the goal exclusions need.
 
     ``append`` is the only writer.  It files each event under its tag as the
     event arrives, so a lookup by tag costs the number of events with that
     tag, not a scan of the whole log.
     """
 
-    def __init__(self, adversary_user: str = "user-adv") -> None:
+    def __init__(self) -> None:
         self.entries: list = []
-        self.adversary_user = adversary_user
         self._tagged: dict[str, list[tuple[int, Event]]] = {}
         self._derived: dict = {}
 
@@ -130,7 +132,7 @@ class Trace:
         return hit[1]
 
     def render(self) -> str:
-        lines = [f"# adversary-user: {self.adversary_user}"]
+        lines = [f"# adversary-user: {ADVERSARY_USER}"]
         for i, entry in enumerate(self.entries):
             lines.append(f"{i:4d}  {entry.render()}")
         return "\n".join(lines)
@@ -142,7 +144,6 @@ class Trace:
         return {e.params[0] for _, e in self.events_tagged(tag)}
 
     def adversary_owned_eids(self) -> set:
-        from .terms import Atom
-        adv = Atom(self.adversary_user)
+        adv = Atom(ADVERSARY_USER)
         return {e.params[1] for _, e in self.events_tagged("OWNER")
                 if e.params[0] == adv}

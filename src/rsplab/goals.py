@@ -14,9 +14,14 @@ Cost model: the checker never scans the trace.  One index per trace state
 each tag and, on first use, buckets them by the value at each position.  A
 conjunct's candidates are the smallest bucket over its already-bound
 variables, so a witness lookup costs about the number of events that agree
-on those values.  Witness tuples are enumerated in full only while an
-injective conjunct remains; after that the first consistent completion is
-enough.
+on those values; a tag with only a few events is handed over whole, since
+bucketing it would cost more than the match calls it saves.  The witness
+search keeps only what the injective assignment can tell apart: an
+injective conjunct keeps every witness, a non-injective one keeps one
+witness (the earliest) per distinct set of variables it newly binds, and
+once no injective conjunct is left the first consistent completion is
+enough.  Each pattern works out its literal and variable slots once, so a
+match walks only those.
 
 Secrecy goals bind a target parameter at the trigger and fail iff the
 end-of-run adversary knowledge derives it (knowledge only grows, so
@@ -34,8 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .events import CLIENT_TRIGGER_TAGS, EVENT_ARITY, Event, Trace
-from .terms import Atom, Knowledge, Term, encode, is_null
+from .events import (ADVERSARY_USER, CLIENT_TRIGGER_TAGS, EVENT_ARITY, Event,
+                     Trace)
+from .terms import NULL, Atom, Knowledge, Term, encode, is_null
 
 
 # ---------------------------------------------------------------------------
@@ -65,38 +71,41 @@ W = Wild()
 class EventPattern:
     tag: str
     params: tuple
+    # the match plan, worked out once: (position, term) of every literal
+    # slot and (position, name, optional) of every Var/OptVar slot
+    literals: tuple = field(init=False, repr=False, compare=False)
+    binders: tuple = field(init=False, repr=False, compare=False)
     # (position, name) of every Var slot, the positions the index can narrow on
     var_slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        binders = tuple((pos, p.name, isinstance(p, OptVar))
+                        for pos, p in enumerate(self.params)
+                        if isinstance(p, (Var, OptVar)))
+        object.__setattr__(self, "literals", tuple(
+            (pos, p) for pos, p in enumerate(self.params)
+            if not isinstance(p, (Var, OptVar, Wild))))
+        object.__setattr__(self, "binders", binders)
         object.__setattr__(self, "var_slots", tuple(
-            (pos, p.name) for pos, p in enumerate(self.params)
-            if isinstance(p, Var)))
+            (pos, name) for pos, name, optional in binders if not optional))
 
     def match(self, event: Event, bindings: dict) -> Optional[dict]:
         if event.tag != self.tag:
             return None
+        params = event.params
+        for pos, term in self.literals:
+            value = params[pos]
+            if value is not term and value != term:
+                return None
         out = dict(bindings)
-        for pat, value in zip(self.params, event.params):
-            if isinstance(pat, Wild):
+        for pos, name, optional in self.binders:
+            value = params[pos]
+            if optional and (value is NULL or value == NULL):
                 continue
-            if isinstance(pat, Var):
-                if pat.name in out:
-                    if out[pat.name] != value:
-                        return None
-                else:
-                    out[pat.name] = value
-            elif isinstance(pat, OptVar):
-                if is_null(value):
-                    continue
-                if pat.name in out:
-                    if out[pat.name] != value:
-                        return None
-                else:
-                    out[pat.name] = value
-            else:  # literal term
-                if pat != value:
-                    return None
+            if name not in out:
+                out[name] = value
+            elif out[name] is not value and out[name] != value:
+                return None
         return out
 
 
@@ -256,6 +265,11 @@ CATALOG = tuple(goal_catalog())
 # The per-trace index
 # ---------------------------------------------------------------------------
 
+# A tag list this short is scanned whole: a value bucket would cost a pass
+# over the list per bound position to save at most a few match calls.
+_SHORT_LIST = 4
+
+
 class _TraceIndex:
     """What the checkers look up in one trace, built once per trace state
     (``Trace.derived``) and shared by every goal checked on it: the events
@@ -266,7 +280,6 @@ class _TraceIndex:
     def __init__(self, trace: Trace) -> None:
         self.tagged = {tag: trace.events_tagged(tag) for tag in EVENT_ARITY}
         self._by_value: dict = {}
-        self.adv_atom = Atom(trace.adversary_user)
         self.adv_eids = trace.adversary_owned_eids()
         self.mno_marks = trace.marked("CompromiseMno")
 
@@ -282,20 +295,28 @@ class _TraceIndex:
     def candidates(self, pattern: EventPattern, bindings: dict) -> list:
         """A superset of the events `pattern` matches under `bindings`: the
         smallest value bucket over the pattern's bound ``Var`` positions,
-        or every event of its tag when none is bound."""
+        or every event of its tag when none is bound or the tag's list is
+        short."""
         best = self.tagged[pattern.tag]
+        if len(best) <= _SHORT_LIST:
+            return best
         for pos, name in pattern.var_slots:
             value = bindings.get(name)
             if value is not None:
                 bucket = self.with_value(pattern.tag, pos, value)
                 if len(bucket) < len(best):
                     best = bucket
+                    if len(best) <= 1:
+                        break
         return best
 
 
 # ---------------------------------------------------------------------------
 # Exclusions
 # ---------------------------------------------------------------------------
+
+_ADVERSARY = Atom(ADVERSARY_USER)
+
 
 def _excluded(idx: _TraceIndex, event: Event) -> bool:
     """Is this trigger occurrence outside the threat model's interest?"""
@@ -321,7 +342,7 @@ def _excluded(idx: _TraceIndex, event: Event) -> bool:
                             if e.params[1] == params[4]])
         else:
             orders = idx.with_value("ORDER", 4, params[4 if tag == "S3" else 5])
-        return bool(orders) and all(e.params[0] == idx.adv_atom for _, e in orders)
+        return bool(orders) and all(e.params[0] == _ADVERSARY for _, e in orders)
     return False
 
 
@@ -332,25 +353,38 @@ def _excluded(idx: _TraceIndex, event: Event) -> bool:
 def _witness_tuples(idx: _TraceIndex, upto: int, requires: tuple,
                     bindings: dict) -> list:
     """Consistent ways to satisfy the conjunction with events before `upto`,
-    as (witness indices, bindings) in trace order.  Once no injective
-    conjunct is left, the first completion stands for all of them:
-    ``_assign_injectively`` reads only the injective slots, which are fixed
-    by then."""
+    as (witness indices, bindings) in trace order, keeping only what
+    ``_assign_injectively`` can tell apart: it reads the injective slots
+    alone.  So a non-injective conjunct keeps one witness, the earliest,
+    for each distinct set of variables it newly binds (the rest of the
+    search depends on nothing else), and once no injective conjunct is left
+    the first completion stands for all of them."""
     if not requires:
         return [((), bindings)]
     req, rest = requires[0], requires[1:]
     first_only = not any(r.injective for r in requires)
+    new_names = None if req.injective else tuple(
+        name for _, name, _ in req.pattern.binders if name not in bindings)
+    seen = set()
+    match = req.pattern.match
     out = []
     for i, e in idx.candidates(req.pattern, bindings):
         if i >= upto:
             break
-        nb = req.pattern.match(e, bindings)
+        nb = match(e, bindings)
         if nb is None:
             continue
+        if new_names is not None:
+            key = tuple([nb.get(name) for name in new_names])
+            if key in seen:
+                continue
+            seen.add(key)
         for tail, fb in _witness_tuples(idx, upto, rest, nb):
             out.append(((i,) + tail, fb))
             if first_only:
                 return out
+        if new_names == ():
+            break  # binds nothing new: every later witness is the same
     return out
 
 

@@ -75,26 +75,28 @@ class MatrixReport:
         return {(c.approach, c.scenario, c.tls, c.goal): c for c in self.cells}
 
 
+def run_world(cfg: ScenarioConfig, name: str, script) -> RunOutcome:
+    """One script in a freshly built world, with its goal verdicts and
+    capability audit."""
+    world = build_world(cfg)
+    aborted = None
+    try:
+        script(world)
+    except AssertionError:
+        raise
+    except Exception as exc:  # a script bug, not a verdict
+        aborted = f"{type(exc).__name__}: {exc}"
+    verdicts = check_all(world.trace, world.adversary.knowledge)
+    return RunOutcome(name, verdicts, audit_trace(world.trace), aborted)
+
+
 def run_world_suite(cfg: ScenarioConfig) -> list[RunOutcome]:
     """Honest script, then every applicable attack and negative control,
     each in a freshly built world."""
-    outcomes = []
     runs = [("honest", honest_script)]
     runs += [(s.id, s.run) for s in attack_registry() if s.applicable(cfg)]
     runs += [(c.id, c.run) for c in negative_controls(cfg)]
-    for name, fn in runs:
-        world = build_world(cfg)
-        aborted = None
-        try:
-            fn(world)
-        except AssertionError:
-            raise
-        except Exception as exc:  # a script bug, not a verdict
-            aborted = f"{type(exc).__name__}: {exc}"
-        verdicts = check_all(world.trace, world.adversary.knowledge)
-        outcomes.append(RunOutcome(name, verdicts, audit_trace(world.trace),
-                                   aborted))
-    return outcomes
+    return [run_world(cfg, name, fn) for name, fn in runs]
 
 
 def evaluate_cell_group(cfg: ScenarioConfig, outcomes: list[RunOutcome],
@@ -128,8 +130,7 @@ def evaluate_cell_group(cfg: ScenarioConfig, outcomes: list[RunOutcome],
 
 
 def run_matrix(approaches=("ds", "ac"), scenarios=None, tls_values=(True, False),
-               recs=frozenset(), seed: int = 0,
-               lpa_strict: bool = True) -> MatrixReport:
+               recs=frozenset(), seed: int = 0) -> MatrixReport:
     start = time.monotonic()
     cells = []
     audit_failures = []
@@ -141,8 +142,7 @@ def run_matrix(approaches=("ds", "ac"), scenarios=None, tls_values=(True, False)
                 continue
             for tls in tls_values:
                 cfg = ScenarioConfig(approach, scenario, tls,
-                                     recs=expand_recs(recs, approach),
-                                     lpa_strict=lpa_strict)
+                                     recs=expand_recs(recs, approach))
                 group, audits = evaluate_cell_group(
                     cfg, run_world_suite(cfg), compare)
                 cells.extend(group)
@@ -326,9 +326,11 @@ def _cmd_matrix(args) -> int:
 def _cmd_run(args) -> int:
     cfg = _cfg_from_args(args)
     script = _chosen_attack(args.attack, cfg)
-    outcomes = run_world_suite(cfg)
-    if script is not None:
-        outcomes = [o for o in outcomes if o.script in ("honest", script.id)]
+    if script is None:
+        outcomes = run_world_suite(cfg)
+    else:
+        outcomes = [run_world(cfg, "honest", honest_script),
+                    run_world(cfg, script.id, script.run)]
     print(cfg.describe())
     for o in outcomes:
         bad = [g for g in GOALS if not o.verdicts[g].ok]

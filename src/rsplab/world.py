@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .events import Event, LearnOp, MessageOp, Note, Trace
+from .events import ADVERSARY_USER, Event, LearnOp, MessageOp, Note, Trace
 from .network import (CH_LPA_EUICC, CH_MNO_SERVER, CH_USER_MNO, GateViolation,
                       Middlebox, tls_connect, tunnel_send)
 from .pki import CiRoot
@@ -22,8 +22,6 @@ from .roles import (CODE_DELIVERY, M3, M5, MSG_ERROR, ORDER_REPLY,
                     Message, MnoProcess, Order, ProtocolAbort, ServerProcess,
                     lpa_check_msg12, lpa_check_msg4, lpa_check_msg8)
 from .terms import Atom, FreshSource, Knowledge, NULL, Term, is_null
-
-ADVERSARY_USER = "user-adv"
 
 
 class Adversary:
@@ -96,7 +94,7 @@ class World:
     def __init__(self, cfg) -> None:
         self.cfg = cfg
         self.fresh = FreshSource()
-        self.trace = Trace(adversary_user=ADVERSARY_USER)
+        self.trace = Trace()
         self.adversary = Adversary(self.trace, self.fresh)
         self.ci: Optional[CiRoot] = None
         self.servers: dict[str, ServerProcess] = {}

@@ -5,19 +5,38 @@ replaced: every conjunct is tried against every earlier event of the whole
 trace, every consistent witness tuple is enumerated, and the exclusion
 facts are recomputed by scanning.  It shares only the pattern language,
 the injective assignment and the text formatting with the checker under
-test.  Exponential in the number of conjuncts on long traces, so tests
-feed it short ones.
+test; patterns are matched slot by slot here, not through the match plan
+each ``EventPattern`` works out.  Exponential in the number of conjuncts on
+long traces, so tests feed it short ones.
 """
 
 from __future__ import annotations
 
-from rsplab.events import Event, Trace
-from rsplab.goals import (GoalSpec, GoalVerdict, _assign_injectively,
-                          _pattern_text)
+from rsplab.events import ADVERSARY_USER, Event, Trace
+from rsplab.goals import (EventPattern, GoalSpec, GoalVerdict, OptVar, Var,
+                          Wild, _assign_injectively, _pattern_text)
 from rsplab.terms import Atom, Knowledge, encode, is_null
 
 CLIENT_TAGS = ("U0", "U1", "U2", "U3")
 MNO_POSITION = {"U3": 6, "S1": 4, "S2": 6, "S3": 6}
+
+
+def match(pattern: EventPattern, event: Event, bindings: dict):
+    """The bindings extended by `event`, or None if it does not match."""
+    if event.tag != pattern.tag:
+        return None
+    out = dict(bindings)
+    for pat, value in zip(pattern.params, event.params):
+        if isinstance(pat, Wild) or (isinstance(pat, OptVar) and is_null(value)):
+            continue
+        if isinstance(pat, (Var, OptVar)):
+            if pat.name not in out:
+                out[pat.name] = value
+            elif out[pat.name] != value:
+                return None
+        elif pat != value:  # literal term
+            return None
+    return out
 
 
 def _events(trace: Trace) -> list:
@@ -27,7 +46,7 @@ def _events(trace: Trace) -> list:
 class _Exclusions:
     def __init__(self, trace: Trace) -> None:
         events = _events(trace)
-        self.adv_atom = Atom(trace.adversary_user)
+        self.adv_atom = Atom(ADVERSARY_USER)
         self.adv_eids = {e.params[1] for _, e in events
                          if e.tag == "OWNER" and e.params[0] == self.adv_atom}
         self.mno_marks = {e.params[0] for _, e in events
@@ -79,7 +98,7 @@ def witness_tuples(events: list, upto: int, requires: tuple, bindings: dict) -> 
     for i, e in events:
         if i >= upto:
             break
-        nb = req.pattern.match(e, bindings)
+        nb = match(req.pattern, e, bindings)
         if nb is None:
             continue
         for tail, fb in witness_tuples(events, upto, rest, nb):
@@ -102,7 +121,7 @@ def check_correspondence(trace: Trace, goal: GoalSpec) -> GoalVerdict:
     events = _events(trace)
     triggers = []
     for i, e in events:
-        b = goal.trigger.match(e, {})
+        b = match(goal.trigger, e, {})
         if b is None or excl.excluded(e):
             continue
         triggers.append((i, e, b))
@@ -128,7 +147,7 @@ def check_correspondence(trace: Trace, goal: GoalSpec) -> GoalVerdict:
 def check_secrecy(trace: Trace, knowledge: Knowledge, goal: GoalSpec) -> GoalVerdict:
     excl = _Exclusions(trace)
     for i, e in _events(trace):
-        if goal.trigger.match(e, {}) is None or excl.excluded(e):
+        if match(goal.trigger, e, {}) is None or excl.excluded(e):
             continue
         target = e.params[goal.secrecy_index]
         if knowledge.deduce(target):

@@ -2,7 +2,8 @@
 goal_oracle.py: same status and byte-equal witness text for every goal of
 every catalog variant, on random traces whose parameters come from a small
 term pool so that bindings collide, and on the paths random traces reach
-rarely."""
+rarely.  Patterns are matched by each side's own code, so the match plans
+are under test too."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,15 +11,27 @@ from hypothesis import strategies as st
 import goal_oracle
 from rsplab import goals
 from rsplab.events import Event, Trace
-from rsplab.goals import check_goal, goal_catalog
+from rsplab.goals import (EventPattern, GoalSpec, OptVar, Requirement, Var,
+                          W, check_goal, goal_catalog)
 from rsplab.scenarios import BYSTANDER, VICTIM, ScenarioConfig, build_world
 from rsplab.terms import Atom, Knowledge, NULL, Nonce
 from rsplab.world import ADVERSARY_USER
 
+# Not one of the fifteen: a non-injective conjunct that binds two new
+# variables, both read by the injective conjunct after it (no catalog goal
+# has one, so this is where the witness search's dedup key is exercised).
+TWO_NEW = GoalSpec(
+    "two-new", "auth", "server", "each order's operator was intended",
+    EventPattern("S1", (Var("U"), W, W, W, W, W)),
+    (Requirement(EventPattern("ORDER", (Var("uid"), Var("mno"), W, OptVar("U"),
+                                        W, W)), False),
+     Requirement(EventPattern("INTENT", (Var("uid"), Var("mno"), Var("U"), W)),
+                 True)))
 CATALOGS = {
     "default": goal_catalog(),
     "injective_notification": goal_catalog(injective_notification=True),
     "strict_identity": goal_catalog(strict_identity=True),
+    "two_new": [TWO_NEW],
 }
 ADV = Atom(ADVERSARY_USER)
 SECRETS = (Nonce(1, "x"), Nonce(2, "x"))
@@ -43,7 +56,7 @@ LAYOUT = {
 
 
 def make_trace(*events) -> Trace:
-    t = Trace(adversary_user=ADVERSARY_USER)
+    t = Trace()
     for e in events:
         t.append(e)
     return t
@@ -94,6 +107,23 @@ def test_random_traces_match_the_oracle(valuations, draws, known):
     assert_same_verdicts(make_trace(*events), Knowledge(sorted(known, key=repr)))
 
 
+# a pattern slot: a variable, a wildcard, or a literal built apart from the
+# pool, so that it equals a pool term without being the same object
+slots = st.one_of(
+    st.sampled_from([Var("a"), Var("b"), OptVar("a"), OptVar("b"), W]),
+    st.sampled_from([Nonce(1, "x"), Nonce(2, "x"), Atom("null"), Atom(ADVERSARY_USER)]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(slots, min_size=4, max_size=4),
+       st.lists(st.sampled_from(POOL), min_size=4, max_size=4),
+       st.dictionaries(st.sampled_from("ab"), st.sampled_from(POOL)))
+def test_match_plan_matches_slot_by_slot(params, values, bindings):
+    pattern = EventPattern("U1", tuple(params))
+    event = Event("U1", tuple(values))
+    assert pattern.match(event, bindings) == goal_oracle.match(pattern, event, bindings)
+
+
 U, SA, S, MNO, P = Atom("eid-1"), Atom("srv-a"), Atom("dl"), Atom("mno1"), Atom("p")
 USER = Atom("user1")
 ADV_EID = Atom("eid-adv")
@@ -125,6 +155,18 @@ class TestPaths:
         v = check_goal(t, Knowledge(), goal("Bp"))
         assert v.witness.startswith("trigger #4 ")
         assert "injective witness exhausted" in v.witness
+        assert_same_verdicts(t, Knowledge())
+
+    def test_dedup_keeps_each_set_of_new_bindings(self):
+        # two orders of one user for different operators; only the second
+        # operator was intended, so the first binding set leads nowhere and
+        # the second must not be merged into it
+        t = make_trace(
+            Event("ORDER", (USER, Atom("mno0"), S, U, P, NULL)),
+            Event("ORDER", (USER, MNO, S, U, P, NULL)),
+            Event("INTENT", (USER, MNO, U, NULL)),
+            Event("S1", (U, SA, SA, it(1), MNO, NULL)))
+        assert check_goal(t, Knowledge(), TWO_NEW).ok
         assert_same_verdicts(t, Knowledge())
 
     def test_excluded_triggers_are_skipped(self):
@@ -168,3 +210,42 @@ def test_notification_goal_with_many_orders_per_user():
     events = goal_oracle._events(w.trace)
     assert len(goal_oracle.witness_tuples(events, i, g.requires, bindings)) == 14 * 14
     assert len(goals._witness_tuples(idx, i, g.requires, bindings)) == 1
+
+
+def ds_orders(k: int, triggers: int) -> Trace:
+    """One owner, k orders placed the ds way (each logs the same
+    INTENT(uid, mno, U, null) and its own ORDER), then `triggers`
+    authenticated clients."""
+    events = [Event("OWNER", (USER, U))]
+    for n in range(k):
+        events += [Event("INTENT", (USER, MNO, U, NULL)),
+                   Event("ORDER", (USER, MNO, S, U, Atom(f"p{n}"), NULL))]
+    events += [Event("S1", (U, SA, SA, it(n), MNO, NULL)) for n in range(triggers)]
+    return make_trace(*events)
+
+
+def test_identical_intents_give_one_witness_tuple_per_order():
+    # INTENT is a non-injective conjunct of Bp and, with uid bound by OWNER,
+    # binds nothing new: one INTENT witness serves, not k of them
+    k = 6
+    t = ds_orders(k, k)
+    g = goal("Bp")
+    i, s1 = t.events_tagged("S1")[-1]
+    bindings = g.trigger.match(s1, {})
+    idx = t.derived(goals._TraceIndex)
+    tuples = goals._witness_tuples(idx, i, g.requires, bindings)
+    orders = [j for j, _ in t.events_tagged("ORDER")]
+    assert [ix[2] for ix, _ in tuples] == orders
+    events = goal_oracle._events(t)
+    assert len(goal_oracle.witness_tuples(events, i, g.requires, bindings)) == k * k
+    assert check_goal(t, Knowledge(), g).ok
+    assert_same_verdicts(t, Knowledge())
+
+
+def test_identical_intents_one_trigger_too_many():
+    # one more authenticated client than orders: the injective ORDER
+    # conjunct runs out, as the oracle's full enumeration finds too
+    t = ds_orders(3, 4)
+    v = check_goal(t, Knowledge(), goal("Bp"))
+    assert "injective witness exhausted" in v.witness
+    assert_same_verdicts(t, Knowledge())

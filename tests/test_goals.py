@@ -21,7 +21,7 @@ def goal(name):
 
 
 def make_trace(*events):
-    t = Trace(adversary_user="user-adv")
+    t = Trace()
     for e in events:
         t.append(e)
     return t

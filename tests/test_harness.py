@@ -124,6 +124,23 @@ class TestCli:
         assert rc == 1
         assert "run=ctl-no-forgery: run crashed: RuntimeError: boom" in out
 
+    def test_run_with_attack_builds_only_the_two_worlds_it_prints(
+            self, monkeypatch, capsys):
+        built = []
+        build = harness.build_world
+        monkeypatch.setattr(harness, "build_world",
+                            lambda cfg: built.append(cfg) or build(cfg))
+        rc = main(["run", "--approach", "ac", "--scenario", "3", "--no-tls",
+                   "--attack", "e"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert len(built) == 2
+        assert out.splitlines()[1:3] == ["  run honest: all goals hold",
+                                         "  run e: violated B, Bp, E, F, J, K"]
+        # the output of the suite-then-filter version this replaces
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "10568e2aa9c194101f3cbd5256d421d8997f7289843f37a87f2e117477c2e6b9"
+
     def test_config_file_round_trip(self, tmp_path, capsys):
         cfg = tmp_path / "world.cfg"
         cfg.write_text("approach=ac\nscenario=10\ntls=off\n")
