@@ -41,7 +41,7 @@ from typing import Optional
 
 from .events import (ADVERSARY_USER, CLIENT_TRIGGER_TAGS, EVENT_ARITY, Event,
                      Trace)
-from .terms import NULL, Atom, Knowledge, Term, encode, is_null
+from .terms import NULL, Atom, Knowledge, Term, encode
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +95,16 @@ class EventPattern:
         params = event.params
         for pos, term in self.literals:
             value = params[pos]
-            if value is not term and value != term:
+            if value is not term:
                 return None
         out = dict(bindings)
         for pos, name, optional in self.binders:
             value = params[pos]
-            if optional and (value is NULL or value == NULL):
+            if optional and value is NULL:
                 continue
             if name not in out:
                 out[name] = value
-            elif out[name] is not value and out[name] != value:
+            elif out[name] is not value:
                 return None
         return out
 
@@ -337,7 +337,7 @@ def _excluded(idx: _TraceIndex, event: Event) -> bool:
         # nothing of anyone else's is at stake
         if tag == "S1":
             iac = params[5]
-            orders = (idx.with_value("ORDER", 5, iac) if not is_null(iac)
+            orders = (idx.with_value("ORDER", 5, iac) if iac is not NULL
                       else [(i, e) for i, e in idx.with_value("ORDER", 3, u)
                             if e.params[1] == params[4]])
         else:

@@ -171,7 +171,7 @@ def compromise_server(world, domain: str, keys: frozenset = frozenset({"tls", "s
     world.adversary.learn(*leaked)
     world.trace.append(Event("CompromiseServer", (ident.subject,)))
     world.compromised_servers.add(domain)
-    if keys == {"tls", "sa", "sp"} or keys == frozenset({"tls", "sa", "sp"}):
+    if keys == {"tls", "sa", "sp"}:
         world.order_channel_proxies.add(domain)
 
 

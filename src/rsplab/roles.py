@@ -26,8 +26,7 @@ from .pki import (POLICY_EUICC, POLICY_PROFILE_BINDING, POLICY_SERVER_AUTH,
                   CertError, Certificate, EuiccIdentity, ServerIdentity,
                   parse_certificate, verify_cert)
 from .terms import (Atom, DhPub, NULL, Nonce, Pair, PubKey, SealError, Sign,
-                    Term, dh_pub, dh_shared, is_null, kdf, pairs, seal,
-                    unpairs, unseal)
+                    Term, dh_pub, dh_shared, kdf, pairs, seal, unpairs, unseal)
 
 MSG_OK = Atom("ok")
 MSG_ERROR = Atom("error")
@@ -185,7 +184,7 @@ class ServerProcess:
             registered = eid if "R3" in self._recs() else NULL
             order = Order(user, mno, registered, profile, iac)
         else:
-            if is_null(eid):
+            if eid is NULL:
                 raise ValueError("default-server orders must name an eUICC")
             order = Order(user, mno, eid, profile, NULL)
         self.orders.append(order)
@@ -236,18 +235,18 @@ class ServerProcess:
 
     def _select_order(self, cert: Certificate, iac: Term) -> Order:
         if self.world.cfg.approach == "ac":
-            if is_null(iac):
+            if iac is NULL:
                 raise ProtocolAbort("server", "missing activation code")
             matches = [o for o in self.orders if o.iac == iac]
             if not matches:
                 raise ProtocolAbort("server", "unknown activation code")
             order = matches[0]
             if "R3" in self._recs():
-                if is_null(order.eid) or order.eid != cert.subject:
+                if order.eid is NULL or order.eid != cert.subject:
                     raise ProtocolAbort("server", "eUICC not registered for this code")
             return order
         # default-server approach: select by the certified eUICC identifier
-        if not is_null(iac):
+        if iac is not NULL:
             raise ProtocolAbort("server", "unexpected activation code")
         matches = [o for o in self.orders if o.eid == cert.subject]
         if not matches:

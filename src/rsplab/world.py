@@ -21,7 +21,7 @@ from .roles import (CODE_DELIVERY, M3, M5, MSG_ERROR, ORDER_REPLY,
                     ORDER_REQUEST, PROFILE_REQUEST, EuiccDevice, LpaContext,
                     Message, MnoProcess, Order, ProtocolAbort, ServerProcess,
                     lpa_check_msg12, lpa_check_msg4, lpa_check_msg8)
-from .terms import Atom, FreshSource, Knowledge, NULL, Term, is_null
+from .terms import Atom, FreshSource, Knowledge, NULL, Term
 
 
 class Adversary:
@@ -200,7 +200,7 @@ class World:
         else:  # order-for-euicc
             target_eid = self.euiccs[eid_label].eid
         self.emit(Event("FraudOrder", (Atom(mode), claimed, target_eid)))
-        if self.cfg.approach == "ds" and is_null(target_eid):
+        if self.cfg.approach == "ds" and target_eid is NULL:
             raise ValueError("default-server fraud order needs an eUICC id")
         code = self._mno_book_order(mno, claimed, target_eid)
         if code is not None:
@@ -217,7 +217,7 @@ class World:
         eid = self.euiccs[eid_label].eid if eid_label else NULL
         request = ORDER_REQUEST.build(user=user_atom, mno=mno.atom, eid=eid)
         self.adversary.gate_send(CH_MNO_SERVER, f"adv-as-{mno_label}->server", request)
-        if self.cfg.approach == "ds" and is_null(eid):
+        if self.cfg.approach == "ds" and eid is NULL:
             raise ValueError("default-server order needs an eUICC id")
         order = server.create_order(user_atom, mno.atom, eid)
         if self.cfg.approach == "ds":
@@ -275,7 +275,7 @@ class World:
 
         if lpa_compromised:
             # a subverted LPA leaks whatever passes through its hands
-            if not is_null(iac):
+            if iac is not NULL:
                 self.adversary.learn(iac)
             if inject_code is not None:
                 self.adversary.require(inject_code.iac, "injected code")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from rsplab.events import ADVERSARY_USER, Event, Trace
 from rsplab.goals import (EventPattern, GoalSpec, GoalVerdict, OptVar, Var,
                           Wild, _assign_injectively, _pattern_text)
-from rsplab.terms import Atom, Knowledge, encode, is_null
+from rsplab.terms import NULL, Atom, Knowledge, encode
 
 CLIENT_TAGS = ("U0", "U1", "U2", "U3")
 MNO_POSITION = {"U3": 6, "S1": 4, "S2": 6, "S3": 6}
@@ -27,7 +27,7 @@ def match(pattern: EventPattern, event: Event, bindings: dict):
         return None
     out = dict(bindings)
     for pat, value in zip(pattern.params, event.params):
-        if isinstance(pat, Wild) or (isinstance(pat, OptVar) and is_null(value)):
+        if isinstance(pat, Wild) or (isinstance(pat, OptVar) and value == NULL):
             continue
         if isinstance(pat, (Var, OptVar)):
             if pat.name not in out:
@@ -81,7 +81,7 @@ class _Exclusions:
                 return False
             if tag == "S1":
                 iac = params[5]
-                users = (self.order_users(iac=iac) if not is_null(iac)
+                users = (self.order_users(iac=iac) if iac != NULL
                          else self.order_users(u=u, mno=params[4]))
             else:
                 users = self.order_users(p=params[4 if tag == "S3" else 5])

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 
 import pytest
@@ -7,10 +9,13 @@ from hypothesis import strategies as st
 
 from dy_oracle import oracle_deduce
 from term_gen import TermGen
-from rsplab.terms import (Atom, FreshSource, Knowledge, NULL, Nonce, Pair,
-                          PubKey, SEnc, SealError, Sign, dh_pub, dh_shared,
-                          encode, kdf, pairs, pub, seal, subterms, unpairs,
-                          unseal)
+from rsplab import terms
+from rsplab.attacks import honest_script
+from rsplab.scenarios import ScenarioConfig, build_world
+from rsplab.terms import (Atom, DhPriv, DhShared, FreshSource, Kdf, Knowledge,
+                          NULL, Nonce, Pair, PrivKey, SEnc, SealError, Sign,
+                          dh_pub, dh_shared, encode, kdf, pairs, pub, seal,
+                          subterms, unpairs, unseal)
 
 
 @pytest.fixture
@@ -186,18 +191,57 @@ def test_learn_chain_matches_brute_force_oracle(seed):
     assert k.closure() == Knowledge(k.base).closure()
 
 
-class TestCachedHash:
-    def test_equal_terms_built_apart_hash_equal(self):
-        a = TermGen(random.Random(9)).term(5)
-        b = TermGen(random.Random(9)).term(5)
-        assert a is not b and a == b and hash(a) == hash(b)
+class TestInterning:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9),
+           st.integers(min_value=0, max_value=10**9),
+           st.integers(min_value=1, max_value=4))
+    def test_identity_equality_and_encoding_agree(self, seed_a, seed_b, depth):
+        # a pool of two per kind keeps structural collisions between the
+        # two seeds frequent
+        a = TermGen(random.Random(seed_a), pool_size=2).term(depth)
+        b = TermGen(random.Random(seed_b), pool_size=2).term(depth)
+        assert (a is b) == (a == b) == (encode(a) == encode(b))
+        assert TermGen(random.Random(seed_a), pool_size=2).term(depth) is a
 
-    def test_hash_is_the_structural_dataclass_hash(self, fresh):
-        a, b = Atom("a"), fresh.nonce("n")
-        assert hash(Pair(a, b)) == hash((a, b))
-        assert hash(a) == hash(("a",))
-        k = kdf(dh_shared(fresh.dhpriv(), dh_pub(fresh.dhpriv())), a, b, "mac")
-        assert hash(k) == hash((k.shared, k.oid, k.eid, "mac"))
+    def test_default_filled_arguments_give_the_same_object(self):
+        for cls in (Nonce, PrivKey, DhPriv):
+            assert cls(3) is cls(3, "") is cls(id=3) is cls(3, label="")
+            assert cls(3) is not cls(3, "x")
+        assert Atom(label="a") is Atom("a")
+
+    def test_copies_and_pickles_return_the_interned_object(self):
+        t = TermGen(random.Random(4)).term(5)
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert copy.deepcopy([t, NULL])[0] is t
+
+    def test_an_invalid_term_raises_and_enters_nothing(self, fresh):
+        lo, hi = fresh.dhpriv(), fresh.dhpriv()
+        shared = dh_shared(lo, dh_pub(hi))
+        oid, eid = Atom("oid"), Atom("eid")
+        before = dict(terms._TABLE)
+        with pytest.raises(ValueError):
+            DhShared(hi, lo)
+        with pytest.raises(ValueError):
+            Kdf(shared, oid, eid, "iv")
+        with pytest.raises(ValueError):
+            Kdf(shared, oid, eid, which="iv")
+        assert terms._TABLE == before
+
+    def test_a_lab_world_holds_one_object_per_term(self):
+        world = build_world(ScenarioConfig("ac", 3, False))
+        honest_script(world)
+        by_encoding = {}
+        for _, event in world.trace.events():
+            for param in event.params:
+                for t in subterms(param):
+                    by_encoding.setdefault(encode(t), set()).add(id(t))
+        for t in world.adversary.knowledge.closure():
+            by_encoding.setdefault(encode(t), set()).add(id(t))
+        assert len(by_encoding) > 50
+        assert all(len(ids) == 1 for ids in by_encoding.values())
 
 
 def _knowledge_referents(k):
