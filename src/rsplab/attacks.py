@@ -654,7 +654,7 @@ def audit_trace(trace) -> list[str]:
     k = Knowledge()
     for i, entry in enumerate(trace.entries):
         if isinstance(entry, LearnOp):
-            k = k.learn(entry.term)
+            k.learn(entry.term)
         elif isinstance(entry, MessageOp) and entry.by_adversary:
             if entry.unsafe:
                 failures.append(f"entry {i}: unsafe injection present")

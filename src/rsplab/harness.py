@@ -268,8 +268,10 @@ def _add_world_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_seed_flag(p: argparse.ArgumentParser) -> None:
+    # argparse converts a string default only when it parses a command that
+    # has --seed, so a bad value is a usage error there and nowhere else
     p.add_argument("--seed", type=int,
-                   default=int(os.environ.get(DEFAULT_SEED_ENV, "0")))
+                   default=os.environ.get(DEFAULT_SEED_ENV, "0"))
 
 
 def _cfg_from_args(args) -> ScenarioConfig:
@@ -305,7 +307,7 @@ def _cmd_matrix(args) -> int:
         else (args.approach_filter,)
     tls_values = {"both": (True, False), "on": (True,), "off": (False,)}[args.tls_filter]
     scenarios = set(args.scenario_filter) if args.scenario_filter else None
-    recs = frozenset(x for x in args.recs.split(",") if x.strip())
+    recs = frozenset(x.strip().upper() for x in args.recs.split(",") if x.strip())
     report = run_matrix(approaches, scenarios, tls_values, recs=recs,
                         seed=args.seed)
     if not report.cells:

@@ -29,13 +29,16 @@ Three design points matter for everything downstream:
     DH secrets require one private and the matching public component, and
     constructors may be applied to anything derivable.  ``deduce`` is the
     single gate that decides what the adversary may send and what counts
-    as a secrecy violation.
+    as a secrecy violation.  What the attacker can take apart only grows
+    as it observes more (Paulson, "The inductive approach to verifying
+    cryptographic protocols", JCS 1998), so each adversary holds one
+    ``Knowledge`` that learns in place and one closure that grows with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 
 class SealError(ValueError):
@@ -359,49 +362,43 @@ def encode(t: Term) -> str:
 # ---------------------------------------------------------------------------
 
 class Knowledge:
-    """Immutable set of observed terms plus the derivation rules.
+    """The terms an adversary has observed, their destructor closure, and
+    the derivation rules.
 
-    ``learn`` returns a new Knowledge (monotone) and leaves its parent as it
-    was.  ``deduce`` is sound and complete for the rule set described in the
-    module docstring: it first saturates the base under destructors
-    (projection, body extraction, conditional decryption) and then answers
-    goal-directed constructor queries against the saturated set.
+    ``deduce`` is sound and complete for the rule set described in the
+    module docstring: the closure saturates the base under destructors
+    (projection, body extraction, conditional decryption), and goal-directed
+    constructor queries are answered against it.
 
-    Saturation is incremental.  A Knowledge made by ``learn`` remembers the
-    nearest ancestor whose closure is built (its source), and its own
-    closure starts from a copy of that one: only the terms learned since
-    are pushed through the rules.  Once built, a closure drops its source,
-    so a long learn chain is never kept alive.
+    Knowledge is monotone and mutable: ``learn`` adds to ``base`` in place
+    and returns None.  Terms learned since the last read wait in a queue;
+    ``closure`` pushes them through the rules into the one closure set and
+    returns that live set, which callers read and never change.  Each
+    term is thus taken apart once per object.  A caller that wants the
+    knowledge of a hypothetical run (say, after a key leak) builds a new
+    ``Knowledge`` from a base of its own.
     """
 
-    __slots__ = ("base", "_src", "_closure", "_parked")
+    __slots__ = ("base", "_todo", "_closure", "_parked")
 
     def __init__(self, base: Iterable[Term] = ()) -> None:
-        self.base: frozenset = frozenset(base)
-        self._src: Optional[Knowledge] = None
-        self._closure: Optional[frozenset] = None
+        self.base: set = set(base)
+        # learned terms not yet pushed through the rules
+        self._todo: list = list(self.base)
+        self._closure: set = set()
         # ciphertexts in the closure whose key is not derivable (yet)
-        self._parked: tuple = ()
+        self._parked: list = []
 
-    def learn(self, *ts: Term) -> "Knowledge":
-        new = self.base.union(ts)
-        if len(new) == len(self.base):
-            return self
-        child = Knowledge(new)
-        child._src = self if self._closure is not None else self._src
-        return child
+    def learn(self, *ts: Term) -> None:
+        for t in ts:
+            if t not in self.base:
+                self.base.add(t)
+                self._todo.append(t)
 
     # -- destructor saturation ---------------------------------------------
 
-    def closure(self) -> frozenset:
-        if self._closure is not None:
-            return self._closure
-        src = self._src
-        if src is None:
-            known, parked, todo = set(), [], list(self.base)
-        else:
-            known, parked = set(src._closure), list(src._parked)
-            todo = list(self.base - src.base)
+    def closure(self) -> set:
+        known, todo, parked = self._closure, self._todo, self._parked
         while todo:
             size = len(known)
             while todo:
@@ -427,17 +424,14 @@ class Knowledge:
                     todo.append(c.body)
                 else:
                     waiting.append(c)
-            parked = waiting
-        self._closure = frozenset(known)
-        self._parked = tuple(parked)
-        self._src = None
-        return self._closure
+            parked = self._parked = waiting
+        return known
 
     def deduce(self, goal: Term) -> bool:
         return _derivable(goal, self.closure(), set())
 
 
-def _derivable(goal: Term, known: set | frozenset, pending: set) -> bool:
+def _derivable(goal: Term, known: set, pending: set) -> bool:
     """Goal-directed constructor check over a destructor-saturated set."""
     if goal in known:
         return True

@@ -36,7 +36,7 @@ class Adversary:
         for t in terms:
             if t not in self.knowledge.base:
                 self.trace.append(LearnOp(t))
-                self.knowledge = self.knowledge.learn(t)
+                self.knowledge.learn(t)
 
     def knows(self, t: Term) -> bool:
         return self.knowledge.deduce(t)

@@ -4,9 +4,11 @@ and wildcard slots, and apply the exclusion rules from trace markers."""
 
 import pytest
 
+from rsplab.attacks import honest_script
 from rsplab.events import Event, Trace
 from rsplab.goals import (check_correspondence, check_secrecy, goal_catalog,
-                          check_all)
+                          check_all, check_forward_secrecy)
+from rsplab.scenarios import ScenarioConfig, build_world
 from rsplab.terms import Atom, Knowledge, NULL, Nonce
 
 U1A, SA, SP, S, MNO = (Atom("eid-1"), Atom("srv-a"), Atom("srv-a"),
@@ -189,6 +191,26 @@ class TestSecrecy:
             Event("OWNER", (ADV, ADV_EID)),
             Event("U3", (ADV_EID, SA, SP, it(1), k, p, MNO, NULL)))
         assert check_secrecy(t, Knowledge([k]), goal("X")).ok
+
+
+class TestForwardSecrecy:
+    @pytest.mark.parametrize("tls", [True, False])
+    def test_the_leak_leaves_the_adversary_knowledge_untouched(self, tls):
+        world = build_world(ScenarioConfig("ds", 1, tls))
+        honest_script(world)
+        knowledge = world.adversary.knowledge
+
+        def secrecy():
+            verdicts = check_all(world.trace, knowledge)
+            return {name: (v.status, v.witness) for name, v in verdicts.items()
+                    if goal(name).kind == "secrecy"}
+
+        base, closure, before = set(knowledge.base), set(knowledge.closure()), secrecy()
+        assert len(before) == 4
+        assert check_forward_secrecy(world).ok
+        assert world.adversary.knowledge is knowledge
+        assert knowledge.base == base and knowledge.closure() == closure
+        assert secrecy() == before
 
 
 class TestStrictIdentityVariant:

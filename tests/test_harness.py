@@ -112,6 +112,30 @@ class TestCli:
             main([command, "--seed", "1"])
         assert exc.value.code == 2
 
+    def test_bad_seed_variable_is_a_usage_error_only_where_read(
+            self, monkeypatch, capsys):
+        monkeypatch.setenv("RSP_LAB_SEED", "abc")
+        assert main(["goals"]) == 0
+        assert main(["explain", "c"]) == 0
+        assert main(["trace", "--approach", "ac", "--scenario", "1"]) == 0
+        for argv in (["matrix", "--approach", "ds", "--scenario", "1"],
+                     ["fuzz", "--approach", "ds", "--steps", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+        assert main(["matrix", "--approach", "ds", "--scenario", "1",
+                     "--seed", "5"]) == 0
+        assert "seed: 5" in capsys.readouterr().out
+
+    def test_matrix_echoes_recs_as_read(self, capsys):
+        argv = ["matrix", "--approach", "ds", "--scenario", "1", "--tls", "on",
+                "--recs", "r10, R7"]
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["recs"] == ["R10", "R7"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("hardening in effect: R10, R7\n")
+
     def test_run_reports_a_crashed_script(self, monkeypatch, capsys):
         def crash(world):
             raise RuntimeError("boom")

@@ -136,6 +136,19 @@ class TestAudit:
         failures = audit_trace(w.trace)
         assert failures and "not derivable" in failures[0]
 
+    def test_audit_flags_a_send_that_precedes_its_learn(self):
+        # the audit reads one growing knowledge: a learn later in the trace
+        # must not count for a send before it, only for sends after it
+        w = build_world(ScenarioConfig("ds", 1, True))
+        honest_script(w)
+        secret = w.servers[SERVER1].orders[0].profile
+        send = MessageOp(CH_LPA_SERVER, "adv->server", secret, by_adversary=True)
+        early = len(w.trace.entries)
+        for entry in (send, LearnOp(secret), send):
+            w.trace.append(entry)
+        assert audit_trace(w.trace) == [
+            f"entry {early}: sent term not derivable at send time"]
+
     def test_audit_replays_learning_in_order(self):
         w = build_world(ScenarioConfig("ac", 3, False))
         victim = w.euiccs[VICTIM_EID].identity
