@@ -655,11 +655,9 @@ def audit_trace(trace) -> list[str]:
     for i, entry in enumerate(trace.entries):
         if isinstance(entry, LearnOp):
             k.learn(entry.term)
-        elif isinstance(entry, MessageOp) and entry.by_adversary:
-            if entry.unsafe:
-                failures.append(f"entry {i}: unsafe injection present")
-            elif not k.deduce(entry.term):
-                failures.append(f"entry {i}: sent term not derivable at send time")
+        elif (isinstance(entry, MessageOp) and entry.by_adversary
+              and not k.deduce(entry.term)):
+            failures.append(f"entry {i}: sent term not derivable at send time")
     return failures
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import Atom, Term, encode
+from .terms import Term, encode
 
 # Tags and their arities.  U*/S* events mark handshake progress on the two
 # endpoints, OWNER/INTENT/ORDER/AUTHORIZE anchor runs to out-of-band facts,
@@ -71,7 +71,6 @@ class MessageOp:
     direction: str        # e.g. "lpa->server"
     term: Term
     by_adversary: bool = False
-    unsafe: bool = False  # test-harness injection that bypassed the gate
 
     def render(self) -> str:
         who = "adv" if self.by_adversary else "hon"
@@ -97,53 +96,54 @@ class Note:
 
 
 class Trace:
-    """Append-only log plus the lookups the goal exclusions need.
+    """Append-only log and the one index of its events.
 
-    ``append`` is the only writer.  It files each event under its tag as the
-    event arrives, so a lookup by tag costs the number of events with that
-    tag, not a scan of the whole log.
+    ``append`` is the only writer.  It files each event under its tag and,
+    for every (tag, position) that ``with_value`` has bucketed so far, under
+    the event's value at that position.  A lookup by tag, or by tag and one
+    parameter value, therefore costs the number of events it returns, not a
+    scan of the log, and no lookup is rebuilt when the trace grows.  Both
+    lookups hand out the live index lists, in trace order: read them, never
+    change them.
     """
 
     def __init__(self) -> None:
         self.entries: list = []
-        self._tagged: dict[str, list[tuple[int, Event]]] = {}
-        self._derived: dict = {}
+        self._tagged: dict[str, list[tuple[int, Event]]] = {
+            tag: [] for tag in EVENT_ARITY}
+        # tag -> position -> value -> events, a position filled on first use
+        self._by_value: dict[str, dict[int, dict]] = {
+            tag: {} for tag in EVENT_ARITY}
 
     def append(self, entry) -> int:
         i = len(self.entries)
         self.entries.append(entry)
         if isinstance(entry, Event):
-            self._tagged.setdefault(entry.tag, []).append((i, entry))
+            item = (i, entry)
+            self._tagged[entry.tag].append(item)
+            for pos, buckets in self._by_value[entry.tag].items():
+                buckets.setdefault(entry.params[pos], []).append(item)
         return i
 
     def events(self) -> list[tuple[int, Event]]:
         return [(i, e) for i, e in enumerate(self.entries) if isinstance(e, Event)]
 
     def events_tagged(self, tag: str) -> list[tuple[int, Event]]:
-        return list(self._tagged.get(tag, ()))
+        """The events of `tag` as (index, event)."""
+        return self._tagged[tag]
 
-    def derived(self, build):
-        """``build(self)``, kept until the next append, so that several
-        readers of one trace state share what they derive from it.  The
-        result must not refer back to the trace."""
-        hit = self._derived.get(build)
-        if hit is None or hit[0] != len(self.entries):
-            hit = self._derived[build] = (len(self.entries), build(self))
-        return hit[1]
+    def with_value(self, tag: str, pos: int, value: Term) -> list[tuple[int, Event]]:
+        """The events of `tag` whose parameter at `pos` is `value`."""
+        by_pos = self._by_value[tag]
+        buckets = by_pos.get(pos)
+        if buckets is None:
+            buckets = by_pos[pos] = {}
+            for item in self._tagged[tag]:
+                buckets.setdefault(item[1].params[pos], []).append(item)
+        return buckets.get(value, [])
 
     def render(self) -> str:
         lines = [f"# adversary-user: {ADVERSARY_USER}"]
         for i, entry in enumerate(self.entries):
             lines.append(f"{i:4d}  {entry.render()}")
         return "\n".join(lines)
-
-    # -- helpers used by goal exclusions ------------------------------------
-
-    def marked(self, tag: str) -> set:
-        """First params of all marker events with this tag."""
-        return {e.params[0] for _, e in self.events_tagged(tag)}
-
-    def adversary_owned_eids(self) -> set:
-        adv = Atom(ADVERSARY_USER)
-        return {e.params[1] for _, e in self.events_tagged("OWNER")
-                if e.params[0] == adv}

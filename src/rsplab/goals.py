@@ -9,14 +9,15 @@ globally one-to-one assignment from trigger occurrences to witness events;
 this checker realizes that as a backtracking matching over candidate
 witness tuples, which on these small traces is exact.
 
-Cost model: the checker never scans the trace.  One index per trace state
-(``_TraceIndex``, shared by all goals checked on it) lists the events of
-each tag and, on first use, buckets them by the value at each position.  A
-conjunct's candidates are the smallest bucket over its already-bound
-variables, so a witness lookup costs about the number of events that agree
-on those values; a tag with only a few events is handed over whole, since
-bucketing it would cost more than the match calls it saves.  The witness
-search keeps only what the injective assignment can tell apart: an
+Cost model: the checker never scans the trace.  It reads the trace's own
+index (``Trace.events_tagged`` and ``Trace.with_value``), which lists the
+events of each tag and buckets them by the value at a position from the
+first lookup on, growing as the trace grows.  A conjunct's candidates are
+the smallest bucket over its already-bound variables, so a witness lookup
+costs about the number of events that agree on those values; a tag with
+only a few events is handed over whole, since bucketing it would cost more
+than the match calls it saves.  The exclusions ask the same buckets.  The
+witness search keeps only what the injective assignment can tell apart: an
 injective conjunct keeps every witness, a non-injective one keeps one
 witness (the earliest) per distinct set of variables it newly binds, and
 once no injective conjunct is left the first consistent completion is
@@ -39,8 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .events import (ADVERSARY_USER, CLIENT_TRIGGER_TAGS, EVENT_ARITY, Event,
-                     Trace)
+from .events import ADVERSARY_USER, CLIENT_TRIGGER_TAGS, Event, Trace
 from .terms import NULL, Atom, Knowledge, Term, encode
 
 
@@ -262,7 +262,7 @@ CATALOG = tuple(goal_catalog())
 
 
 # ---------------------------------------------------------------------------
-# The per-trace index
+# Candidate witnesses
 # ---------------------------------------------------------------------------
 
 # A tag list this short is scanned whole: a value bucket would cost a pass
@@ -270,45 +270,23 @@ CATALOG = tuple(goal_catalog())
 _SHORT_LIST = 4
 
 
-class _TraceIndex:
-    """What the checkers look up in one trace, built once per trace state
-    (``Trace.derived``) and shared by every goal checked on it: the events
-    of each tag, a (tag, position) -> value -> events index filled on first
-    use, and the facts the exclusions read.  All event lists are in trace
-    order."""
-
-    def __init__(self, trace: Trace) -> None:
-        self.tagged = {tag: trace.events_tagged(tag) for tag in EVENT_ARITY}
-        self._by_value: dict = {}
-        self.adv_eids = trace.adversary_owned_eids()
-        self.mno_marks = trace.marked("CompromiseMno")
-
-    def with_value(self, tag: str, pos: int, value: Term) -> list:
-        """Events of `tag` whose parameter at `pos` equals `value`."""
-        buckets = self._by_value.get((tag, pos))
-        if buckets is None:
-            buckets = self._by_value[(tag, pos)] = {}
-            for i, e in self.tagged[tag]:
-                buckets.setdefault(e.params[pos], []).append((i, e))
-        return buckets.get(value, [])
-
-    def candidates(self, pattern: EventPattern, bindings: dict) -> list:
-        """A superset of the events `pattern` matches under `bindings`: the
-        smallest value bucket over the pattern's bound ``Var`` positions,
-        or every event of its tag when none is bound or the tag's list is
-        short."""
-        best = self.tagged[pattern.tag]
-        if len(best) <= _SHORT_LIST:
-            return best
-        for pos, name in pattern.var_slots:
-            value = bindings.get(name)
-            if value is not None:
-                bucket = self.with_value(pattern.tag, pos, value)
-                if len(bucket) < len(best):
-                    best = bucket
-                    if len(best) <= 1:
-                        break
+def _candidates(trace: Trace, pattern: EventPattern, bindings: dict) -> list:
+    """A superset of the events `pattern` matches under `bindings`, in trace
+    order: the smallest value bucket over the pattern's bound ``Var``
+    positions, or every event of its tag when none is bound or the tag's
+    list is short."""
+    best = trace.events_tagged(pattern.tag)
+    if len(best) <= _SHORT_LIST:
         return best
+    for pos, name in pattern.var_slots:
+        value = bindings.get(name)
+        if value is not None:
+            bucket = trace.with_value(pattern.tag, pos, value)
+            if len(bucket) < len(best):
+                best = bucket
+                if len(best) <= 1:
+                    break
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -318,30 +296,35 @@ class _TraceIndex:
 _ADVERSARY = Atom(ADVERSARY_USER)
 
 
-def _excluded(idx: _TraceIndex, event: Event) -> bool:
+def _adversary_owns(trace: Trace, eid: Term) -> bool:
+    return any(e.params[0] is _ADVERSARY
+               for _, e in trace.with_value("OWNER", 1, eid))
+
+
+def _excluded(trace: Trace, event: Event) -> bool:
     """Is this trigger occurrence outside the threat model's interest?"""
     tag, params = event.tag, event.params
     # operator compromised and bound into the run: no security expected
     mno_pos = {"U3": 6, "S1": 4, "S2": 6, "S3": 6}.get(tag)
-    if mno_pos is not None and params[mno_pos] in idx.mno_marks:
+    if mno_pos is not None and trace.with_value("CompromiseMno", 0, params[mno_pos]):
         return True
     if tag in CLIENT_TRIGGER_TAGS:
         # client-side assurance protects the client; the adversary's own
         # device needs none
-        return params[0] in idx.adv_eids
+        return _adversary_owns(trace, params[0])
     if tag in ("S1", "S2", "S3"):
         u = params[0]
-        if u not in idx.adv_eids:
+        if not _adversary_owns(trace, u):
             return False
         # adversary device AND the adversary's own (honestly placed) order:
         # nothing of anyone else's is at stake
         if tag == "S1":
             iac = params[5]
-            orders = (idx.with_value("ORDER", 5, iac) if iac is not NULL
-                      else [(i, e) for i, e in idx.with_value("ORDER", 3, u)
+            orders = (trace.with_value("ORDER", 5, iac) if iac is not NULL
+                      else [(i, e) for i, e in trace.with_value("ORDER", 3, u)
                             if e.params[1] == params[4]])
         else:
-            orders = idx.with_value("ORDER", 4, params[4 if tag == "S3" else 5])
+            orders = trace.with_value("ORDER", 4, params[4 if tag == "S3" else 5])
         return bool(orders) and all(e.params[0] == _ADVERSARY for _, e in orders)
     return False
 
@@ -350,7 +333,7 @@ def _excluded(idx: _TraceIndex, event: Event) -> bool:
 # Correspondence checking
 # ---------------------------------------------------------------------------
 
-def _witness_tuples(idx: _TraceIndex, upto: int, requires: tuple,
+def _witness_tuples(trace: Trace, upto: int, requires: tuple,
                     bindings: dict) -> list:
     """Consistent ways to satisfy the conjunction with events before `upto`,
     as (witness indices, bindings) in trace order, keeping only what
@@ -368,7 +351,7 @@ def _witness_tuples(idx: _TraceIndex, upto: int, requires: tuple,
     seen = set()
     match = req.pattern.match
     out = []
-    for i, e in idx.candidates(req.pattern, bindings):
+    for i, e in _candidates(trace, req.pattern, bindings):
         if i >= upto:
             break
         nb = match(e, bindings)
@@ -379,7 +362,7 @@ def _witness_tuples(idx: _TraceIndex, upto: int, requires: tuple,
             if key in seen:
                 continue
             seen.add(key)
-        for tail, fb in _witness_tuples(idx, upto, rest, nb):
+        for tail, fb in _witness_tuples(trace, upto, rest, nb):
             out.append(((i,) + tail, fb))
             if first_only:
                 return out
@@ -416,15 +399,14 @@ def _assign_injectively(trigger_options: list, requires: tuple) -> bool:
 def check_correspondence(trace: Trace, goal: GoalSpec) -> GoalVerdict:
     if goal.kind != "auth":
         raise ValueError(f"goal {goal.name} is not a correspondence")
-    idx = trace.derived(_TraceIndex)
     trigger_options = []
-    for i, e in idx.tagged[goal.trigger.tag]:
+    for i, e in trace.events_tagged(goal.trigger.tag):
         b = goal.trigger.match(e, {})
-        if b is None or _excluded(idx, e):
+        if b is None or _excluded(trace, e):
             continue
-        options = _witness_tuples(idx, i, goal.requires, b)
+        options = _witness_tuples(trace, i, goal.requires, b)
         if not options:
-            missing = _first_unmatchable(idx, i, goal.requires, b)
+            missing = _first_unmatchable(trace, i, goal.requires, b)
             return GoalVerdict(goal.name, "violated", _witness_text(i, e, missing))
         trigger_options.append(options)
         last = (i, e)
@@ -437,12 +419,12 @@ def check_correspondence(trace: Trace, goal: GoalSpec) -> GoalVerdict:
     return GoalVerdict(goal.name, "pass")
 
 
-def _first_unmatchable(idx: _TraceIndex, upto: int, requires: tuple,
+def _first_unmatchable(trace: Trace, upto: int, requires: tuple,
                        bindings: dict) -> str:
     # minimal diagnosis: the first conjunct that no consistent choice of
     # witnesses for the conjuncts before it can extend
     for k, req in enumerate(requires):
-        if not _witness_tuples(idx, upto, requires[:k + 1], bindings):
+        if not _witness_tuples(trace, upto, requires[:k + 1], bindings):
             return (f"no earlier {req.pattern.tag} matches "
                     f"{_pattern_text(req.pattern, bindings)}")
     return "no consistent combination of witnesses"
@@ -474,9 +456,8 @@ def _witness_text(index: int, event: Event, detail: str) -> str:
 def check_secrecy(trace: Trace, knowledge: Knowledge, goal: GoalSpec) -> GoalVerdict:
     if goal.kind != "secrecy":
         raise ValueError(f"goal {goal.name} is not a secrecy goal")
-    idx = trace.derived(_TraceIndex)
-    for i, e in idx.tagged[goal.trigger.tag]:
-        if goal.trigger.match(e, {}) is None or _excluded(idx, e):
+    for i, e in trace.events_tagged(goal.trigger.tag):
+        if goal.trigger.match(e, {}) is None or _excluded(trace, e):
             continue
         target = e.params[goal.secrecy_index]
         if knowledge.deduce(target):

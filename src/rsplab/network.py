@@ -48,12 +48,9 @@ class Middlebox:
 
     ``terminates=True`` means the adversary is the far end (server
     impersonation / redirection); otherwise hooks see traffic in flight.
-    ``unsafe=True`` marks a test-only fault injector that bypasses the
-    deduction gate; such traces are excluded from the capability audit.
     """
 
     terminates = False
-    unsafe = False
 
     def on_request(self, world, stage: str, term: Term):
         return term
@@ -82,10 +79,9 @@ def tls_connect(world, dial: Atom, middlebox: Optional[Middlebox] = None,
     """
     server = world.servers.get(dial.label)
     if middlebox is not None:
-        if world.cfg.tls and not middlebox.unsafe:
-            if dial.label not in world.compromised_servers:
-                raise GateViolation(
-                    f"cannot intercept tunnel to {dial.label}: transport key not held")
+        if world.cfg.tls and dial.label not in world.compromised_servers:
+            raise GateViolation(
+                f"cannot intercept tunnel to {dial.label}: transport key not held")
         if middlebox.terminates:
             return Tunnel(None, middlebox, client_is_adversary)
         if server is None:
@@ -105,7 +101,7 @@ def tunnel_send(world, tun: Tunnel, stage: str, request: Term) -> Term:
     adv = world.adversary
     visible = _visible_to_adversary(world, tun)
     world.trace.append(MessageOp(CH_LPA_SERVER, f"lpa->server:{stage}", request))
-    if visible and not (tun.middlebox and tun.middlebox.unsafe):
+    if visible:
         adv.learn(request)
 
     delivered = request
@@ -113,8 +109,7 @@ def tunnel_send(world, tun: Tunnel, stage: str, request: Term) -> Term:
     if mb is not None:
         if tun.server is None:
             response = mb.serve(world, stage, request)
-            adv.gate_send(CH_LPA_SERVER, f"fake-server->lpa:{stage}", response,
-                          unsafe=mb.unsafe)
+            adv.gate_send(CH_LPA_SERVER, f"fake-server->lpa:{stage}", response)
             return response
         directive = mb.on_request(world, stage, request)
         if isinstance(directive, Drop):
@@ -122,8 +117,7 @@ def tunnel_send(world, tun: Tunnel, stage: str, request: Term) -> Term:
             raise ProtocolAbort("lpa", f"no response to {stage}")
         delivered = directive
         if delivered != request:
-            adv.gate_send(CH_LPA_SERVER, f"adv->server:{stage}", delivered,
-                          unsafe=mb.unsafe)
+            adv.gate_send(CH_LPA_SERVER, f"adv->server:{stage}", delivered)
 
     try:
         response = tun.server.handle(delivered)
@@ -133,16 +127,12 @@ def tunnel_send(world, tun: Tunnel, stage: str, request: Term) -> Term:
 
     resp_stage = RESPONSE_STAGE.get(stage, stage)
     world.trace.append(MessageOp(CH_LPA_SERVER, f"server->lpa:{resp_stage}", response))
-    if visible and not (mb and mb.unsafe):
+    if visible:
         adv.learn(response)
-    if mb is not None and tun.server is not None:
+    if mb is not None:
         directive = mb.on_response(world, resp_stage, response)
-        if isinstance(directive, Drop):
-            world.trace.append(Note("blocked", "adversary", f"dropped response to {stage}"))
-            raise ProtocolAbort("lpa", f"no response to {stage}")
         if directive != response:
-            adv.gate_send(CH_LPA_SERVER, f"adv->lpa:{resp_stage}", directive,
-                          unsafe=mb.unsafe)
+            adv.gate_send(CH_LPA_SERVER, f"adv->lpa:{resp_stage}", directive)
             response = directive
     return response
 

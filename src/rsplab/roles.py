@@ -298,8 +298,6 @@ class ServerProcess:
         body = SIG11.parse(
             signed_body(sig, session.peer_key, "server", "key exchange"), "server")
         q_u = body["q_u"]
-        if body["it"] != session.it:
-            raise ProtocolAbort("server", "transaction id mismatch")
         if not isinstance(q_u, DhPub):
             raise ProtocolAbort("server", "client share is not a DH point")
         world.emit(Event("RECV_QU", (q_u,)))
@@ -332,8 +330,6 @@ class ServerProcess:
         session = self._session_for(peek["it"], "await15")
         body = SIG15.parse(
             signed_body(sig, session.peer_key, "server", "notification"), "server")
-        if body["it"] != session.it:
-            raise ProtocolAbort("server", "transaction id mismatch")
         if body["oid"] != self.oid:
             raise ProtocolAbort("server", "notification names a different server oid")
         order = session.order

@@ -55,12 +55,9 @@ class Adversary:
         self.learn(d)
         return d
 
-    def gate_send(self, channel: str, direction: str, term: Term,
-                  unsafe: bool = False) -> None:
-        if not unsafe:
-            self.require(term, f"message for {direction}")
-        self.trace.append(
-            MessageOp(channel, direction, term, by_adversary=True, unsafe=unsafe))
+    def gate_send(self, channel: str, direction: str, term: Term) -> None:
+        self.require(term, f"message for {direction}")
+        self.trace.append(MessageOp(channel, direction, term, by_adversary=True))
 
 
 @dataclass

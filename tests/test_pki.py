@@ -80,8 +80,8 @@ class TestCompromise:
     def test_euicc_compromise_emits_marker_and_leaks_key(self):
         w = build_world(ScenarioConfig("ds", 3, True))
         assert w.adversary.knows(w.euiccs[VICTIM_EID].identity.sk_u)
-        marks = w.trace.marked("CompromiseCert")
-        assert marks == {w.euiccs[VICTIM_EID].identity.eid}
+        (_, mark), = w.trace.events_tagged("CompromiseCert")
+        assert mark.params == (w.euiccs[VICTIM_EID].identity.eid,)
 
     def test_second_euicc_scenario_leaves_victim_intact(self):
         w = build_world(ScenarioConfig("ac", 6, True))

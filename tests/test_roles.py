@@ -136,7 +136,11 @@ class TestSchema:
 # ---------------------------------------------------------------------------
 # Fault injection: flip each field of each signed message (and the MAC-
 # protected delivery fields), re-sealing with the legitimate key so that the
-# field comparison itself - not the signature - must catch the change.
+# field comparison itself - not the signature - must catch the change.  The
+# flips go through the deduction gate like any other adversary send, so each
+# runs where the signer's key has leaked: server-signed messages under a
+# server compromise (scenario 2), client-signed ones under a compromise of
+# the victim eUICC's key (scenario 3).
 # ---------------------------------------------------------------------------
 
 # stage -> (message, its signed body, signing key attribute of the sender)
@@ -175,8 +179,6 @@ FLIPS = _flips()
 
 
 class FlipField(Middlebox):
-    unsafe = True  # test-only fault injector, exempt from the deduction gate
-
     def __init__(self, stage, name):
         self.stage = stage
         self.name = name
@@ -206,7 +208,8 @@ class FlipField(Middlebox):
 
 def flip_once(approach, stage, name, rec=None):
     recs = frozenset({rec}) if rec else frozenset()
-    w = build_world(ScenarioConfig(approach, 1, False, recs=recs))
+    scenario = 3 if SIGNED[stage][2] == "sk_u" else 2
+    w = build_world(ScenarioConfig(approach, scenario, False, recs=recs))
     code = w.request_profile(VICTIM)
     result = w.start_download(VICTIM, code=code,
                               middlebox=FlipField(stage, name))
@@ -241,13 +244,12 @@ class TestFaultInjection:
         w.request_profile(VICTIM)
 
         class WrongKey(Middlebox):
-            unsafe = True
-
             def on_response(self, world, stage, term):
                 if stage != "m4":
                     return term
                 m4 = M4.parse(term, "test")
                 rogue = world.fresh.privkey("rogue")
+                world.adversary.learn(rogue)
                 m4["sig"] = seal("sign", rogue, m4["sig"].body)
                 return M4.build(**m4)
 
