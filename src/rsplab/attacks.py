@@ -433,58 +433,62 @@ def _ds_only(scenarios, tls=None):
     return lambda cfg: cfg.approach == "ds" and inner(cfg)
 
 
+# built once: the scripts are plain functions and their filters pure
+_ATTACKS = (
+    AttackScript("1", "stolen activation code replay",
+                 _ac_only(AC_SCENARIOS, tls=False), _script_1,
+                 frozenset({"Bp", "G", "K"})),
+    AttackScript("2", "compromised server impersonation and diverted delivery",
+                 _both({2}), _script_2,
+                 frozenset({"A", "C", "E", "F", "G", "I", "J", "X", "Z"})),
+    AttackScript("3", "redirection to a compromised second server",
+                 _both({5}, tls=False), _script_3,
+                 frozenset({"A", "C", "E", "F", "I", "J", "X", "Z"})),
+    AttackScript("4", "client impersonation with the victim's eUICC key",
+                 _both({3}), _script_4,
+                 frozenset({"B", "D", "G", "W", "Y"})),
+    AttackScript("5", "captured code under a forged client identity",
+                 _ac_only({6}, tls=False), _script_5,
+                 frozenset({"B", "D", "W", "Y"})),
+    AttackScript("6", "self-ordered code under the victim's identity",
+                 _ac_only({3}), _script_6,
+                 frozenset({"Bp", "G", "K"})),
+    AttackScript("7", "profile ordered in the victim's name",
+                 _both({8}), _script_7,
+                 frozenset({"Bp", "G", "K"})),
+    AttackScript("8", "leaked activation code used directly",
+                 _ac_only({10}), _script_8,
+                 frozenset({"Bp", "G", "K"})),
+    AttackScript("9", "compromised LPA leaks and swaps the code",
+                 _ac_only({4}), _script_9,
+                 frozenset({"Bp", "G", "J", "K"})),
+    AttackScript("a", "second profile ordered for the victim's eUICC",
+                 _ds_only({9}), _script_a,
+                 frozenset({"Bp", "G", "J", "K"})),
+    AttackScript("b", "activation code spoofed on delivery",
+                 _ac_only({11}), _script_b,
+                 frozenset({"Bp", "G", "J", "K"})),
+    AttackScript("c", "server-side misbinding by signature replacement",
+                 lambda cfg: cfg.scenario == 2 or (cfg.scenario == 5 and not cfg.tls),
+                 _script_c,
+                 frozenset({"A", "B", "C", "D"})),
+    AttackScript("d", "client-side misbinding by signature replacement",
+                 _both({3, 6}, tls=False), _script_d,
+                 frozenset({"C"})),
+    AttackScript("e", "activation code replaced inside the signed response",
+                 _ac_only({3}, tls=False), _script_e,
+                 frozenset({"E", "F", "J"})),
+    AttackScript("f", "activation codes exposed at the compromised server",
+                 _ac_only({2}), _script_8,
+                 frozenset({"Bp", "G", "K"})),
+)
+
+
 def attack_registry() -> list[AttackScript]:
-    return [
-        AttackScript("1", "stolen activation code replay",
-                     _ac_only(AC_SCENARIOS, tls=False), _script_1,
-                     frozenset({"Bp", "G", "K"})),
-        AttackScript("2", "compromised server impersonation and diverted delivery",
-                     _both({2}), _script_2,
-                     frozenset({"A", "C", "E", "F", "G", "I", "J", "X", "Z"})),
-        AttackScript("3", "redirection to a compromised second server",
-                     _both({5}, tls=False), _script_3,
-                     frozenset({"A", "C", "E", "F", "I", "J", "X", "Z"})),
-        AttackScript("4", "client impersonation with the victim's eUICC key",
-                     _both({3}), _script_4,
-                     frozenset({"B", "D", "G", "W", "Y"})),
-        AttackScript("5", "captured code under a forged client identity",
-                     _ac_only({6}, tls=False), _script_5,
-                     frozenset({"B", "D", "W", "Y"})),
-        AttackScript("6", "self-ordered code under the victim's identity",
-                     _ac_only({3}), _script_6,
-                     frozenset({"Bp", "G", "K"})),
-        AttackScript("7", "profile ordered in the victim's name",
-                     _both({8}), _script_7,
-                     frozenset({"Bp", "G", "K"})),
-        AttackScript("8", "leaked activation code used directly",
-                     _ac_only({10}), _script_8,
-                     frozenset({"Bp", "G", "K"})),
-        AttackScript("9", "compromised LPA leaks and swaps the code",
-                     _ac_only({4}), _script_9,
-                     frozenset({"Bp", "G", "J", "K"})),
-        AttackScript("a", "second profile ordered for the victim's eUICC",
-                     _ds_only({9}), _script_a,
-                     frozenset({"Bp", "G", "J", "K"})),
-        AttackScript("b", "activation code spoofed on delivery",
-                     _ac_only({11}), _script_b,
-                     frozenset({"Bp", "G", "J", "K"})),
-        AttackScript("c", "server-side misbinding by signature replacement",
-                     lambda cfg: cfg.scenario == 2 or (cfg.scenario == 5 and not cfg.tls),
-                     _script_c,
-                     frozenset({"A", "B", "C", "D"})),
-        AttackScript("d", "client-side misbinding by signature replacement",
-                     _both({3, 6}, tls=False), _script_d,
-                     frozenset({"C"})),
-        AttackScript("e", "activation code replaced inside the signed response",
-                     _ac_only({3}, tls=False), _script_e,
-                     frozenset({"E", "F", "J"})),
-        AttackScript("f", "activation codes exposed at the compromised server",
-                     _ac_only({2}), _script_8,
-                     frozenset({"Bp", "G", "K"})),
-    ]
+    return list(_ATTACKS)
 
 
-ATTACKS_BY_ID = {s.id: s for s in attack_registry()}
+ATTACKS_BY_ID = {s.id: s for s in _ATTACKS}
 
 
 # ---------------------------------------------------------------------------
@@ -613,35 +617,37 @@ def _ctl_mno_proxy_contained(world: World) -> None:
     world.note("info", "control", "proxied order affects only the rogue operator")
 
 
+_CONTROLS = (
+    ControlScript("ctl-tls-pins", "tunnel pins the dialed endpoint",
+                  lambda c: c.scenario == 5 and c.tls, _ctl_tls_pins),
+    ControlScript("ctl-code-hidden", "tunnel hides the activation code",
+                  lambda c: c.approach == "ac" and c.scenario == 1 and c.tls,
+                  _ctl_tunnel_hides_code),
+    ControlScript("ctl-no-forgery", "gate refuses honest-key forgeries",
+                  lambda c: c.scenario == 1, _ctl_forgery_rejected),
+    ControlScript("ctl-oid-pinning", "expected-oid check stops re-signing",
+                  lambda c: c.scenario == 5 and not c.tls
+                  and ("R2" in c.recs or "R1" in c.recs),
+                  _ctl_oid_check_blocks_resign),
+    ControlScript("ctl-named-binding", "named binding stops identity swap",
+                  lambda c: c.scenario == 6 and not c.tls and "R9" in c.recs,
+                  _ctl_binding_names_euicc),
+    ControlScript("ctl-registered-eid", "registration stops stolen codes",
+                  lambda c: c.approach == "ac" and c.scenario == 10
+                  and "R3" in c.recs, _ctl_registration_blocks_stolen_code),
+    ControlScript("ctl-share-replay", "replaying the server share is useless",
+                  lambda c: c.approach == "ac" and c.scenario == 6 and not c.tls
+                  and not c.recs, _ctl_replayed_server_share),
+    ControlScript("ctl-notify-replay", "notification replay is refused",
+                  lambda c: c.scenario == 1 and not c.tls and c.approach == "ac",
+                  _ctl_notification_replay),
+    ControlScript("ctl-proxy-contained", "rogue operator is contained",
+                  lambda c: c.scenario == 7, _ctl_mno_proxy_contained),
+)
+
+
 def negative_controls(cfg: ScenarioConfig) -> list[ControlScript]:
-    controls = [
-        ControlScript("ctl-tls-pins", "tunnel pins the dialed endpoint",
-                      lambda c: c.scenario == 5 and c.tls, _ctl_tls_pins),
-        ControlScript("ctl-code-hidden", "tunnel hides the activation code",
-                      lambda c: c.approach == "ac" and c.scenario == 1 and c.tls,
-                      _ctl_tunnel_hides_code),
-        ControlScript("ctl-no-forgery", "gate refuses honest-key forgeries",
-                      lambda c: c.scenario == 1, _ctl_forgery_rejected),
-        ControlScript("ctl-oid-pinning", "expected-oid check stops re-signing",
-                      lambda c: c.scenario == 5 and not c.tls
-                      and ("R2" in c.recs or "R1" in c.recs),
-                      _ctl_oid_check_blocks_resign),
-        ControlScript("ctl-named-binding", "named binding stops identity swap",
-                      lambda c: c.scenario == 6 and not c.tls and "R9" in c.recs,
-                      _ctl_binding_names_euicc),
-        ControlScript("ctl-registered-eid", "registration stops stolen codes",
-                      lambda c: c.approach == "ac" and c.scenario == 10
-                      and "R3" in c.recs, _ctl_registration_blocks_stolen_code),
-        ControlScript("ctl-share-replay", "replaying the server share is useless",
-                      lambda c: c.approach == "ac" and c.scenario == 6 and not c.tls
-                      and not c.recs, _ctl_replayed_server_share),
-        ControlScript("ctl-notify-replay", "notification replay is refused",
-                      lambda c: c.scenario == 1 and not c.tls and c.approach == "ac",
-                      _ctl_notification_replay),
-        ControlScript("ctl-proxy-contained", "rogue operator is contained",
-                      lambda c: c.scenario == 7, _ctl_mno_proxy_contained),
-    ]
-    return [c for c in controls if c.applicable(cfg)]
+    return [c for c in _CONTROLS if c.applicable(cfg)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ trace can violate I there.  The cell is shipped as pass; see PAPER_DIVERGENCES.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 PASS = "pass"
 FAIL = "fail"
@@ -138,10 +140,16 @@ PAPER_DIVERGENCES = {
 }
 
 
-def expected_matrix() -> dict:
-    """(approach, scenario) -> {goal -> ExpectedVerdict}, total over all rows."""
-    return {(app, sc): dict(rows) for app, table in EXPECTED.items()
-            for sc, rows in table.items()}
+# built once and shared, so read-only at both levels
+_MATRIX = MappingProxyType({
+    (app, sc): MappingProxyType(rows)
+    for app, table in EXPECTED.items() for sc, rows in table.items()})
+
+
+def expected_matrix() -> Mapping:
+    """(approach, scenario) -> {goal -> ExpectedVerdict}, total over all
+    rows; a read-only view."""
+    return _MATRIX
 
 
 def scenario_rows(approach: str) -> tuple:

@@ -22,7 +22,8 @@ injective conjunct keeps every witness, a non-injective one keeps one
 witness (the earliest) per distinct set of variables it newly binds, and
 once no injective conjunct is left the first consistent completion is
 enough.  Each pattern works out its literal and variable slots once, so a
-match walks only those.
+match walks only those, and each goal its search plan, so a check only
+reads plans and stores nothing that grows with the number of checks.
 
 Secrecy goals bind a target parameter at the trigger and fail iff the
 end-of-run adversary knowledge derives it (knowledge only grows, so
@@ -124,6 +125,19 @@ class GoalSpec:
     trigger: EventPattern
     requires: tuple = ()
     secrecy_index: Optional[int] = None
+    # the witness search plan, worked out once per goal: for each conjunct,
+    # (pattern, its match function, the names it binds or None if it is
+    # injective, whether the first completion from it on is enough)
+    plan: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        requires = self.requires
+        object.__setattr__(self, "plan", tuple(
+            (r.pattern, r.pattern.match,
+             None if r.injective
+             else tuple(name for _, name, _ in r.pattern.binders),
+             not any(later.injective for later in requires[k:]))
+            for k, r in enumerate(requires)))
 
 
 @dataclass
@@ -294,6 +308,8 @@ def _candidates(trace: Trace, pattern: EventPattern, bindings: dict) -> list:
 # ---------------------------------------------------------------------------
 
 _ADVERSARY = Atom(ADVERSARY_USER)
+# trigger tag -> position of the operator it binds
+_MNO_POS = {"U3": 6, "S1": 4, "S2": 6, "S3": 6}
 
 
 def _adversary_owns(trace: Trace, eid: Term) -> bool:
@@ -305,7 +321,7 @@ def _excluded(trace: Trace, event: Event) -> bool:
     """Is this trigger occurrence outside the threat model's interest?"""
     tag, params = event.tag, event.params
     # operator compromised and bound into the run: no security expected
-    mno_pos = {"U3": 6, "S1": 4, "S2": 6, "S3": 6}.get(tag)
+    mno_pos = _MNO_POS.get(tag)
     if mno_pos is not None and trace.with_value("CompromiseMno", 0, params[mno_pos]):
         return True
     if tag in CLIENT_TRIGGER_TAGS:
@@ -333,25 +349,23 @@ def _excluded(trace: Trace, event: Event) -> bool:
 # Correspondence checking
 # ---------------------------------------------------------------------------
 
-def _witness_tuples(trace: Trace, upto: int, requires: tuple,
-                    bindings: dict) -> list:
-    """Consistent ways to satisfy the conjunction with events before `upto`,
-    as (witness indices, bindings) in trace order, keeping only what
-    ``_assign_injectively`` can tell apart: it reads the injective slots
-    alone.  So a non-injective conjunct keeps one witness, the earliest,
-    for each distinct set of variables it newly binds (the rest of the
-    search depends on nothing else), and once no injective conjunct is left
-    the first completion stands for all of them."""
-    if not requires:
+def _witness_tuples(trace: Trace, upto: int, plan: tuple, bindings: dict,
+                    k: int = 0) -> list:
+    """Consistent ways to satisfy the conjuncts of `plan` from the `k`-th on
+    with events before `upto`, as (witness indices, bindings) in trace
+    order, keeping only what ``_assign_injectively`` can tell apart: it
+    reads the injective slots alone.  So a non-injective conjunct keeps one
+    witness, the earliest, for each distinct set of variables it newly binds
+    (the rest of the search depends on nothing else), and once no injective
+    conjunct is left the first completion stands for all of them."""
+    if k == len(plan):
         return [((), bindings)]
-    req, rest = requires[0], requires[1:]
-    first_only = not any(r.injective for r in requires)
-    new_names = None if req.injective else tuple(
-        name for _, name, _ in req.pattern.binders if name not in bindings)
+    pattern, match, names, first_only = plan[k]
+    new_names = None if names is None else tuple(
+        [name for name in names if name not in bindings])
     seen = set()
-    match = req.pattern.match
     out = []
-    for i, e in _candidates(trace, req.pattern, bindings):
+    for i, e in _candidates(trace, pattern, bindings):
         if i >= upto:
             break
         nb = match(e, bindings)
@@ -362,7 +376,7 @@ def _witness_tuples(trace: Trace, upto: int, requires: tuple,
             if key in seen:
                 continue
             seen.add(key)
-        for tail, fb in _witness_tuples(trace, upto, rest, nb):
+        for tail, fb in _witness_tuples(trace, upto, plan, nb, k + 1):
             out.append(((i,) + tail, fb))
             if first_only:
                 return out
@@ -374,6 +388,8 @@ def _witness_tuples(trace: Trace, upto: int, requires: tuple,
 def _assign_injectively(trigger_options: list, requires: tuple) -> bool:
     """Pick one witness tuple per trigger so injective slots never share."""
     inj_slots = [i for i, r in enumerate(requires) if r.injective]
+    if not inj_slots or len(trigger_options) <= 1:
+        return True  # every trigger has an option, and none can clash
 
     def backtrack(t: int, used: dict) -> bool:
         if t == len(trigger_options):
@@ -404,9 +420,9 @@ def check_correspondence(trace: Trace, goal: GoalSpec) -> GoalVerdict:
         b = goal.trigger.match(e, {})
         if b is None or _excluded(trace, e):
             continue
-        options = _witness_tuples(trace, i, goal.requires, b)
+        options = _witness_tuples(trace, i, goal.plan, b)
         if not options:
-            missing = _first_unmatchable(trace, i, goal.requires, b)
+            missing = _first_unmatchable(trace, i, goal.plan, b)
             return GoalVerdict(goal.name, "violated", _witness_text(i, e, missing))
         trigger_options.append(options)
         last = (i, e)
@@ -419,14 +435,17 @@ def check_correspondence(trace: Trace, goal: GoalSpec) -> GoalVerdict:
     return GoalVerdict(goal.name, "pass")
 
 
-def _first_unmatchable(trace: Trace, upto: int, requires: tuple,
+def _first_unmatchable(trace: Trace, upto: int, plan: tuple,
                        bindings: dict) -> str:
     # minimal diagnosis: the first conjunct that no consistent choice of
-    # witnesses for the conjuncts before it can extend
-    for k, req in enumerate(requires):
-        if not _witness_tuples(trace, upto, requires[:k + 1], bindings):
-            return (f"no earlier {req.pattern.tag} matches "
-                    f"{_pattern_text(req.pattern, bindings)}")
+    # witnesses for the conjuncts before it can extend; only existence is
+    # asked, so the first completion of each prefix is enough
+    prefix = ()
+    for pattern, match, names, _first_only in plan:
+        prefix += ((pattern, match, names, True),)
+        if not _witness_tuples(trace, upto, prefix, bindings):
+            return (f"no earlier {pattern.tag} matches "
+                    f"{_pattern_text(pattern, bindings)}")
     return "no consistent combination of witnesses"
 
 

@@ -12,15 +12,20 @@ travel in messages and the adversary can read, store and replay them like
 any other term.  Compromising an identity leaks its private keys and its
 (public) certificates to the adversary and drops a marker event into the
 trace; goal exclusions are computed from those markers alone.
+
+Issued identities are immutable, so one ``Pki`` is issued per process and
+shared by every world; a compromise writes only to the world that suffers
+it.  Sharing changes no output: terms are interned, and each world's fresh
+source continues from the id after the PKI's keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Optional
 
 from .events import Event
-from .terms import (Atom, NULL, PrivKey, PubKey, Sign, Term,
+from .terms import (Atom, FreshSource, NULL, PrivKey, PubKey, Sign, Term,
                     SealError, pairs, pub, seal, unpairs, unseal)
 
 POLICY_TLS = Atom("policy-tls")
@@ -64,12 +69,15 @@ def parse_certificate(term: Term) -> tuple[Certificate, Sign]:
     return Certificate(subject, key, oid, policy, ski), term
 
 
+@dataclass(frozen=True)
 class CiRoot:
     """The single trust root of a world."""
+    sk: PrivKey
+    ski_label: InitVar[str] = "ski-ci"
+    ski: Atom = field(init=False)
 
-    def __init__(self, sk: PrivKey, ski_label: str = "ski-ci") -> None:
-        self.sk = sk
-        self.ski = Atom(ski_label)
+    def __post_init__(self, ski_label: str) -> None:
+        object.__setattr__(self, "ski", Atom(ski_label))
 
     @property
     def pk(self) -> PubKey:
@@ -101,7 +109,7 @@ def verify_cert(cert_term: Term, ci: "CiRoot", policy: Atom) -> Certificate:
 # Identities
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ServerIdentity:
     domain: Atom               # dialable name, subject of the TLS cert
     subject: Atom              # shared subject of the auth/binding certs
@@ -114,13 +122,12 @@ class ServerIdentity:
     cert_sp: Term
 
 
-@dataclass
+@dataclass(frozen=True)
 class EuiccIdentity:
     eid: Atom
     sk_u: PrivKey
     cert_u: Term
     default_server: Optional[Atom] = None      # domain pre-provisioned on-chip
-    default_server_oid: Optional[Atom] = None  # R2 extension (held by the LPA)
 
 
 def new_ci(fresh) -> CiRoot:
@@ -151,6 +158,28 @@ def issue_euicc(ci: CiRoot, fresh, eid: str) -> EuiccIdentity:
         eid=eid_atom, sk_u=sk_u,
         cert_u=ci.issue(eid_atom, pub(sk_u), NULL, POLICY_EUICC),
     )
+
+
+@dataclass(frozen=True)
+class Pki:
+    """A CI and the identities it certified, in issue order."""
+    ci: CiRoot
+    servers: tuple             # ServerIdentity
+    euiccs: tuple              # EuiccIdentity
+    fresh: FreshSource         # spent on the keys above; worlds fork it
+
+
+def issue_pki(servers, eids, default_server: str) -> Pki:
+    """Issue the CI, then each (domain, oid, subject) server identity, then
+    each eUICC identity with `default_server` provisioned on-chip."""
+    fresh = FreshSource()
+    ci = new_ci(fresh)
+    return Pki(
+        ci,
+        tuple(issue_server(ci, fresh, *spec) for spec in servers),
+        tuple(replace(issue_euicc(ci, fresh, eid),
+                      default_server=Atom(default_server)) for eid in eids),
+        fresh)
 
 
 # ---------------------------------------------------------------------------

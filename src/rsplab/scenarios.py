@@ -20,6 +20,11 @@ oid), R2 (LPA stores the default server's oid), R3 (orders register the
 eUICC id), R7 (oid inside signed handshake messages), R8 (server compares
 the dialed name), R9 (eUICC id inside the signed profile binding).  R10 is
 shorthand for the full hardening set of the given approach.
+
+Every world is rooted in the same PKI: one CI, two server identities and
+three eUICC identities, issued once per process (see ``pki``).  A world
+builds only what differs between scenarios: its roles, its trace and
+adversary, the LPA's stored oid under R2, and the compromises.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 from .events import Event
 from .pki import (compromise_euicc, compromise_mno, compromise_server,
-                  compromise_user_channel, issue_euicc, issue_server, new_ci)
+                  compromise_user_channel, issue_pki)
 from .roles import EuiccDevice, MnoProcess, ServerProcess
 from .terms import Atom
 from .world import ADVERSARY_USER, UserAgent, World
@@ -47,6 +52,12 @@ BYSTANDER_EID = "eid-2"
 ADV_EID = "eid-adv"
 MNO1 = "mno1"
 MNO2 = "mno2"
+
+# eUICC owners, in the order of the PKI's eUICC identities
+_OWNERS = ((VICTIM_EID, VICTIM), (BYSTANDER_EID, BYSTANDER),
+           (ADV_EID, ADVERSARY_USER))
+PKI = issue_pki(((SERVER1, "oid-1", "sm-dp-1"), (SERVER2, "oid-2", "sm-dp-2")),
+                [eid for eid, _ in _OWNERS], default_server=SERVER1)
 
 
 class ConfigError(ValueError):
@@ -140,26 +151,18 @@ def parse_config(text: str) -> ScenarioConfig:
 def build_world(cfg: ScenarioConfig) -> World:
     """Two servers, two operators, a victim, an honest bystander, and the
     adversary with a device of its own; compromises applied per scenario."""
-    world = World(cfg)
-    world.ci = new_ci(world.fresh)
-
-    s1 = issue_server(world.ci, world.fresh, SERVER1, "oid-1", "sm-dp-1")
-    s2 = issue_server(world.ci, world.fresh, SERVER2, "oid-2", "sm-dp-2")
-    for ident in (s1, s2):
+    world = World(cfg, PKI)
+    for ident in PKI.servers:
         world.servers[ident.domain.label] = ServerProcess(world, ident)
         world.emit(Event("AUTHORIZE", (ident.subject,)))
 
     world.mnos[MNO1] = MnoProcess(MNO1, Atom(MNO1), SERVER1)
     world.mnos[MNO2] = MnoProcess(MNO2, Atom(MNO2), SERVER1)
 
-    for eid, owner in ((VICTIM_EID, VICTIM), (BYSTANDER_EID, BYSTANDER),
-                       (ADV_EID, ADVERSARY_USER)):
-        ident = issue_euicc(world.ci, world.fresh, eid)
-        ident.default_server = Atom(SERVER1)
-        if "R2" in cfg.recs:
-            ident.default_server_oid = s1.oid
+    lpa_oid = PKI.servers[0].oid if "R2" in cfg.recs else None
+    for ident, (eid, owner) in zip(PKI.euiccs, _OWNERS):
         world.euiccs[eid] = EuiccDevice(world, ident)
-        world.users[owner] = UserAgent(Atom(owner), eid, MNO1)
+        world.users[owner] = UserAgent(Atom(owner), eid, MNO1, lpa_oid)
         world.emit(Event("OWNER", (Atom(owner), ident.eid)))
 
     _apply_compromises(world, cfg)

@@ -198,6 +198,12 @@ class FreshSource:
     def __init__(self) -> None:
         self._next = 0
 
+    def fork(self) -> "FreshSource":
+        """A source that continues from this one's next id, independently."""
+        forked = FreshSource()
+        forked._next = self._next
+        return forked
+
     def _take(self) -> int:
         n = self._next
         self._next += 1

@@ -16,7 +16,7 @@ from typing import Optional
 from .events import ADVERSARY_USER, Event, LearnOp, MessageOp, Note, Trace
 from .network import (CH_LPA_EUICC, CH_MNO_SERVER, CH_USER_MNO, GateViolation,
                       Middlebox, tls_connect, tunnel_send)
-from .pki import CiRoot
+from .pki import Pki
 from .roles import (CODE_DELIVERY, M3, M5, MSG_ERROR, ORDER_REPLY,
                     ORDER_REQUEST, PROFILE_REQUEST, EuiccDevice, LpaContext,
                     Message, MnoProcess, Order, ProtocolAbort, ServerProcess,
@@ -65,6 +65,7 @@ class UserAgent:
     atom: Atom
     euicc: str            # eid label of the owned device
     mno: str              # subscribed operator
+    default_server_oid: Optional[Atom] = None  # stored by the LPA under R2
 
 
 @dataclass
@@ -88,12 +89,12 @@ class DownloadResult:
 
 
 class World:
-    def __init__(self, cfg) -> None:
+    def __init__(self, cfg, pki: Pki) -> None:
         self.cfg = cfg
-        self.fresh = FreshSource()
+        self.ci = pki.ci
+        self.fresh = pki.fresh.fork()
         self.trace = Trace()
         self.adversary = Adversary(self.trace, self.fresh)
-        self.ci: Optional[CiRoot] = None
         self.servers: dict[str, ServerProcess] = {}
         self.mnos: dict[str, MnoProcess] = {}
         self.users: dict[str, UserAgent] = {}
@@ -267,8 +268,7 @@ class World:
         else:
             dial_to = device.identity.default_server
             iac = NULL
-            expected_oid = (device.identity.default_server_oid
-                            if "R2" in cfg.recs else None)
+            expected_oid = user.default_server_oid
 
         if lpa_compromised:
             # a subverted LPA leaks whatever passes through its hands

@@ -216,7 +216,7 @@ def test_notification_goal_with_many_orders_per_user():
     bindings = g.trigger.match(s3, {})
     events = goal_oracle._events(w.trace)
     assert len(goal_oracle.witness_tuples(events, i, g.requires, bindings)) == 14 * 14
-    assert len(goals._witness_tuples(w.trace, i, g.requires, bindings)) == 1
+    assert len(goals._witness_tuples(w.trace, i, g.plan, bindings)) == 1
 
 
 def ds_orders(k: int, triggers: int) -> Trace:
@@ -239,7 +239,7 @@ def test_identical_intents_give_one_witness_tuple_per_order():
     g = goal("Bp")
     i, s1 = t.events_tagged("S1")[-1]
     bindings = g.trigger.match(s1, {})
-    tuples = goals._witness_tuples(t, i, g.requires, bindings)
+    tuples = goals._witness_tuples(t, i, g.plan, bindings)
     orders = [j for j, _ in t.events_tagged("ORDER")]
     assert [ix[2] for ix, _ in tuples] == orders
     events = goal_oracle._events(t)

@@ -4,7 +4,8 @@ and wildcard slots, and apply the exclusion rules from trace markers."""
 
 import pytest
 
-from rsplab.attacks import honest_script
+from rsplab import goals
+from rsplab.attacks import ATTACKS_BY_ID, honest_script
 from rsplab.events import Event, Trace
 from rsplab.goals import (check_correspondence, check_secrecy, goal_catalog,
                           check_all, check_forward_secrecy)
@@ -255,3 +256,25 @@ class TestTransitivity:
                             assert v["I"].ok
                             checked += 1
         assert checked > 30
+
+
+def test_goal_plans_do_not_grow_with_checks():
+    # plans are worked out once per goal; repeated checks, the diagnosis of
+    # a missing witness included, leave no store in the checker larger
+    # than the catalog
+    w = build_world(ScenarioConfig("ac", 2, False))
+    ATTACKS_BY_ID["2"].run(w)
+
+    def stores():
+        return {name: len(value) for name, value in vars(goals).items()
+                if isinstance(value, (dict, list, set))
+                and not name.startswith("__")}
+
+    plans = [g.plan for g in goals.CATALOG]
+    before = stores()
+    for _ in range(100):
+        verdicts = check_all(w.trace, w.adversary.knowledge)
+    assert any("no earlier" in (v.witness or "") for v in verdicts.values())
+    assert all(g.plan is plan for g, plan in zip(goals.CATALOG, plans))
+    for name, size in stores().items():
+        assert size <= max(before.get(name, 0), len(goals.CATALOG)), name

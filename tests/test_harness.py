@@ -56,6 +56,17 @@ class TestCli:
         assert hashlib.sha256(out).hexdigest() == \
             "97c2546b37e691c18b88178b4c755c06393796d961ae7e56922f373ad32e8fa6"
 
+    @pytest.mark.parametrize("approach, digest", [
+        ("ds", "d7e94d6e92411895ef3fcdf40f7392bee3d9a72456fc0e8392641f2734f9bc3a"),
+        ("ac", "395658d11db39b1fb9b646d8c0199c51f0f1501df5dd2bd8bf8cbe126d019807"),
+    ], ids=["ds", "ac"])
+    def test_r10_matrix_json_is_byte_identical_to_the_pinned_digest(
+            self, approach, digest):
+        # the fully hardened matrices: every world built under R10
+        report = run_matrix(approaches=(approach,), recs={"R10"})
+        out = render_json(report).encode()
+        assert hashlib.sha256(out).hexdigest() == digest
+
     def test_run_prints_violations_with_witness(self, capsys):
         rc = main(["run", "--approach", "ds", "--scenario", "9", "--tls",
                    "--attack", "a"])

@@ -5,13 +5,13 @@ import pytest
 
 from rsplab.attacks import (ImpersonateServer, audit_trace, fake_client_download,
                             honest_script)
-from rsplab.events import LearnOp, MessageOp
+from rsplab.events import LearnOp, MessageOp, Note
 from rsplab.network import (CH_LPA_SERVER, GateViolation, adversary_request,
                             tls_connect)
 from rsplab.roles import M3, MSG_ERROR
 from rsplab.scenarios import (ADV_EID, MNO1, SERVER1, SERVER2, VICTIM,
                               VICTIM_EID, ScenarioConfig, build_world)
-from rsplab.terms import Atom, subterms
+from rsplab.terms import Atom, Pair, subterms
 
 
 def run_world(approach="ac", scenario=1, tls=True):
@@ -77,6 +77,15 @@ class TestTunnel:
         mb = ImpersonateServer(s1, s1.domain, w.mnos[MNO1].atom)
         tun = tls_connect(w, Atom(SERVER1), mb)
         assert tun.middlebox is mb
+
+    @pytest.mark.parametrize("request_term", [
+        Atom("fuzz-noise"), Pair(Atom("no-such-request"), Atom("x"))],
+        ids=["atom", "unknown-tag"])
+    def test_server_aborts_an_unknown_request(self, request_term):
+        w = build_world(ScenarioConfig("ds", 1, False))
+        assert adversary_request(w, Atom(SERVER1), request_term) == MSG_ERROR
+        notes = [e for e in w.trace.entries if isinstance(e, Note)]
+        assert notes[-1].render() == "note abort server: unknown request"
 
     def test_anonymous_clients_always_connect(self):
         w = build_world(ScenarioConfig("ds", 1, True))

@@ -4,9 +4,10 @@ import weakref
 import pytest
 
 from rsplab.fixture import GOALS, expected_matrix, scenario_rows
-from rsplab.scenarios import (AC_SCENARIOS, DS_SCENARIOS, ConfigError,
-                              ScenarioConfig, build_world, expand_recs,
-                              parse_config)
+from rsplab.scenarios import (AC_SCENARIOS, DS_SCENARIOS, VICTIM, VICTIM_EID,
+                              ConfigError, ScenarioConfig, build_world,
+                              expand_recs, parse_config)
+from rsplab.terms import Atom
 
 
 class TestConfig:
@@ -71,6 +72,14 @@ class TestWorldBuilding:
         for rows in matrix.values():
             assert set(rows) == set(GOALS)
 
+    def test_expected_matrix_is_read_only(self):
+        matrix = expected_matrix()
+        with pytest.raises(TypeError):
+            matrix[("ds", 1)] = {}
+        with pytest.raises(TypeError):
+            matrix[("ds", 1)]["A"] = None
+        assert expected_matrix() is matrix
+
     def test_fixture_totals_570_resolved_cells(self):
         total = sum(len(rows) for rows in expected_matrix().values()) * 2
         assert total == 570
@@ -117,3 +126,33 @@ class TestWorldBuilding:
             assert trace() is None
         finally:
             gc.enable()
+
+
+class TestSharedPki:
+    def test_worlds_share_one_issued_pki(self):
+        worlds = [build_world(ScenarioConfig(*args)) for args in (
+            ("ds", 1, True), ("ds", 2, False, frozenset({"R2", "R7"})),
+            ("ac", 3, True, frozenset({"R1", "R3"})))]
+        # the identities are frozen, so sharing them shares their keys and
+        # certificates too
+        first = worlds[0]
+        for w in worlds[1:]:
+            assert w.ci is first.ci
+            for label, srv in w.servers.items():
+                assert srv.identity is first.servers[label].identity
+            for eid, dev in w.euiccs.items():
+                assert dev.identity is first.euiccs[eid].identity
+
+    def test_fresh_ids_continue_after_the_pki_keys(self):
+        # every world draws the same ids it drew when it issued the PKI itself
+        w = build_world(ScenarioConfig("ds", 1, True))
+        assert w.fresh.nonce().id == len(w.long_term_private_keys())
+
+    def test_r2_world_leaves_no_expected_oid_behind(self):
+        expected = []
+        for recs in ({"R2"}, set()):
+            w = build_world(ScenarioConfig("ds", 1, True, frozenset(recs)))
+            w.request_profile(VICTIM)
+            assert w.start_download(VICTIM).completed
+            expected.append(w.euiccs[VICTIM_EID].session.expected_oid)
+        assert expected == [Atom("oid-1"), None]
