@@ -54,8 +54,17 @@ def cert_body(subject: Atom, subject_key: PubKey, oid: Term,
     return pairs([_CERT_TAG, subject, subject_key, oid, policy, issuer_ski])
 
 
+# Memos of the two checks below: successes only, so a certificate that fails
+# fails again on every call.  Terms are interned, so the key is the term.
+_PARSED: dict = {}
+_VERIFIED: dict = {}
+
+
 def parse_certificate(term: Term) -> tuple[Certificate, Sign]:
     """Split a transported certificate term into fields + signature."""
+    parsed = _PARSED.get(term)
+    if parsed is not None:
+        return parsed
     if not isinstance(term, Sign):
         raise CertError("certificate is not a signed term")
     try:
@@ -66,7 +75,8 @@ def parse_certificate(term: Term) -> tuple[Certificate, Sign]:
             or not isinstance(key, PubKey) or not isinstance(policy, Atom) \
             or not isinstance(ski, Atom):
         raise CertError("malformed certificate fields")
-    return Certificate(subject, key, oid, policy, ski), term
+    parsed = _PARSED[term] = Certificate(subject, key, oid, policy, ski), term
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -91,6 +101,11 @@ class CiRoot:
 
 def verify_cert(cert_term: Term, ci: "CiRoot", policy: Atom) -> Certificate:
     """Deterministic, total check: CI signature, SKI and policy must match."""
+    # keyed by what the check reads of the CI: its key and its SKI
+    key = (cert_term, ci.sk, ci.ski, policy)
+    cert = _VERIFIED.get(key)
+    if cert is not None:
+        return cert
     cert, signed = parse_certificate(cert_term)
     try:
         unseal("sign", ci.pk, signed)
@@ -102,6 +117,7 @@ def verify_cert(cert_term: Term, ci: "CiRoot", policy: Atom) -> Certificate:
         raise CertError(
             f"certificate policy {cert.policy.label} unfit for context "
             f"{policy.label}")
+    _VERIFIED[key] = cert
     return cert
 
 

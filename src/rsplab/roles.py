@@ -24,7 +24,7 @@ from typing import Optional
 from .events import Event
 from .pki import (POLICY_EUICC, POLICY_PROFILE_BINDING, POLICY_SERVER_AUTH,
                   CertError, Certificate, EuiccIdentity, ServerIdentity,
-                  parse_certificate, verify_cert)
+                  verify_cert)
 from .terms import (Atom, DhPub, NULL, Nonce, Pair, PubKey, SealError, Sign,
                     Term, dh_pub, dh_shared, kdf, pairs, seal, unpairs, unseal)
 
@@ -46,11 +46,17 @@ class ProtocolAbort(Exception):
 # recommendation adds a field (shared by roles, attack scripts and tests)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# Message.build's memo: (message, field names, field values) in call order
+# -> the built term.  A call that raises stores nothing.
+_BUILT: dict = {}
+
+
+@dataclass(frozen=True, eq=False)
 class Message:
     """A tagged tuple: the tag atom, then the fields in wire order.  At most
     one optional field, always last, is on the wire exactly when
-    recommendation `rec` is in force."""
+    recommendation `rec` is in force.  Compared and hashed by identity, as
+    the key of ``build``'s memo."""
     tag: Atom
     fields: tuple
     optional: Optional[str] = None
@@ -63,11 +69,16 @@ class Message:
 
     def build(self, **values: Term) -> Term:
         """Encode the fields by name; the optional one is left off when None."""
-        items = [self.tag] + [values.pop(name) for name in self.fields]
-        extra = values.pop(self.optional, None)
-        if values:
-            raise TypeError(f"{self.tag.label} has no field {sorted(values)[0]}")
-        return pairs(items + ([extra] if extra is not None else []))
+        key = (self, *values, *values.values())
+        built = _BUILT.get(key)
+        if built is None:
+            items = [self.tag] + [values.pop(name) for name in self.fields]
+            extra = values.pop(self.optional, None)
+            if values:
+                raise TypeError(f"{self.tag.label} has no field {sorted(values)[0]}")
+            built = _BUILT[key] = pairs(
+                items + ([extra] if extra is not None else []))
+        return built
 
     def decode(self, term: Term, recs=frozenset()) -> tuple[Term, dict]:
         """(tag, fields by name) without checking the tag; SealError if short."""
@@ -501,7 +512,7 @@ class LpaContext:
     strict: bool = True
     careless: bool = False
     n_u: Optional[Term] = None
-    sa_cert_term: Optional[Term] = None
+    sa_cert: Optional[Certificate] = None     # verified at m4 (strict LPA)
 
 
 def lpa_check_msg4(ctx: LpaContext, world, term: Term) -> Optional[str]:
@@ -531,7 +542,7 @@ def lpa_check_msg4(ctx: LpaContext, world, term: Term) -> Optional[str]:
         return "server oid does not match the expected oid"
     if ctx.strict and body["n_u"] != ctx.n_u:
         return "challenge mismatch"
-    ctx.sa_cert_term = m4["cert"] if cert is not None else None
+    ctx.sa_cert = cert
     return None
 
 
@@ -542,10 +553,8 @@ def lpa_check_msg8(ctx: LpaContext, world, term: Term) -> Optional[str]:
         m8 = M8.parse(term, "lpa")
         cert = verify_cert(m8["cert"], world.ci, POLICY_PROFILE_BINDING)
         unseal("sign", cert.subject_key, m8["sig"])
-        if ctx.sa_cert_term is not None:
-            sa_cert, _ = parse_certificate(ctx.sa_cert_term)
-            if cert.oid != sa_cert.oid:
-                return "profile-binding oid mismatch"
+        if ctx.sa_cert is not None and cert.oid != ctx.sa_cert.oid:
+            return "profile-binding oid mismatch"
     except (ProtocolAbort, CertError, SealError) as exc:
         return f"unverifiable binding message: {exc}"
     return None

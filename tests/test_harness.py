@@ -42,6 +42,22 @@ class TestReports:
         rows = render_csv(small_report).strip().splitlines()
         assert len(rows) == 1 + len(small_report.cells)
 
+    def test_a_second_matrix_run_adds_no_term_and_no_memo_entry(self):
+        # terms are interned and the memos are keyed by them; worlds are
+        # deterministic, so one run builds every term and fills every memo
+        from rsplab import pki, roles, terms
+        stores = {"terms._TABLE": terms._TABLE,
+                  "terms._UNPAIRED": terms._UNPAIRED,
+                  "terms._ENCODED": terms._ENCODED,
+                  "roles._BUILT": roles._BUILT,
+                  "pki._PARSED": pki._PARSED,
+                  "pki._VERIFIED": pki._VERIFIED}
+        run_matrix()
+        sizes = {name: len(store) for name, store in stores.items()}
+        assert all(sizes.values()), sizes
+        run_matrix()
+        assert {name: len(store) for name, store in stores.items()} == sizes
+
 
 class TestCli:
     def test_matrix_exits_zero_on_agreement(self, capsys):

@@ -8,10 +8,10 @@ from rsplab.attacks import (ImpersonateServer, audit_trace, fake_client_download
 from rsplab.events import LearnOp, MessageOp, Note
 from rsplab.network import (CH_LPA_SERVER, GateViolation, adversary_request,
                             tls_connect)
-from rsplab.roles import M3, MSG_ERROR
+from rsplab.roles import M3, M11, M15, MSG_ERROR, SIG11, SIG15
 from rsplab.scenarios import (ADV_EID, MNO1, SERVER1, SERVER2, VICTIM,
                               VICTIM_EID, ScenarioConfig, build_world)
-from rsplab.terms import Atom, Pair, subterms
+from rsplab.terms import Atom, Pair, seal, subterms
 
 
 def run_world(approach="ac", scenario=1, tls=True):
@@ -86,6 +86,21 @@ class TestTunnel:
         assert adversary_request(w, Atom(SERVER1), request_term) == MSG_ERROR
         notes = [e for e in w.trace.entries if isinstance(e, Note)]
         assert notes[-1].render() == "note abort server: unknown request"
+
+    @pytest.mark.parametrize("msg, body, reason", [
+        (M11, SIG11, "malformed key-exchange body"),
+        (M15, SIG15, "malformed notification body")], ids=["m11", "m15"])
+    def test_server_aborts_a_signed_body_that_is_too_short(self, msg, body, reason):
+        w = build_world(ScenarioConfig("ds", 1, False))
+        sk = w.adversary.fresh.privkey("adv-sk")
+        w.adversary.learn(sk)
+        request = msg.build(sig=seal("sign", sk, Pair(body.tag, Atom("x"))))
+        # twice: the second send must not find the first one's decode cached
+        for _ in range(2):
+            assert adversary_request(w, Atom(SERVER1), request) == MSG_ERROR
+            notes = [e for e in w.trace.entries if isinstance(e, Note)]
+            assert notes[-1].render() == f"note abort server: {reason}"
+        assert len(notes) == 2
 
     def test_anonymous_clients_always_connect(self):
         w = build_world(ScenarioConfig("ds", 1, True))

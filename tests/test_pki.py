@@ -68,6 +68,24 @@ class TestVerification:
         with pytest.raises(CertError):
             verify_cert(Atom("not-a-cert"), ci, POLICY_TLS)
 
+    def test_a_failed_check_raises_on_every_call(self, ci):
+        from rsplab.pki import CiRoot
+        fresh = FreshSource()
+        dev = issue_euicc(ci, fresh, "eid-44")
+        # a foreign root under the same key identifier, and a success under
+        # the real one first, so a memo that keyed on less than the term,
+        # the root key and the policy would hand that success back
+        rogue = CiRoot(fresh.privkey("sk-rogue"))
+        assert rogue.ski == ci.ski
+        assert verify_cert(dev.cert_u, ci, POLICY_EUICC).subject == Atom("eid-44")
+        for _ in range(2):
+            with pytest.raises(CertError, match="unfit for context"):
+                verify_cert(dev.cert_u, ci, POLICY_SERVER_AUTH)
+            with pytest.raises(CertError, match="issuer signature invalid"):
+                verify_cert(dev.cert_u, rogue, POLICY_EUICC)
+            with pytest.raises(CertError, match="malformed certificate body"):
+                parse_certificate(seal("sign", ci.sk, Atom("short")))
+
 
 class TestCompromise:
     def test_server_compromise_leaks_all_three_keys(self):

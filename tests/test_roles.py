@@ -108,8 +108,18 @@ class TestSchema:
             "who", f"malformed message: expected {n}-tuple, ran out at {n - 2}")
 
     def test_unknown_field_name_is_refused(self):
-        with pytest.raises(TypeError):
-            SIG8.build(it=Atom("it"), eid_=Atom("eid"))
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                SIG8.build(it=Atom("it"), eid_=Atom("eid"))
+
+    def test_changing_a_parsed_dict_changes_no_later_parse(self):
+        values = sample(SIG4, frozenset({"R7"}))
+        term = SIG4.build(**values)
+        first = SIG4.parse(term, "x", frozenset({"R7"}))
+        first["n_u"] = Atom("changed")
+        del first["oid"]
+        assert SIG4.parse(term, "x", frozenset({"R7"})) == values
+        assert SIG4.decode(term, frozenset({"R7"})) == (SIG4.tag, values)
 
     def test_signed_handshake_wire_layout(self):
         n_u, n_s, it, s, oid, eid = (Atom(x) for x in

@@ -86,8 +86,18 @@ class TestTupleEncoding:
         assert unpairs(pairs(items), 4) == items
 
     def test_unpairs_shape_mismatch(self):
-        with pytest.raises(SealError):
-            unpairs(Atom("a"), 3)
+        for _ in range(2):
+            with pytest.raises(SealError):
+                unpairs(Atom("a"), 3)
+
+    def test_changing_a_returned_list_changes_no_later_result(self):
+        items = [Atom("a"), Atom("b"), Atom("c")]
+        t = pairs(items)
+        first = unpairs(t, 3)
+        first[0] = Atom("z")
+        first.append(Atom("extra"))
+        assert unpairs(t, 3) == items
+        assert unpairs(t, 3) is not unpairs(t, 3)
 
 
 class TestEncoding:
