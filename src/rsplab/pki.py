@@ -21,6 +21,7 @@ source continues from the id after the PKI's keys.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, field, replace
 from typing import Optional
 
@@ -54,17 +55,8 @@ def cert_body(subject: Atom, subject_key: PubKey, oid: Term,
     return pairs([_CERT_TAG, subject, subject_key, oid, policy, issuer_ski])
 
 
-# Memos of the two checks below: successes only, so a certificate that fails
-# fails again on every call.  Terms are interned, so the key is the term.
-_PARSED: dict = {}
-_VERIFIED: dict = {}
-
-
 def parse_certificate(term: Term) -> tuple[Certificate, Sign]:
     """Split a transported certificate term into fields + signature."""
-    parsed = _PARSED.get(term)
-    if parsed is not None:
-        return parsed
     if not isinstance(term, Sign):
         raise CertError("certificate is not a signed term")
     try:
@@ -75,8 +67,7 @@ def parse_certificate(term: Term) -> tuple[Certificate, Sign]:
             or not isinstance(key, PubKey) or not isinstance(policy, Atom) \
             or not isinstance(ski, Atom):
         raise CertError("malformed certificate fields")
-    parsed = _PARSED[term] = Certificate(subject, key, oid, policy, ski), term
-    return parsed
+    return Certificate(subject, key, oid, policy, ski), term
 
 
 @dataclass(frozen=True)
@@ -99,13 +90,11 @@ class CiRoot:
                     cert_body(subject, subject_key, oid, policy, self.ski))
 
 
+@functools.cache
 def verify_cert(cert_term: Term, ci: "CiRoot", policy: Atom) -> Certificate:
-    """Deterministic, total check: CI signature, SKI and policy must match."""
-    # keyed by what the check reads of the CI: its key and its SKI
-    key = (cert_term, ci.sk, ci.ski, policy)
-    cert = _VERIFIED.get(key)
-    if cert is not None:
-        return cert
+    """Deterministic, total check: CI signature, SKI and policy must match.
+    Memoized (see the terms module): a failed check raises on every call,
+    and a CiRoot is keyed by its key and SKI, all the check reads of it."""
     cert, signed = parse_certificate(cert_term)
     try:
         unseal("sign", ci.pk, signed)
@@ -117,7 +106,6 @@ def verify_cert(cert_term: Term, ci: "CiRoot", policy: Atom) -> Certificate:
         raise CertError(
             f"certificate policy {cert.policy.label} unfit for context "
             f"{policy.label}")
-    _VERIFIED[key] = cert
     return cert
 
 

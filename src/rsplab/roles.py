@@ -17,6 +17,7 @@ and the session dies without emitting its next progress event.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -46,17 +47,12 @@ class ProtocolAbort(Exception):
 # recommendation adds a field (shared by roles, attack scripts and tests)
 # ---------------------------------------------------------------------------
 
-# Message.build's memo: (message, field names, field values) in call order
-# -> the built term.  A call that raises stores nothing.
-_BUILT: dict = {}
-
-
 @dataclass(frozen=True, eq=False)
 class Message:
     """A tagged tuple: the tag atom, then the fields in wire order.  At most
     one optional field, always last, is on the wire exactly when
     recommendation `rec` is in force.  Compared and hashed by identity, as
-    the key of ``build``'s memo."""
+    part of the key of ``build``'s memo."""
     tag: Atom
     fields: tuple
     optional: Optional[str] = None
@@ -67,18 +63,15 @@ class Message:
             return self.fields + (self.optional,)
         return self.fields
 
+    @functools.cache
     def build(self, **values: Term) -> Term:
-        """Encode the fields by name; the optional one is left off when None."""
-        key = (self, *values, *values.values())
-        built = _BUILT.get(key)
-        if built is None:
-            items = [self.tag] + [values.pop(name) for name in self.fields]
-            extra = values.pop(self.optional, None)
-            if values:
-                raise TypeError(f"{self.tag.label} has no field {sorted(values)[0]}")
-            built = _BUILT[key] = pairs(
-                items + ([extra] if extra is not None else []))
-        return built
+        """Encode the fields by name; the optional one is left off when None.
+        Memoized by the message and the names and values in call order."""
+        items = [self.tag] + [values.pop(name) for name in self.fields]
+        extra = values.pop(self.optional, None)
+        if values:
+            raise TypeError(f"{self.tag.label} has no field {sorted(values)[0]}")
+        return pairs(items + ([extra] if extra is not None else []))
 
     def decode(self, term: Term, recs=frozenset()) -> tuple[Term, dict]:
         """(tag, fields by name) without checking the tag; SealError if short."""

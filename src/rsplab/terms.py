@@ -17,13 +17,13 @@ Four design points matter for everything downstream:
     probe on terms are the object defaults, which run in C and never walk
     the tree.
 
-  * So a pure function of a term is computed once per distinct term, the
-    payoff of hash-consing that paper names: ``unpairs`` and ``encode``
-    here, ``Message.build`` in ``roles.py`` and ``parse_certificate`` and
-    ``verify_cert`` in ``pki.py`` each keep a memo keyed by the interned
-    objects.  A term never changes and the table never frees it, so a key
-    never goes stale.  Only results are stored: a call that raises stores
-    nothing and raises again on the next call, and ``unpairs`` and message
+  * So a pure function of a term can be computed once per distinct term,
+    the payoff of hash-consing that paper names.  ``unpairs`` here,
+    ``Message.build`` in ``roles.py`` and ``verify_cert`` in ``pki.py``
+    are memoized with ``functools.cache``, keyed by the interned objects.
+    A term never changes and the table never frees it, so a key never goes
+    stale.  The cache stores only return values: a call that raises stores
+    nothing and raises again on the next call.  ``unpairs`` and message
     parsing hand each caller a new list or dict that it may change.
     Worlds are deterministic, so the memos stop growing when the table
     does.
@@ -48,6 +48,7 @@ Four design points matter for everything downstream:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -65,11 +66,6 @@ class SealError(ValueError):
 # entries); a weak one drops each finished world's terms only to build them
 # again for the next (0.39 s against 0.22 s per benchmark matrix iteration).
 _TABLE: dict = {}
-
-# Memos of unpairs, keyed by (term, arity), and of encode, keyed by the
-# term; successes only (see the module docstring).
-_UNPAIRED: dict = {}
-_ENCODED: dict = {}
 
 
 class _Interned(type):
@@ -273,18 +269,19 @@ def pairs(items: Iterable[Term]) -> Term:
 def unpairs(t: Term, n: int) -> list[Term]:
     """Inverse of pairs() for a known arity; raises SealError on shape mismatch.
     Each call returns a new list, so the caller may change it."""
-    parts = _UNPAIRED.get((t, n))
-    if parts is None:
-        out: list[Term] = []
-        rest = t
-        for _ in range(n - 1):
-            if not isinstance(rest, Pair):
-                raise SealError(f"expected {n}-tuple, ran out at {len(out)}")
-            out.append(rest.left)
-            rest = rest.right
-        out.append(rest)
-        parts = _UNPAIRED[(t, n)] = tuple(out)
-    return list(parts)
+    return list(_unpairs(t, n))
+
+
+@functools.cache
+def _unpairs(t: Term, n: int) -> tuple[Term, ...]:
+    out: list[Term] = []
+    for _ in range(n - 1):
+        if not isinstance(t, Pair):
+            raise SealError(f"expected {n}-tuple, ran out at {len(out)}")
+        out.append(t.left)
+        t = t.right
+    out.append(t)
+    return tuple(out)
 
 
 def seal(kind: str, key: Term, body: Term) -> Term:
@@ -357,37 +354,31 @@ def subterms(t: Term) -> Iterator[Term]:
 
 def encode(t: Term) -> str:
     """Injective s-expression encoding; stable across runs with one seed."""
-    text = _ENCODED.get(t)
-    if text is not None:
-        return text
     if isinstance(t, Atom):
-        text = t.label
-    elif isinstance(t, Nonce):
-        text = f"(nonce {t.id} {t.label})" if t.label else f"(nonce {t.id})"
-    elif isinstance(t, PrivKey):
-        text = f"(priv {t.id} {t.label})" if t.label else f"(priv {t.id})"
-    elif isinstance(t, PubKey):
-        text = f"(pub {encode(t.of)})"
-    elif isinstance(t, DhPriv):
-        text = f"(dpriv {t.id} {t.label})" if t.label else f"(dpriv {t.id})"
-    elif isinstance(t, DhPub):
-        text = f"(dpub {encode(t.of)})"
-    elif isinstance(t, DhShared):
-        text = f"(dh {t.lo.id} {t.hi.id})"
-    elif isinstance(t, Pair):
-        text = f"(pair {encode(t.left)} {encode(t.right)})"
-    elif isinstance(t, Sign):
-        text = f"(sign {encode(t.key)} {encode(t.body)})"
-    elif isinstance(t, SEnc):
-        text = f"(senc {encode(t.key)} {encode(t.body)})"
-    elif isinstance(t, Mac):
-        text = f"(mac {encode(t.key)} {encode(t.body)})"
-    elif isinstance(t, Kdf):
-        text = f"(kdf {encode(t.shared)} {encode(t.oid)} {encode(t.eid)} {t.which})"
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    _ENCODED[t] = text
-    return text
+        return t.label
+    if isinstance(t, Nonce):
+        return f"(nonce {t.id} {t.label})" if t.label else f"(nonce {t.id})"
+    if isinstance(t, PrivKey):
+        return f"(priv {t.id} {t.label})" if t.label else f"(priv {t.id})"
+    if isinstance(t, PubKey):
+        return f"(pub {encode(t.of)})"
+    if isinstance(t, DhPriv):
+        return f"(dpriv {t.id} {t.label})" if t.label else f"(dpriv {t.id})"
+    if isinstance(t, DhPub):
+        return f"(dpub {encode(t.of)})"
+    if isinstance(t, DhShared):
+        return f"(dh {t.lo.id} {t.hi.id})"
+    if isinstance(t, Pair):
+        return f"(pair {encode(t.left)} {encode(t.right)})"
+    if isinstance(t, Sign):
+        return f"(sign {encode(t.key)} {encode(t.body)})"
+    if isinstance(t, SEnc):
+        return f"(senc {encode(t.key)} {encode(t.body)})"
+    if isinstance(t, Mac):
+        return f"(mac {encode(t.key)} {encode(t.body)})"
+    if isinstance(t, Kdf):
+        return f"(kdf {encode(t.shared)} {encode(t.oid)} {encode(t.eid)} {t.which})"
+    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------

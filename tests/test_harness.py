@@ -42,21 +42,36 @@ class TestReports:
         rows = render_csv(small_report).strip().splitlines()
         assert len(rows) == 1 + len(small_report.cells)
 
-    def test_a_second_matrix_run_adds_no_term_and_no_memo_entry(self):
+    def test_a_second_run_adds_no_term_and_no_memo_entry(self):
         # terms are interned and the memos are keyed by them; worlds are
-        # deterministic, so one run builds every term and fills every memo
-        from rsplab import pki, roles, terms
-        stores = {"terms._TABLE": terms._TABLE,
-                  "terms._UNPAIRED": terms._UNPAIRED,
-                  "terms._ENCODED": terms._ENCODED,
-                  "roles._BUILT": roles._BUILT,
-                  "pki._PARSED": pki._PARSED,
-                  "pki._VERIFIED": pki._VERIFIED}
-        run_matrix()
-        sizes = {name: len(store) for name, store in stores.items()}
-        assert all(sizes.values()), sizes
-        run_matrix()
-        assert {name: len(store) for name, store in stores.items()} == sizes
+        # deterministic, so one pass builds every term and fills every memo
+        from rsplab import network, pki, roles, scenarios, terms
+        from rsplab.events import MessageOp
+
+        def sizes():
+            return {"terms._TABLE": len(terms._TABLE),
+                    "unpairs": terms._unpairs.cache_info().currsize,
+                    "build": roles.Message.build.cache_info().currsize,
+                    "verify_cert": pki.verify_cert.cache_info().currsize}
+
+        def one_pass():
+            run_matrix()
+            run_matrix(approaches=("ds",), recs=frozenset({"R10"}))
+            # several downloads in one world, then replays of its requests
+            world = scenarios.build_world(scenarios.ScenarioConfig("ac", 1, False))
+            for user in (scenarios.VICTIM, scenarios.BYSTANDER, scenarios.VICTIM):
+                world.start_download(user, code=world.request_profile(user))
+            dial = world.servers[scenarios.SERVER1].identity.domain
+            for e in list(world.trace.entries):
+                if (isinstance(e, MessageOp) and e.channel == network.CH_LPA_SERVER
+                        and e.direction.startswith("lpa->server:")):
+                    network.adversary_request(world, dial, e.term)
+
+        one_pass()
+        first = sizes()
+        assert all(first.values()), first
+        one_pass()
+        assert sizes() == first
 
 
 class TestCli:

@@ -84,7 +84,7 @@ class TestVerification:
             with pytest.raises(CertError, match="issuer signature invalid"):
                 verify_cert(dev.cert_u, rogue, POLICY_EUICC)
             with pytest.raises(CertError, match="malformed certificate body"):
-                parse_certificate(seal("sign", ci.sk, Atom("short")))
+                verify_cert(seal("sign", ci.sk, Atom("short")), ci, POLICY_EUICC)
 
 
 class TestCompromise:
