@@ -1,6 +1,8 @@
 """
-Deterministic adversary scripts, one per attack marker, plus negative
-controls and a bounded random-adversary smoke test.
+Deterministic adversary scripts, one per attack marker, negative controls,
+and the capability audit.  A script holds each download session it attacks
+(``World.download``): it relays the session with a rewrite of the traffic,
+answers it as a server, or withholds a response.
 
 Script ids match the superscripts in the expected-verdict fixture:
 
@@ -26,16 +28,16 @@ needed an underivable term would crash the run, which is the point.
 
 from __future__ import annotations
 
-import random
+import contextlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .events import LearnOp, MessageOp
-from .network import (CH_LPA_SERVER, Drop, GateViolation, Middlebox,
-                      adversary_request)
+from .network import (CH_LPA_SERVER, GateViolation, adversary_request, relay,
+                      server_reply)
 from .pki import parse_certificate
 from .roles import (M3, M4, M7, M8, M11, M12, M15, MSG_ERROR, SIG4, SIG7,
-                    SIG8, SIG11, SIG12, SIG15)
+                    SIG8, SIG11, SIG12, SIG15, ProtocolAbort)
 from .scenarios import (AC_SCENARIOS, ADV_EID, BYSTANDER, MNO1, MNO2, SERVER1,
                         SERVER2, VICTIM, VICTIM_EID, ScenarioConfig)
 from .terms import Atom, Knowledge, NULL, Pair, Term, dh_pub, dh_shared, kdf, seal
@@ -54,178 +56,124 @@ def honest_script(world: World) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Middleboxes
+# The adversary in a download session: rewrites for `relay`, and a server
+# impersonator that answers the session itself
 # ---------------------------------------------------------------------------
 
-class ImpersonateServer(Middlebox):
-    """Answer the victim's whole download with a leaked server identity,
-    presenting whatever domain name the victim dialed."""
-
-    terminates = True
-
-    def __init__(self, identity, claim_domain, mno_claim) -> None:
-        self.identity = identity
-        self.claim = claim_domain
-        self.mno = mno_claim
-        self.n_s = None
-        self.it = None
-        self.eid = None
-
-    def serve(self, world, stage, term):
-        adv = world.adversary
-        recs = world.cfg.recs
-        ident = self.identity
-        if stage == "m3":
-            n_u = M3.parse(term, "adv")["n_u"]
-            self.n_s = adv.fresh_nonce("fake-ns")
-            self.it = adv.fresh_nonce("fake-it")
-            oid = ident.oid if "R7" in recs else None
-            sig = seal("sign", ident.sk_sa,
-                       SIG4.build(n_u=n_u, n_s=self.n_s, it=self.it,
-                                  s=self.claim, oid=oid))
-            return M4.build(sig=sig, cert=ident.cert_sa)
-        if stage == "m7":
-            cert, _ = parse_certificate(M7.parse(term, "adv")["cert"])
-            self.eid = cert.subject
-            eid = self.eid if "R9" in recs else None
-            return M8.build(sig=seal("sign", ident.sk_sp,
-                                     SIG8.build(it=self.it, eid=eid)),
-                            cert=ident.cert_sp)
-        if stage == "m11":
-            sig = M11.parse(term, "adv")["sig"]
-            q_u = SIG11.parse(sig.body, "adv")["q_u"]
-            d = adv.fresh_dh("fake-ds")
-            q_s = dh_pub(d)
-            z = dh_shared(d, q_u)
-            k = kdf(z, ident.oid, self.eid, "enc")
-            k_mac = kdf(z, ident.oid, self.eid, "mac")
-            fake_profile = Pair(Atom("profile-fake"), adv.fresh_nonce("fake-ki"))
-            enc = seal("senc", k, fake_profile)
-            return M12.build(sig=seal("sign", ident.sk_sp,
-                                      SIG12.build(it=self.it, q_s=q_s, q_u=q_u)),
-                             enc=enc, mac_enc=seal("mac", k_mac, enc),
-                             mno=self.mno, mac_mno=seal("mac", k_mac, self.mno))
-        if stage == "m15":
-            return Atom("ok")
-        raise GateViolation(f"unexpected stage {stage}")
+def fake_m12(world: World, ident, eid, it, q_u, mno, label: str) -> Term:
+    """A delivery of a fake profile under `ident`'s binding key, keyed to
+    the client share `q_u` and a fresh share of the adversary's own."""
+    adv = world.adversary
+    d = adv.fresh_dh(label)
+    z = dh_shared(d, q_u)
+    k = kdf(z, ident.oid, eid, "enc")
+    k_mac = kdf(z, ident.oid, eid, "mac")
+    enc = seal("senc", k, Pair(Atom("profile-fake"), adv.fresh_nonce("fake-ki")))
+    return M12.build(sig=seal("sign", ident.sk_sp,
+                              SIG12.build(it=it, q_s=dh_pub(d), q_u=q_u)),
+                     enc=enc, mac_enc=seal("mac", k_mac, enc),
+                     mno=mno, mac_mno=seal("mac", k_mac, mno))
 
 
-class DivergeDelivery(Middlebox):
+def impersonate_server(world: World, lpa, ident, claim_domain, mno_claim):
+    """Answer a whole download session with a leaked server identity,
+    presenting whatever domain name the victim dialed.  Returns the
+    session's DownloadResult."""
+    adv = world.adversary
+    recs = world.cfg.recs
+
+    def answer(stage, response):
+        adv.gate_send(CH_LPA_SERVER, f"fake-server->lpa:{stage}", response)
+        return lpa.send(response)[2]
+
+    try:
+        n_u = M3.parse(next(lpa)[2], "adv")["n_u"]
+        n_s, it = adv.fresh_nonce("fake-ns"), adv.fresh_nonce("fake-it")
+        oid = ident.oid if "R7" in recs else None
+        m7 = answer("m3", M4.build(
+            sig=seal("sign", ident.sk_sa,
+                     SIG4.build(n_u=n_u, n_s=n_s, it=it, s=claim_domain, oid=oid)),
+            cert=ident.cert_sa))
+        eid = parse_certificate(M7.parse(m7, "adv")["cert"])[0].subject
+        m11 = answer("m7", M8.build(
+            sig=seal("sign", ident.sk_sp,
+                     SIG8.build(it=it, eid=eid if "R9" in recs else None)),
+            cert=ident.cert_sp))
+        q_u = SIG11.parse(M11.parse(m11, "adv")["sig"].body, "adv")["q_u"]
+        answer("m11", fake_m12(world, ident, eid, it, q_u, mno_claim, "fake-ds"))
+        answer("m15", Atom("ok"))
+    except StopIteration as done:
+        return done.value
+
+
+def diverge_delivery(ident, eid):
     """Relay the victim's session to the real server, then swap the final
     delivery for one of the adversary's own making (needs the profile-
     binding key).  Server and client end the run believing different
     profiles were installed.  `eid` names the enrolling eUICC."""
-
-    def __init__(self, identity, eid) -> None:
-        self.identity = identity
-        self.eid = eid
-        self.q_u = None
-        self.it = None
-
-    def on_request(self, world, stage, term):
-        if stage == "m11":
-            body = SIG11.parse(M11.parse(term, "adv")["sig"].body, "adv")
-            self.it, self.q_u = body["it"], body["q_u"]
-        return term
-
-    def on_response(self, world, stage, term):
+    def rewrite(world, stage, term):
         if stage != "m12" or term == MSG_ERROR:
             return term
-        adv = world.adversary
-        ident = self.identity
-        mno = M12.parse(term, "adv")["mno"]
-        d = adv.fresh_dh("diverge-ds")
-        q_s = dh_pub(d)
-        z = dh_shared(d, self.q_u)
-        k = kdf(z, ident.oid, self.eid, "enc")
-        k_mac = kdf(z, ident.oid, self.eid, "mac")
-        fake_profile = Pair(Atom("profile-fake"), adv.fresh_nonce("fake-ki"))
-        enc = seal("senc", k, fake_profile)
-        return M12.build(sig=seal("sign", ident.sk_sp,
-                                  SIG12.build(it=self.it, q_s=q_s, q_u=self.q_u)),
-                         enc=enc, mac_enc=seal("mac", k_mac, enc),
-                         mno=mno, mac_mno=seal("mac", k_mac, mno))
+        m12 = M12.parse(term, "adv")
+        body = SIG12.parse(m12["sig"].body, "adv")
+        return fake_m12(world, ident, eid, body["it"], body["q_u"], m12["mno"],
+                        "diverge-ds")
+    return rewrite
 
 
-class CrossServerResign(Middlebox):
+def resign_as(other):
     """Re-sign the server's handshake messages with a different authorized
     server's leaked keys: the client authenticates one server identity, the
     other one believes it owns the session."""
-
-    def __init__(self, other_identity) -> None:
-        self.other = other_identity
-
-    def on_response(self, world, stage, term):
+    def rewrite(world, stage, term):
         if term == MSG_ERROR:
             return term
         if stage == "m4":
             sig = M4.parse(term, "adv")["sig"]
-            return M4.build(sig=seal("sign", self.other.sk_sa, sig.body),
-                            cert=self.other.cert_sa)
+            return M4.build(sig=seal("sign", other.sk_sa, sig.body),
+                            cert=other.cert_sa)
         if stage == "m8":
             sig = M8.parse(term, "adv")["sig"]
-            return M8.build(sig=seal("sign", self.other.sk_sp, sig.body),
-                            cert=self.other.cert_sp)
+            return M8.build(sig=seal("sign", other.sk_sp, sig.body),
+                            cert=other.cert_sp)
         if stage == "m12":
             m12 = M12.parse(term, "adv")
-            m12["sig"] = seal("sign", self.other.sk_sp, m12["sig"].body)
+            m12["sig"] = seal("sign", other.sk_sp, m12["sig"].body)
             return M12.build(**m12)
         return term
+    return rewrite
 
 
-class SwapClientIdentity(Middlebox):
+def swap_client_identity(sk_u, cert_u, own_share: bool = False):
     """Replace the signature and certificate on the client's signed
     messages with a compromised eUICC's; optionally substitute the key
     share so the adversary itself knows the resulting session key."""
-
-    def __init__(self, sk_u, cert_u, own_share: bool = False) -> None:
-        self.sk_u = sk_u
-        self.cert_u = cert_u
-        self.own_share = own_share
-
-    def on_request(self, world, stage, term):
+    def rewrite(world, stage, term):
         if stage == "m7":
             sig = M7.parse(term, "adv")["sig"]
-            return M7.build(sig=seal("sign", self.sk_u, sig.body), cert=self.cert_u)
+            return M7.build(sig=seal("sign", sk_u, sig.body), cert=cert_u)
         if stage == "m11":
             sig = M11.parse(term, "adv")["sig"]
-            if self.own_share:
+            if own_share:
                 it = SIG11.parse(sig.body, "adv")["it"]
                 q_e = dh_pub(world.adversary.fresh_dh("swap-d"))
-                return M11.build(sig=seal("sign", self.sk_u,
+                return M11.build(sig=seal("sign", sk_u,
                                           SIG11.build(it=it, q_u=q_e)))
-            return M11.build(sig=seal("sign", self.sk_u, sig.body))
+            return M11.build(sig=seal("sign", sk_u, sig.body))
         return term
+    return rewrite
 
 
-class SwapCode(Middlebox):
+def swap_code(sk_u, cert_u, new_iac):
     """Rewrite the activation code inside the signed client response; needs
     the client's own signing key, so only a leaked-eUICC scenario can run it."""
-
-    def __init__(self, sk_u, cert_u, new_iac) -> None:
-        self.sk_u = sk_u
-        self.cert_u = cert_u
-        self.new_iac = new_iac
-
-    def on_request(self, world, stage, term):
+    def rewrite(world, stage, term):
         if stage != "m7":
             return term
         body = SIG7.parse(M7.parse(term, "adv")["sig"].body, "adv", world.cfg.recs)
-        body["iac"] = self.new_iac
-        return M7.build(sig=seal("sign", self.sk_u, SIG7.build(**body)),
-                        cert=self.cert_u)
-
-
-class CaptureAndDrop(Middlebox):
-    """Let the handshake run to the interesting request, then kill it."""
-
-    def __init__(self, after_stage: str) -> None:
-        self.after = after_stage
-
-    def on_request(self, world, stage, term):
-        if stage == self.after:
-            return Drop()
-        return term
+        body["iac"] = new_iac
+        return M7.build(sig=seal("sign", sk_u, SIG7.build(**body)), cert=cert_u)
+    return rewrite
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +239,18 @@ def _script_1(world: World) -> None:
 def _script_2(world: World) -> None:
     code = world.request_profile(VICTIM)
     s1 = world.servers[SERVER1].identity
-    impostor = ImpersonateServer(s1, s1.domain, world.mnos[MNO1].atom)
-    world.start_download(VICTIM, code=code, middlebox=impostor)
-    world.start_download(VICTIM, code=code, middlebox=DivergeDelivery(
-        s1, world.euiccs[VICTIM_EID].eid))
+    impersonate_server(world, world.download(VICTIM, code, intercepted=True),
+                       s1, s1.domain, world.mnos[MNO1].atom)
+    relay(world, world.download(VICTIM, code, intercepted=True),
+          diverge_delivery(s1, world.euiccs[VICTIM_EID].eid))
 
 
 def _script_3(world: World) -> None:
     code = world.request_profile(VICTIM)
-    s2 = world.servers[SERVER2].identity
-    impostor = ImpersonateServer(s2, world.servers[SERVER1].identity.domain,
-                                 world.mnos[MNO1].atom)
-    world.start_download(VICTIM, code=code, middlebox=impostor)
+    impersonate_server(world, world.download(VICTIM, code, intercepted=True),
+                       world.servers[SERVER2].identity,
+                       world.servers[SERVER1].identity.domain,
+                       world.mnos[MNO1].atom)
 
 
 def _script_4(world: World) -> None:
@@ -321,8 +269,12 @@ def _script_4(world: World) -> None:
     # without the tunnel, capture the victim's own code mid-handshake; that
     # code stays valid even when orders pre-register the eUICC id
     code = world.request_profile(VICTIM)
-    world.start_download(VICTIM, code=code,
-                         middlebox=CaptureAndDrop(after_stage="m7"))
+    lpa = world.download(VICTIM, code, intercepted=True)
+    tun, stage, m3 = next(lpa)
+    lpa.send(server_reply(world, tun, stage, m3))  # the victim sends m7
+    world.note("blocked", "adversary", "dropped m7")
+    with contextlib.suppress(StopIteration):
+        lpa.throw(ProtocolAbort("lpa", "no response to m7"))
     world.adversary.require(code.iac, "captured code")
     fake_client_download(world, SERVER1, victim.cert_u, victim.sk_u,
                          iac=code.iac)
@@ -331,9 +283,8 @@ def _script_4(world: World) -> None:
 def _script_5(world: World) -> None:
     code = world.request_profile(VICTIM)
     own = world.euiccs[ADV_EID].identity
-    world.start_download(VICTIM, code=code,
-                         middlebox=SwapClientIdentity(own.sk_u, own.cert_u,
-                                                      own_share=True))
+    relay(world, world.download(VICTIM, code, intercepted=True),
+          swap_client_identity(own.sk_u, own.cert_u, own_share=True))
 
 
 def _script_6(world: World) -> None:
@@ -384,8 +335,8 @@ def _script_b(world: World) -> None:
 
 def _script_c(world: World) -> None:
     code = world.request_profile(VICTIM)
-    world.start_download(VICTIM, code=code,
-                         middlebox=CrossServerResign(world.servers[SERVER2].identity))
+    relay(world, world.download(VICTIM, code, intercepted=True),
+          resign_as(world.servers[SERVER2].identity))
 
 
 def _script_d(world: World) -> None:
@@ -394,23 +345,23 @@ def _script_d(world: World) -> None:
         own = world.euiccs[ADV_EID].identity
         world.request_profile(ADVERSARY_USER)  # gives the server a matching order
         code = world.request_profile(VICTIM)
-        world.start_download(VICTIM, code=code,
-                             middlebox=SwapClientIdentity(own.sk_u, own.cert_u))
+        relay(world, world.download(VICTIM, code, intercepted=True),
+              swap_client_identity(own.sk_u, own.cert_u))
         return
     # victim's key leaked: rewrite an honest bystander's identity to the victim's
     victim = world.euiccs[VICTIM_EID].identity
     world.request_profile(VICTIM)
     code = world.request_profile(BYSTANDER)
-    world.start_download(BYSTANDER, code=code,
-                         middlebox=SwapClientIdentity(victim.sk_u, victim.cert_u))
+    relay(world, world.download(BYSTANDER, code, intercepted=True),
+          swap_client_identity(victim.sk_u, victim.cert_u))
 
 
 def _script_e(world: World) -> None:
     code = world.request_profile(VICTIM)
     own = world.request_profile(ADVERSARY_USER)
     victim = world.euiccs[VICTIM_EID].identity
-    world.start_download(VICTIM, code=code,
-                         middlebox=SwapCode(victim.sk_u, victim.cert_u, own.iac))
+    relay(world, world.download(VICTIM, code, intercepted=True),
+          swap_code(victim.sk_u, victim.cert_u, own.iac))
 
 
 def _both(scenarios, tls=None):
@@ -506,11 +457,11 @@ class ControlScript:
 
 def _ctl_tls_pins(world: World) -> None:
     code = world.request_profile(VICTIM)
-    s2 = world.servers[SERVER2].identity
-    impostor = ImpersonateServer(s2, world.servers[SERVER1].identity.domain,
-                                 world.mnos[MNO1].atom)
     try:
-        world.start_download(VICTIM, code=code, middlebox=impostor)
+        impersonate_server(world, world.download(VICTIM, code, intercepted=True),
+                           world.servers[SERVER2].identity,
+                           world.servers[SERVER1].identity.domain,
+                           world.mnos[MNO1].atom)
         raise AssertionError("tunnel failed to pin the dialed endpoint")
     except GateViolation:
         world.note("info", "control", "tunnel interception refused as expected")
@@ -541,9 +492,8 @@ def _ctl_forgery_rejected(world: World) -> None:
 
 def _ctl_oid_check_blocks_resign(world: World) -> None:
     code = world.request_profile(VICTIM)
-    result = world.start_download(
-        VICTIM, code=code,
-        middlebox=CrossServerResign(world.servers[SERVER2].identity))
+    result = relay(world, world.download(VICTIM, code, intercepted=True),
+                   resign_as(world.servers[SERVER2].identity))
     assert not result.completed, "oid pinning should have blocked the re-signed handshake"
 
 
@@ -551,8 +501,8 @@ def _ctl_binding_names_euicc(world: World) -> None:
     own = world.euiccs[ADV_EID].identity
     world.request_profile(ADVERSARY_USER)
     code = world.request_profile(VICTIM)
-    result = world.start_download(VICTIM, code=code,
-                                  middlebox=SwapClientIdentity(own.sk_u, own.cert_u))
+    result = relay(world, world.download(VICTIM, code, intercepted=True),
+                   swap_client_identity(own.sk_u, own.cert_u))
     assert not result.completed, "named profile binding should stop the swap"
 
 
@@ -651,7 +601,7 @@ def negative_controls(cfg: ScenarioConfig) -> list[ControlScript]:
 
 
 # ---------------------------------------------------------------------------
-# Capability audit and fuzzing
+# Capability audit
 # ---------------------------------------------------------------------------
 
 def audit_trace(trace) -> list[str]:
@@ -665,26 +615,6 @@ def audit_trace(trace) -> list[str]:
               and not k.deduce(entry.term)):
             failures.append(f"entry {i}: sent term not derivable at send time")
     return failures
-
-
-def fuzz_adversary(world: World, steps: int, rng: random.Random) -> None:
-    """Bounded random adversary: replays observed application messages and
-    junk openings at the server, all through the gate."""
-    honest_script(world)
-    dial = world.servers[SERVER1].identity.domain
-    observed = [e.term for e in world.trace.entries
-                if isinstance(e, MessageOp) and e.channel == CH_LPA_SERVER]
-    for _ in range(steps):
-        roll = rng.random()
-        if roll < 0.5 and observed:
-            term = rng.choice(observed)
-            if world.adversary.knows(term):
-                adversary_request(world, dial, term)
-        elif roll < 0.8:
-            n = world.adversary.fresh_nonce("fuzz")
-            adversary_request(world, dial, M3.build(n_u=n, ski=world.ci.ski))
-        else:
-            adversary_request(world, dial, Atom("fuzz-noise"))
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,13 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .attacks import (ATTACKS_BY_ID, EXPLANATIONS, attack_registry,
-                      audit_trace, fuzz_adversary, honest_script,
-                      negative_controls)
+                      audit_trace, honest_script, negative_controls)
 from .fixture import GOALS, expected_matrix, scenario_rows
 from .goals import check_all, goal_catalog
 from .scenarios import (ConfigError, ScenarioConfig, build_world, expand_recs,
@@ -267,13 +265,6 @@ def _add_world_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value scenario file; flags override")
 
 
-def _add_seed_flag(p: argparse.ArgumentParser) -> None:
-    # argparse converts a string default only when it parses a command that
-    # has --seed, so a bad value is a usage error there and nowhere else
-    p.add_argument("--seed", type=int,
-                   default=os.environ.get(DEFAULT_SEED_ENV, "0"))
-
-
 def _cfg_from_args(args) -> ScenarioConfig:
     """The --config file, if any, with each flag given on the command line
     laid over it as one more key=value line."""
@@ -380,22 +371,6 @@ def _cmd_explain(args) -> int:
     return 0
 
 
-def _cmd_fuzz(args) -> int:
-    cfg = _cfg_from_args(args)
-    rng = random.Random(args.seed)
-    world = build_world(cfg)
-    fuzz_adversary(world, args.steps, rng)
-    verdicts = check_all(world.trace, world.adversary.knowledge)
-    bad = [g for g in GOALS if not verdicts[g].ok]
-    exp = expected_matrix()[(cfg.approach, cfg.scenario)]
-    surprises = [g for g in bad if exp[g].resolved(cfg.tls) == "pass"]
-    print(f"fuzz: {args.steps} steps, violations: {bad or 'none'}")
-    if surprises:
-        print(f"UNEXPECTED violations on pass-cells: {surprises}")
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="rsp-lab",
@@ -413,7 +388,10 @@ def main(argv=None) -> int:
     p.add_argument("--recs", default="")
     p.add_argument("--format", choices=sorted(RENDERERS), default="text")
     p.add_argument("--out")
-    _add_seed_flag(p)
+    # argparse converts a string default only when it parses a command that
+    # has --seed, so a bad value is a usage error there and nowhere else
+    p.add_argument("--seed", type=int,
+                   default=os.environ.get(DEFAULT_SEED_ENV, "0"))
     p.set_defaults(fn=_cmd_matrix)
 
     p = sub.add_parser("run", help="run one world: honest plus applicable attacks")
@@ -433,12 +411,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("explain", help="describe one attack marker")
     p.add_argument("marker")
     p.set_defaults(fn=_cmd_explain)
-
-    p = sub.add_parser("fuzz", help="bounded random adversary smoke test")
-    _add_world_flags(p)
-    p.add_argument("--steps", type=int, default=50)
-    _add_seed_flag(p)
-    p.set_defaults(fn=_cmd_fuzz)
 
     args = parser.parse_args(argv)
     try:

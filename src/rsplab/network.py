@@ -8,20 +8,28 @@ modes.  The LPA-to-server channel is the battleground: without the
 transport tunnel every request and response is adversary-readable and
 -writable; with the tunnel, each request/response pair is confidential and
 integral end to end, and only the legitimate holder of the dialed server's
-transport key can stand in the middle.  The tunnel deliberately provides no
-cross-request session continuity; the application carries that in the
-transaction id.
+transport key can stand in the middle; `tls_connect` is that pin check.
+The tunnel deliberately provides no cross-request session continuity; the
+application carries that in the transaction id.
+
+A download is a session (``World.download``): a generator that puts each
+request on the LPA-to-server channel with `put_request`, yields it, and is
+sent the response.  Whoever holds the session schedules it.  The honest
+schedule hands every request to `server_reply` at once; `relay` lets the
+adversary rewrite requests and responses in flight; an attack script may
+also answer a session itself, withhold a response by throwing an abort
+into it, or hold one session while it runs others.  There are no hooks:
+the channel does not know who is at the far end.
 
 The one rule that keeps attack scripts honest: every term the adversary
-sends must be deducible from its knowledge when it sends it.  Interception
-hooks and fabricated responses all funnel through that gate, and the trace
-records enough to re-check it after the fact.
+sends must be deducible from its knowledge when it sends it.  Rewritten
+messages and fabricated responses all funnel through that gate, and the
+trace records enough to re-check it after the fact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .events import MessageOp, Note
 from .roles import MSG_ERROR, ProtocolAbort
@@ -39,102 +47,74 @@ class GateViolation(Exception):
     """An adversary action needed a term it cannot derive."""
 
 
-class Drop:
-    """Hook directive: swallow the message, the session stalls."""
-
-
-class Middlebox:
-    """Adversary logic attached to one download's tunnel.
-
-    ``terminates=True`` means the adversary is the far end (server
-    impersonation / redirection); otherwise hooks see traffic in flight.
-    """
-
-    terminates = False
-
-    def on_request(self, world, stage: str, term: Term):
-        return term
-
-    def on_response(self, world, stage: str, term: Term):
-        return term
-
-    def serve(self, world, stage: str, term: Term) -> Term:
-        raise NotImplementedError
-
-
 @dataclass
 class Tunnel:
-    server: Optional[object]          # ServerProcess, or None when terminated by the adversary
-    middlebox: Optional[Middlebox]    # may read/modify in flight
-    client_is_adversary: bool         # adversary-side LPA sees its own plaintext
+    server: object      # the ServerProcess answering the dialed name
+    visible: bool       # the adversary reads the traffic in the clear
 
 
-def tls_connect(world, dial: Atom, middlebox: Optional[Middlebox] = None,
+def tls_connect(world, dial: Atom, intercepted: bool = False,
                 client_is_adversary: bool = False) -> Tunnel:
-    """Resolve the far end of a client connection to `dial`.
+    """Resolve the far end of a client connection to `dial`: the pin check.
 
     With the tunnel enabled the dialed certificate name pins the endpoint:
-    a middlebox only gets in if the transport key of that name leaked.
+    the adversary intercepts only if the transport key of that name leaked.
     Without the tunnel the network adversary may freely intercept or answer.
     """
+    if intercepted and world.cfg.tls and dial.label not in world.compromised_servers:
+        raise GateViolation(
+            f"cannot intercept tunnel to {dial.label}: transport key not held")
     server = world.servers.get(dial.label)
-    if middlebox is not None:
-        if world.cfg.tls and dial.label not in world.compromised_servers:
-            raise GateViolation(
-                f"cannot intercept tunnel to {dial.label}: transport key not held")
-        if middlebox.terminates:
-            return Tunnel(None, middlebox, client_is_adversary)
-        if server is None:
-            raise GateViolation(f"no server answers for {dial.label}")
-        return Tunnel(server, middlebox, client_is_adversary)
     if server is None:
         raise GateViolation(f"no server answers for {dial.label}")
-    return Tunnel(server, None, client_is_adversary)
+    visible = not world.cfg.tls or intercepted or client_is_adversary
+    return Tunnel(server, visible)
 
 
-def _visible_to_adversary(world, tun: Tunnel) -> bool:
-    return (not world.cfg.tls) or tun.middlebox is not None or tun.client_is_adversary
-
-
-def tunnel_send(world, tun: Tunnel, stage: str, request: Term) -> Term:
-    """One request/response exchange on the LPA-to-server channel."""
-    adv = world.adversary
-    visible = _visible_to_adversary(world, tun)
+def put_request(world, tun: Tunnel, stage: str, request: Term) -> tuple:
+    """The LPA puts `request` on the channel; a session yields what this
+    returns and is sent the response."""
     world.trace.append(MessageOp(CH_LPA_SERVER, f"lpa->server:{stage}", request))
-    if visible:
-        adv.learn(request)
+    if tun.visible:
+        world.adversary.learn(request)
+    return tun, stage, request
 
-    delivered = request
-    mb = tun.middlebox
-    if mb is not None:
-        if tun.server is None:
-            response = mb.serve(world, stage, request)
-            adv.gate_send(CH_LPA_SERVER, f"fake-server->lpa:{stage}", response)
-            return response
-        directive = mb.on_request(world, stage, request)
-        if isinstance(directive, Drop):
-            world.trace.append(Note("blocked", "adversary", f"dropped {stage}"))
-            raise ProtocolAbort("lpa", f"no response to {stage}")
-        delivered = directive
-        if delivered != request:
-            adv.gate_send(CH_LPA_SERVER, f"adv->server:{stage}", delivered)
 
+def server_reply(world, tun: Tunnel, stage: str, request: Term) -> Term:
+    """Deliver `request` to the server and put its response on the channel;
+    a server abort answers with the error message."""
     try:
-        response = tun.server.handle(delivered)
+        response = tun.server.handle(request)
     except ProtocolAbort as exc:
         world.trace.append(Note("abort", exc.who, exc.reason))
         response = MSG_ERROR
-
-    resp_stage = RESPONSE_STAGE.get(stage, stage)
-    world.trace.append(MessageOp(CH_LPA_SERVER, f"server->lpa:{resp_stage}", response))
-    if visible:
-        adv.learn(response)
-    if mb is not None:
-        directive = mb.on_response(world, resp_stage, response)
-        if directive != response:
-            adv.gate_send(CH_LPA_SERVER, f"adv->lpa:{resp_stage}", directive)
-            response = directive
+    world.trace.append(MessageOp(CH_LPA_SERVER,
+                                 f"server->lpa:{RESPONSE_STAGE[stage]}", response))
+    if tun.visible:
+        world.adversary.learn(response)
     return response
+
+
+def relay(world, lpa, rewrite):
+    """Run the session `lpa` against the real server with the adversary in
+    the middle: `rewrite(world, stage, term)` sees each request and each
+    response and returns what goes on, through the gate when it changed it.
+    Returns the session's DownloadResult."""
+    adv = world.adversary
+    try:
+        tun, stage, request = next(lpa)
+        while True:
+            delivered = rewrite(world, stage, request)
+            if delivered != request:
+                adv.gate_send(CH_LPA_SERVER, f"adv->server:{stage}", delivered)
+            response = server_reply(world, tun, stage, delivered)
+            resp_stage = RESPONSE_STAGE[stage]
+            forged = rewrite(world, resp_stage, response)
+            if forged != response:
+                adv.gate_send(CH_LPA_SERVER, f"adv->lpa:{resp_stage}", forged)
+            tun, stage, request = lpa.send(forged)
+    except StopIteration as done:
+        return done.value
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,8 @@ class ServerProcess:
         try:
             _, peek = SIG11.decode(sig.body)
         except SealError as exc:
-            raise ProtocolAbort("server", "malformed key-exchange body") from exc
+            raise ProtocolAbort(
+                "server", f"malformed key-exchange body: {exc}") from exc
         session = self._session_for(peek["it"], "await11")
         body = SIG11.parse(
             signed_body(sig, session.peer_key, "server", "key exchange"), "server")
@@ -330,7 +331,8 @@ class ServerProcess:
         try:
             _, peek = SIG15.decode(sig.body)
         except SealError as exc:
-            raise ProtocolAbort("server", "malformed notification body") from exc
+            raise ProtocolAbort(
+                "server", f"malformed notification body: {exc}") from exc
         session = self._session_for(peek["it"], "await15")
         body = SIG15.parse(
             signed_body(sig, session.peer_key, "server", "notification"), "server")

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .events import ADVERSARY_USER, Event, LearnOp, MessageOp, Note, Trace
 from .network import (CH_LPA_EUICC, CH_MNO_SERVER, CH_USER_MNO, GateViolation,
-                      Middlebox, tls_connect, tunnel_send)
+                      put_request, server_reply, tls_connect)
 from .pki import Pki
 from .roles import (CODE_DELIVERY, M3, M5, MSG_ERROR, ORDER_REPLY,
                     ORDER_REQUEST, PROFILE_REQUEST, EuiccDevice, LpaContext,
@@ -246,9 +246,26 @@ class World:
     # -- profile download ------------------------------------------------------
 
     def start_download(self, user_label: str, code: Optional[Code] = None,
-                       middlebox: Optional[Middlebox] = None,
                        inject_code: Optional[Code] = None) -> DownloadResult:
-        """Drive one full download attempt for `user_label`'s device."""
+        """One download attempt for `user_label`'s device, each request
+        delivered honestly."""
+        lpa = self.download(user_label, code, inject_code)
+        try:
+            tun, stage, request = next(lpa)
+            while True:
+                tun, stage, request = lpa.send(
+                    server_reply(self, tun, stage, request))
+        except StopIteration as done:
+            return done.value
+
+    def download(self, user_label: str, code: Optional[Code] = None,
+                 inject_code: Optional[Code] = None, intercepted: bool = False):
+        """One download attempt for `user_label`'s device, as a resumable
+        session: it yields (tunnel, stage, request) for each request it puts
+        on the LPA-to-server channel, is sent the response, and returns the
+        DownloadResult.  `intercepted` puts the adversary in the connection,
+        which the tunnel allows only with the dialed server's transport key.
+        An abort thrown into the session ends it like one raised inside."""
         cfg = self.cfg
         user = self.users[user_label]
         device = self.euiccs[user.euicc]
@@ -286,7 +303,7 @@ class World:
             expected_oid=expected_oid, strict=cfg.lpa_strict,
             careless=cfg.careless_user or adversary_client or lpa_compromised)
 
-        tun = tls_connect(self, dial_to, middlebox,
+        tun = tls_connect(self, dial_to, intercepted,
                           client_is_adversary=adversary_client or lpa_compromised)
 
         # challenge from the secure element
@@ -300,7 +317,7 @@ class World:
             return DownloadResult(False, stage, reason)
 
         try:
-            m4 = tunnel_send(self, tun, "m3", M3.build(n_u=n_u, ski=ski))
+            m4 = yield put_request(self, tun, "m3", M3.build(n_u=n_u, ski=ski))
             if m4 == MSG_ERROR:
                 return DownloadResult(False, "m3", "server abort")
             reason = lpa_check_msg4(ctx, self, m4)
@@ -312,7 +329,7 @@ class World:
             m7 = device.process_msg4(m4)
             self.trace.append(MessageOp(CH_LPA_EUICC, "euicc->lpa:m7", m7))
 
-            m8 = tunnel_send(self, tun, "m7", m7)
+            m8 = yield put_request(self, tun, "m7", m7)
             if m8 == MSG_ERROR:
                 return DownloadResult(False, "m7", "server abort")
             reason = lpa_check_msg8(ctx, self, m8)
@@ -321,7 +338,7 @@ class World:
             m11 = device.process_msg8(m8)
             self.trace.append(MessageOp(CH_LPA_EUICC, "euicc->lpa:m11", m11))
 
-            m12 = tunnel_send(self, tun, "m11", m11)
+            m12 = yield put_request(self, tun, "m11", m11)
             if m12 == MSG_ERROR:
                 return DownloadResult(False, "m11", "server abort")
             reason = lpa_check_msg12(ctx, self, m12)
@@ -330,7 +347,7 @@ class World:
             m15 = device.process_msg12(m12)
             self.trace.append(MessageOp(CH_LPA_EUICC, "euicc->lpa:m15", m15))
 
-            m16 = tunnel_send(self, tun, "m15", m15)
+            m16 = yield put_request(self, tun, "m15", m15)
             self.trace.append(MessageOp(CH_LPA_EUICC, "lpa->euicc:m17",
                                         Atom("notification-delete-ack")))
             return DownloadResult(m16 != MSG_ERROR, "done",

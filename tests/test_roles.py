@@ -9,7 +9,7 @@ import pytest
 
 from rsplab import roles
 from rsplab.attacks import honest_script
-from rsplab.network import Middlebox
+from rsplab.network import relay
 from rsplab.roles import (M4, M7, M8, M11, M12, M15, SIG4, SIG7, SIG8, SIG11,
                           SIG12, SIG15, Message, ProtocolAbort)
 from rsplab.scenarios import (SERVER1, VICTIM, VICTIM_EID, ScenarioConfig,
@@ -188,32 +188,26 @@ def _flips():
 FLIPS = _flips()
 
 
-class FlipField(Middlebox):
-    def __init__(self, stage, name):
-        self.stage = stage
-        self.name = name
+def flip_field(stage, name):
+    """A rewrite for `relay`: flip one field of one message and re-seal it
+    with the legitimate sender's key."""
+    msg, body_msg, key = SIGNED[stage]
 
-    def _flip(self, world, term, identity):
-        msg, body_msg, key = SIGNED[self.stage]
+    def rewrite(world, at, term):
+        if at != stage:
+            return term
         fields = msg.parse(term, "test")
-        if self.name in fields:
-            fields[self.name] = Atom("flipped")
+        if name in fields:
+            fields[name] = Atom("flipped")
         else:
+            signer = (world.euiccs[VICTIM_EID] if key == "sk_u"
+                      else world.servers[SERVER1]).identity
             body = body_msg.parse(fields["sig"].body, "test", world.cfg.recs)
-            body[self.name] = Atom("flipped")
-            fields["sig"] = seal("sign", getattr(identity, key),
+            body[name] = Atom("flipped")
+            fields["sig"] = seal("sign", getattr(signer, key),
                                  body_msg.build(**body))
         return msg.build(**fields)
-
-    def on_request(self, world, stage, term):
-        if stage != self.stage:
-            return term
-        return self._flip(world, term, world.euiccs[VICTIM_EID].identity)
-
-    def on_response(self, world, stage, term):
-        if stage != self.stage:
-            return term
-        return self._flip(world, term, world.servers[SERVER1].identity)
+    return rewrite
 
 
 def flip_once(approach, stage, name, rec=None):
@@ -221,8 +215,8 @@ def flip_once(approach, stage, name, rec=None):
     scenario = 3 if SIGNED[stage][2] == "sk_u" else 2
     w = build_world(ScenarioConfig(approach, scenario, False, recs=recs))
     code = w.request_profile(VICTIM)
-    result = w.start_download(VICTIM, code=code,
-                              middlebox=FlipField(stage, name))
+    result = relay(w, w.download(VICTIM, code, intercepted=True),
+                   flip_field(stage, name))
     return w, result
 
 
@@ -253,15 +247,14 @@ class TestFaultInjection:
         w = build_world(cfg)
         w.request_profile(VICTIM)
 
-        class WrongKey(Middlebox):
-            def on_response(self, world, stage, term):
-                if stage != "m4":
-                    return term
-                m4 = M4.parse(term, "test")
-                rogue = world.fresh.privkey("rogue")
-                world.adversary.learn(rogue)
-                m4["sig"] = seal("sign", rogue, m4["sig"].body)
-                return M4.build(**m4)
+        def wrong_key(world, stage, term):
+            if stage != "m4":
+                return term
+            m4 = M4.parse(term, "test")
+            rogue = world.fresh.privkey("rogue")
+            world.adversary.learn(rogue)
+            m4["sig"] = seal("sign", rogue, m4["sig"].body)
+            return M4.build(**m4)
 
-        result = w.start_download(VICTIM, middlebox=WrongKey())
+        result = relay(w, w.download(VICTIM, intercepted=True), wrong_key)
         assert not result.completed
