@@ -371,7 +371,7 @@ def _cmd_explain(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rsp-lab",
         description="executable security lab for consumer remote SIM provisioning")
@@ -380,18 +380,28 @@ def main(argv=None) -> int:
     p = sub.add_parser("matrix", help="run the full scenario matrix and diff "
                                       "against the expected fixture")
     p.add_argument("--approach", dest="approach_filter",
-                   choices=["ds", "ac", "both"], default="both")
+                   choices=["ds", "ac", "both"], default="both",
+                   help="profile ordering approach to run (default: both)")
     p.add_argument("--scenario", dest="scenario_filter", type=int,
-                   action="append")
+                   action="append", metavar="N",
+                   help="run only this scenario row; repeat for several "
+                        "(default: every row)")
     p.add_argument("--tls", dest="tls_filter", choices=["on", "off", "both"],
-                   default="both")
-    p.add_argument("--recs", default="")
-    p.add_argument("--format", choices=sorted(RENDERERS), default="text")
-    p.add_argument("--out")
+                   default="both",
+                   help="transport tunnel setting to run (default: both)")
+    p.add_argument("--recs", default="",
+                   help="comma-separated hardening set, such as R2,R7 or R10; "
+                        "with one, no fixture comparison is made")
+    p.add_argument("--format", choices=sorted(RENDERERS), default="text",
+                   help="report format (default: text)")
+    p.add_argument("--out", help="write the report to this file instead of "
+                                 "standard output")
     # argparse converts a string default only when it parses a command that
     # has --seed, so a bad value is a usage error there and nowhere else
     p.add_argument("--seed", type=int,
-                   default=os.environ.get(DEFAULT_SEED_ENV, "0"))
+                   default=os.environ.get(DEFAULT_SEED_ENV, "0"),
+                   help=f"only recorded in the report; nothing reads it "
+                        f"(default: ${DEFAULT_SEED_ENV} or 0)")
     p.set_defaults(fn=_cmd_matrix)
 
     p = sub.add_parser("run", help="run one world: honest plus applicable attacks")
@@ -411,8 +421,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("explain", help="describe one attack marker")
     p.add_argument("marker")
     p.set_defaults(fn=_cmd_explain)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -44,6 +44,10 @@ Four design points matter for everything downstream:
     as it observes more (Paulson, "The inductive approach to verifying
     cryptographic protocols", JCS 1998), so each adversary holds one
     ``Knowledge`` that learns in place and one closure that grows with it.
+    A term already learned or already taken apart stays derivable, so a
+    read that asks for one, such as a replay of an observed message, is
+    answered at once and leaves the queue of new terms for the next read
+    that needs it; only a miss saturates.
 """
 
 from __future__ import annotations
@@ -395,12 +399,15 @@ class Knowledge:
     constructor queries are answered against it.
 
     Knowledge is monotone and mutable: ``learn`` adds to ``base`` in place
-    and returns None.  Terms learned since the last read wait in a queue;
-    ``closure`` pushes them through the rules into the one closure set and
-    returns that live set, which callers read and never change.  Each
-    term is thus taken apart once per object.  A caller that wants the
-    knowledge of a hypothetical run (say, after a key leak) builds a new
-    ``Knowledge`` from a base of its own.
+    and returns None.  Learned terms wait in a queue; ``closure`` pushes
+    them through the rules into the one closure set and returns that live
+    set, which callers read and never change.  Each term is thus taken
+    apart once per object.  ``deduce`` answers a goal that is in the base
+    or in the closure built so far at once, since both only grow and lie
+    inside the full closure, and leaves the queue for the next read that
+    needs it; only a miss drains it.  A caller that wants the knowledge of
+    a hypothetical run (say, after a key leak) builds a new ``Knowledge``
+    from a base of its own.
     """
 
     __slots__ = ("base", "_todo", "_closure", "_parked")
@@ -452,6 +459,8 @@ class Knowledge:
         return known
 
     def deduce(self, goal: Term) -> bool:
+        if goal in self.base or goal in self._closure:
+            return True
         return _derivable(goal, self.closure(), set())
 
 

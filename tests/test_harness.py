@@ -1,5 +1,6 @@
 """Harness contract: exit codes, deterministic reports, renderers, CLI."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -167,6 +168,13 @@ class TestCli:
         assert main(["matrix", "--approach", "ds", "--scenario", "1",
                      "--seed", "5"]) == 0
         assert "seed: 5" in capsys.readouterr().out
+
+    def test_every_matrix_flag_says_what_it_does(self):
+        sub = next(a for a in harness.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = [a for a in sub.choices["matrix"]._actions if a.option_strings]
+        assert len(flags) == 8  # --help and seven of its own
+        assert [a.option_strings for a in flags if not a.help] == []
 
     def test_matrix_echoes_recs_as_read(self, capsys):
         argv = ["matrix", "--approach", "ds", "--scenario", "1", "--tls", "on",

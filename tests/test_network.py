@@ -10,9 +10,10 @@ from rsplab.goals import check_all
 from rsplab.network import (CH_LPA_SERVER, GateViolation, adversary_request,
                             relay, server_reply, tls_connect)
 from rsplab.roles import M3, M11, M15, MSG_ERROR, SIG11, SIG15, ProtocolAbort
-from rsplab.scenarios import (BYSTANDER, SERVER1, VICTIM, VICTIM_EID,
+from rsplab.scenarios import (ADV_EID, BYSTANDER, SERVER1, VICTIM, VICTIM_EID,
                               ScenarioConfig, build_world)
-from rsplab.terms import Atom, Pair, seal, subterms
+from rsplab.terms import NULL, Atom, Knowledge, Pair, seal, subterms
+from rsplab.world import ADVERSARY_USER
 
 
 def run_world(approach="ac", scenario=1, tls=True):
@@ -20,6 +21,10 @@ def run_world(approach="ac", scenario=1, tls=True):
     code = w.request_profile(VICTIM)
     w.start_download(VICTIM, code=code)
     return w
+
+
+def abort_notes(w):
+    return [e.render() for e in w.trace.entries if isinstance(e, Note)]
 
 
 class TestGate:
@@ -99,6 +104,25 @@ class TestTunnel:
             notes = [e for e in w.trace.entries if isinstance(e, Note)]
             assert notes[-1].render() == f"note abort server: {reason}"
         assert len(notes) == 2
+
+    def test_server_aborts_a_foreign_root_key_identifier(self):
+        w = build_world(ScenarioConfig("ds", 1, False))
+        n = w.adversary.fresh_nonce("probe")
+        request = M3.build(n_u=n, ski=Atom("foreign-ski"))
+        assert adversary_request(w, Atom(SERVER1), request) == MSG_ERROR
+        assert abort_notes(w) == ["note abort server: unsupported root key identifier"]
+
+    def test_ds_server_aborts_a_download_nobody_ordered(self):
+        w = build_world(ScenarioConfig("ds", 1, False))
+        result = w.start_download(ADVERSARY_USER)
+        assert (result.completed, result.stage) == (False, "m7")
+        assert abort_notes(w) == ["note abort server: no profile for this eUICC"]
+
+    def test_ac_server_aborts_a_download_without_a_code(self):
+        w = build_world(ScenarioConfig("ac", 6, False))
+        own = w.euiccs[ADV_EID].identity
+        assert fake_client_download(w, SERVER1, own.cert_u, own.sk_u, iac=NULL) is None
+        assert abort_notes(w) == ["note abort server: missing activation code"]
 
     def test_anonymous_clients_always_connect(self):
         w = build_world(ScenarioConfig("ds", 1, True))
@@ -233,6 +257,32 @@ class TestAudit:
             w.trace.append(entry)
         assert audit_trace(w.trace) == [
             f"entry {early}: sent term not derivable at send time"]
+
+    def test_replays_and_their_audit_never_drain_the_closure(self, monkeypatch):
+        # a replayed request is in the base as sent, so neither the gate nor
+        # the audit saturates for it; the first read that misses drains once
+        w = build_world(ScenarioConfig("ds", 1, False))
+        assert w.start_download(VICTIM, code=w.request_profile(VICTIM)).completed
+        observed = {e.direction: e.term for e in w.trace.entries
+                    if isinstance(e, MessageOp)
+                    and e.direction.startswith("lpa->server:")}
+        calls, drains = [], []
+        closure = Knowledge.closure
+
+        def counting(k):
+            calls.append(k)
+            if k._todo:
+                drains.append(k)
+            return closure(k)
+
+        monkeypatch.setattr(Knowledge, "closure", counting)
+        for stage in ("m3", "m7") * 25:
+            adversary_request(w, Atom(SERVER1), observed[f"lpa->server:{stage}"])
+        assert audit_trace(w.trace) == []
+        assert calls == []
+        verdicts = check_all(w.trace, w.adversary.knowledge)
+        assert drains == [w.adversary.knowledge]
+        assert [g for g in GOALS if not verdicts[g].ok] == []
 
     def test_audit_replays_learning_in_order(self):
         w = build_world(ScenarioConfig("ac", 3, False))

@@ -178,7 +178,10 @@ def test_deduce_matches_brute_force_oracle(seed, goals_per_base):
 @given(st.integers(min_value=0, max_value=10**9))
 def test_learn_chain_matches_brute_force_oracle(seed):
     """One learn at a time on one object, deducing at random steps in
-    between, so the closure grows by batches of varying size."""
+    between, so the closure grows by batches of varying size.  Each read
+    takes both paths of ``deduce``: the term just learned is answered from
+    the base with the queue left as it is, and the goals after it may need
+    the queue drained first."""
     rng = random.Random(seed)
     gen = TermGen(rng)
     terms = sorted(gen.base(max_terms=12), key=encode)
@@ -189,6 +192,9 @@ def test_learn_chain_matches_brute_force_oracle(seed):
         seen.append(t)
         if rng.random() < 0.4:
             continue  # no read: the next learn queues behind this one
+        queued = list(k._todo)
+        assert k.deduce(t) == oracle_deduce(seen, t)
+        assert k._todo == queued
         # goals: hidden parts of what was learned, plus fresh random terms
         inner = sorted({s for x in seen for s in subterms(x)}, key=encode)
         goals = rng.sample(inner, min(3, len(inner))) + [gen.term(3)]
@@ -264,6 +270,16 @@ class TestIncrementalClosure:
                 assert k.closure() is live  # one set, grown in place
                 assert live == Knowledge(learned).closure()
         assert k.base == learned
+
+    def test_a_read_answered_without_a_drain_leaves_later_reads_fresh(self, fresh):
+        key, p = fresh.nonce("k"), fresh.nonce("p")
+        c = SEnc(key, p)
+        k = Knowledge()
+        k.learn(c)
+        assert k.deduce(c) and k._todo == [c]  # from the base, no drain
+        assert not k.deduce(p)
+        k.learn(key)
+        assert k.deduce(p)
 
     def test_key_constructed_after_a_later_learn_opens_a_parked_ciphertext(self, fresh):
         du, ds, p = fresh.dhpriv("du"), fresh.dhpriv("ds"), fresh.nonce("p")
