@@ -18,7 +18,8 @@ Four design points matter for everything downstream:
     the tree.
 
   * So a pure function of a term can be computed once per distinct term,
-    the payoff of hash-consing that paper names.  ``unpairs`` here,
+    the payoff of hash-consing that paper names.  ``unpairs`` and the
+    keyless parts a closure takes out of a term (``_open_parts``) here,
     ``Message.build`` in ``roles.py`` and ``verify_cert`` in ``pki.py``
     are memoized with ``functools.cache``, keyed by the interned objects.
     A term never changes and the table never frees it, so a key never goes
@@ -401,13 +402,15 @@ class Knowledge:
     Knowledge is monotone and mutable: ``learn`` adds to ``base`` in place
     and returns None.  Learned terms wait in a queue; ``closure`` pushes
     them through the rules into the one closure set and returns that live
-    set, which callers read and never change.  Each term is thus taken
-    apart once per object.  ``deduce`` answers a goal that is in the base
-    or in the closure built so far at once, since both only grow and lie
-    inside the full closure, and leaves the queue for the next read that
-    needs it; only a miss drains it.  A caller that wants the knowledge of
-    a hypothetical run (say, after a key leak) builds a new ``Knowledge``
-    from a base of its own.
+    set, which callers read and never change.  A pair, signature or MAC
+    adds its memoized keyless parts in one update, so each term is taken
+    apart once per process; only its ciphertexts are parked for a key.
+    ``deduce`` answers a goal that is in the base or in the closure built
+    so far at once, since both only grow and lie inside the full closure,
+    and leaves the queue for the next read that needs it; only a miss
+    drains it.  A caller that wants the knowledge of a hypothetical run
+    (say, after a key leak) builds a new ``Knowledge`` from a base of its
+    own.
     """
 
     __slots__ = ("base", "_todo", "_closure", "_parked")
@@ -436,13 +439,14 @@ class Knowledge:
                 t = todo.pop()
                 if t in known:
                     continue
-                known.add(t)
-                if isinstance(t, Pair):
-                    todo += (t.left, t.right)
-                elif isinstance(t, (Sign, Mac)):
-                    todo.append(t.body)
-                elif isinstance(t, SEnc):
-                    parked.append(t)
+                if isinstance(t, (Pair, Sign, Mac)):
+                    parts, ciphertexts = _open_parts(t)
+                    parked += [c for c in ciphertexts if c not in known]
+                    known.update(parts)
+                else:
+                    known.add(t)
+                    if isinstance(t, SEnc):
+                        parked.append(t)
             if len(known) == size:
                 break
             # the growth may have made a parked key derivable, by learning
@@ -451,7 +455,7 @@ class Knowledge:
             for c in parked:
                 if c.body in known:
                     continue
-                if _derivable(c.key, known, set()):
+                if _derivable(c.key, known):
                     todo.append(c.body)
                 else:
                     waiting.append(c)
@@ -461,40 +465,50 @@ class Knowledge:
     def deduce(self, goal: Term) -> bool:
         if goal in self.base or goal in self._closure:
             return True
-        return _derivable(goal, self.closure(), set())
+        return _derivable(goal, self.closure())
 
 
-def _derivable(goal: Term, known: set, pending: set) -> bool:
-    """Goal-directed constructor check over a destructor-saturated set."""
+@functools.cache
+def _open_parts(t: Term) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
+    """Every term that projection and body extraction take out of the
+    ``Pair``, ``Sign`` or ``Mac`` t, t included, and the ciphertexts among
+    them: what a closure gains from t before any key is needed."""
+    parts: dict = {}
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if u in parts:
+            continue
+        parts[u] = None
+        if isinstance(u, Pair):
+            todo += (u.left, u.right)
+        elif isinstance(u, (Sign, Mac)):
+            todo.append(u.body)
+    return tuple(parts), tuple(u for u in parts if isinstance(u, SEnc))
+
+
+def _derivable(goal: Term, known: set) -> bool:
+    """Goal-directed constructor check over a destructor-saturated set.
+    Each call goes to a strictly smaller term or to ``DhPub`` of a leaf,
+    and terms are finite, so the recursion ends without a cycle guard."""
     if goal in known:
         return True
-    if goal in pending:  # cycle guard (DhShared <-> components)
-        return False
     if isinstance(goal, Atom):
         return True
     if isinstance(goal, (Nonce, PrivKey, DhPriv)):
         return False  # fresh values are never guessable
-    pending = pending | {goal}
     if isinstance(goal, Pair):
-        return (_derivable(goal.left, known, pending)
-                and _derivable(goal.right, known, pending))
-    if isinstance(goal, Sign):
-        return (_derivable(goal.key, known, pending)
-                and _derivable(goal.body, known, pending))
-    if isinstance(goal, (SEnc, Mac)):
-        return (_derivable(goal.key, known, pending)
-                and _derivable(goal.body, known, pending))
-    if isinstance(goal, PubKey):
-        return _derivable(goal.of, known, pending)
-    if isinstance(goal, DhPub):
-        return _derivable(goal.of, known, pending)
+        return _derivable(goal.left, known) and _derivable(goal.right, known)
+    if isinstance(goal, (Sign, SEnc, Mac)):
+        return _derivable(goal.key, known) and _derivable(goal.body, known)
+    if isinstance(goal, (PubKey, DhPub)):
+        return _derivable(goal.of, known)
     if isinstance(goal, DhShared):
         lo, hi = goal.lo, goal.hi
-        if _derivable(lo, known, pending) and _derivable(DhPub(hi), known, pending):
+        if _derivable(lo, known) and _derivable(DhPub(hi), known):
             return True
-        return _derivable(hi, known, pending) and _derivable(DhPub(lo), known, pending)
+        return _derivable(hi, known) and _derivable(DhPub(lo), known)
     if isinstance(goal, Kdf):
-        return (_derivable(goal.shared, known, pending)
-                and _derivable(goal.oid, known, pending)
-                and _derivable(goal.eid, known, pending))
+        return (_derivable(goal.shared, known) and _derivable(goal.oid, known)
+                and _derivable(goal.eid, known))
     raise TypeError(f"not a term: {goal!r}")

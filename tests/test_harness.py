@@ -52,6 +52,7 @@ class TestReports:
         def sizes():
             return {"terms._TABLE": len(terms._TABLE),
                     "unpairs": terms._unpairs.cache_info().currsize,
+                    "open_parts": terms._open_parts.cache_info().currsize,
                     "build": roles.Message.build.cache_info().currsize,
                     "verify_cert": pki.verify_cert.cache_info().currsize}
 
@@ -73,6 +74,56 @@ class TestReports:
         assert all(first.values()), first
         one_pass()
         assert sizes() == first
+
+
+def dumped_payload(report) -> str:
+    """The report through ``json.dumps``, as render_json wrote it before it
+    wrote the fixed shape itself."""
+    payload = {
+        "seed": report.seed,
+        "recs": list(report.recs),
+        "cells": [
+            {"approach": c.approach, "scenario": c.scenario, "tls": c.tls,
+             "goal": c.goal, "actual": c.actual, "expected": c.expected,
+             "agree": c.agree, "refs": list(c.refs), "via": c.via,
+             "witness": c.witness}
+            for c in report.cells
+        ],
+        "disagreements": len(report.disagreements()),
+        "audit_failures": report.audit_failures,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+class TestJsonRendering:
+    @pytest.mark.parametrize("approaches,recs", [
+        (("ds", "ac"), frozenset()),
+        (("ds",), frozenset({"R10"})),
+        (("ac",), frozenset({"R10"})),
+    ], ids=["plain", "r10-ds", "r10-ac"])
+    def test_the_matrices_render_as_json_dumps_writes_them(self, approaches, recs):
+        report = run_matrix(approaches=approaches, recs=recs)
+        assert render_json(report) == dumped_payload(report)
+
+    def test_an_empty_report_renders_as_json_dumps_writes_it(self):
+        report = harness.MatrixReport([], 0, (), 0.0)
+        assert render_json(report) == dumped_payload(report)
+
+    def test_every_field_shape_renders_as_json_dumps_writes_it(self):
+        odd = 'say "hi" \\ back\nthen\ttab: caf\u00e9 \u2603'
+        cells = [
+            harness.Cell("ds", 1, True, "A", "pass", expected="pass"),
+            harness.Cell("ac", 12, False, "Bp", "violated", expected="pass",
+                         refs=("a", "e", "8"), via="e", witness=odd),
+            harness.Cell("ds", 3, False, "K", "violated", refs=("c",),
+                         via=odd, witness=""),
+            harness.Cell("ac", 6, True, odd, odd),
+        ]
+        report = harness.MatrixReport(cells, 7, ("R10", odd), 1.5,
+                                      audit_failures=["crashed: " + odd, ""])
+        assert [c.agree for c in cells] == [True, False, None, None]
+        assert render_json(report) == dumped_payload(report)
+        assert json.loads(render_json(report))["cells"][1]["witness"] == odd
 
 
 class TestCli:
@@ -170,11 +221,15 @@ class TestCli:
         assert "seed: 5" in capsys.readouterr().out
 
     def test_every_matrix_flag_says_what_it_does(self):
+        # and every flag and argument of the other subcommands too
         sub = next(a for a in harness.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         flags = [a for a in sub.choices["matrix"]._actions if a.option_strings]
         assert len(flags) == 8  # --help and seven of its own
-        assert [a.option_strings for a in flags if not a.help] == []
+        silent = [(name, a.dest) for name, p in sub.choices.items()
+                  for a in p._actions if not a.help]
+        assert sorted(sub.choices) == ["explain", "goals", "matrix", "run", "trace"]
+        assert silent == []
 
     def test_matrix_echoes_recs_as_read(self, capsys):
         argv = ["matrix", "--approach", "ds", "--scenario", "1", "--tls", "on",

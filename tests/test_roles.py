@@ -9,6 +9,7 @@ import pytest
 
 from rsplab import roles
 from rsplab.attacks import honest_script
+from rsplab.events import Note
 from rsplab.network import relay
 from rsplab.roles import (M4, M7, M8, M11, M12, M15, SIG4, SIG7, SIG8, SIG11,
                           SIG12, SIG15, Message, ProtocolAbort)
@@ -258,3 +259,30 @@ class TestFaultInjection:
 
         result = relay(w, w.download(VICTIM, intercepted=True), wrong_key)
         assert not result.completed
+
+    @pytest.mark.parametrize("lpa_strict, note", [
+        (True, f"note blocked lpa-{VICTIM}: m4: challenge mismatch"),
+        (False, "note abort euicc: challenge mismatch"),
+    ], ids=["strict-lpa", "relaxed-lpa"])
+    def test_a_challenge_the_euicc_did_not_issue_stops_at_m4(self, lpa_strict, note):
+        # the leaked sk_sa re-signs m4 around an adversary nonce; the strict
+        # LPA compares the challenge first, the relaxed one leaves it to the
+        # eUICC
+        w = build_world(ScenarioConfig("ds", 2, False, lpa_strict=lpa_strict))
+        forged = w.adversary.fresh_nonce("adv-nu")
+        sk_sa = w.servers[SERVER1].identity.sk_sa
+
+        def rewrite(world, stage, term):
+            if stage != "m4":
+                return term
+            m4 = M4.parse(term, "test")
+            body = SIG4.parse(m4["sig"].body, "test")
+            body["n_u"] = forged
+            m4["sig"] = seal("sign", sk_sa, SIG4.build(**body))
+            return M4.build(**m4)
+
+        w.request_profile(VICTIM)
+        result = relay(w, w.download(VICTIM), rewrite)
+        assert not result.completed
+        assert [e.render() for e in w.trace.entries if isinstance(e, Note)] == [note]
+        assert w.trace.events_tagged("U1") == []

@@ -12,9 +12,9 @@ from rsplab import terms
 from rsplab.attacks import honest_script
 from rsplab.scenarios import ScenarioConfig, build_world
 from rsplab.terms import (Atom, DhPriv, DhShared, FreshSource, Kdf, Knowledge,
-                          NULL, Nonce, Pair, PrivKey, SEnc, SealError, Sign,
-                          dh_pub, dh_shared, encode, kdf, pairs, pub, seal,
-                          subterms, unpairs, unseal)
+                          Mac, NULL, Nonce, Pair, PrivKey, SEnc, SealError,
+                          Sign, dh_pub, dh_shared, encode, kdf, pairs, pub,
+                          seal, subterms, unpairs, unseal)
 
 
 @pytest.fixture
@@ -297,3 +297,83 @@ class TestIncrementalClosure:
         assert k.base == base and k.closure() == closure
         k.learn(n)  # derivable already: the base grows, the closure does not
         assert k.base == base | {n} and k.closure() == closure
+
+
+def per_subterm_closure(base) -> set:
+    """The destructor closure built one subterm at a time, each ciphertext
+    parked until its key is derivable: the walk ``Knowledge.closure`` made
+    before it took the keyless parts of each term from a memo."""
+    known, todo, parked = set(), list(base), []
+    while todo:
+        size = len(known)
+        while todo:
+            t = todo.pop()
+            if t in known:
+                continue
+            known.add(t)
+            if isinstance(t, Pair):
+                todo += (t.left, t.right)
+            elif isinstance(t, (Sign, Mac)):
+                todo.append(t.body)
+            elif isinstance(t, SEnc):
+                parked.append(t)
+        if len(known) == size:
+            break
+        waiting = []
+        for c in parked:
+            if c.body in known:
+                continue
+            if terms._derivable(c.key, known):
+                todo.append(c.body)
+            else:
+                waiting.append(c)
+        parked = waiting
+    return known
+
+
+class TestMemoizedParts:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_closure_matches_the_per_subterm_walk(self, seed):
+        rng = random.Random(seed)
+        gen = TermGen(rng)
+        base = sorted(gen.base(max_terms=12), key=encode)
+        assert Knowledge(base).closure() == per_subterm_closure(base)
+        # along a learn chain on one object, reading at random steps
+        rng.shuffle(base)
+        k, seen = Knowledge(), []
+        for t in base + [gen.term(4) for _ in range(4)]:
+            k.learn(t)
+            seen.append(t)
+            if rng.random() < 0.5:
+                assert k.closure() == per_subterm_closure(seen), \
+                    f"closure differs after {[encode(x) for x in seen]}"
+        assert k.closure() == per_subterm_closure(seen)
+
+    def test_a_key_learned_later_opens_a_ciphertext_inside_a_signature(self, fresh):
+        key, sk, p, q = (fresh.nonce("k"), fresh.privkey("sk"), fresh.nonce("p"),
+                         fresh.nonce("q"))
+        inner = SEnc(key, Pair(p, Mac(key, q)))
+        k, seen = Knowledge(), [Pair(NULL, Sign(sk, inner))]
+        k.learn(*seen)
+        assert inner in k.closure() and p not in k.closure()
+        assert k.closure() == per_subterm_closure(seen)
+        seen.append(Sign(sk, key))  # the key arrives signed, so in the clear
+        k.learn(seen[-1])
+        assert {key, p, q} <= k.closure()
+        assert k.closure() == per_subterm_closure(seen)
+
+    def test_a_term_first_learned_inside_a_larger_one(self, fresh):
+        key, n, p = fresh.nonce("k"), fresh.nonce("n"), fresh.nonce("p")
+        inner = Pair(SEnc(key, p), n)
+        outer = Sign(fresh.privkey("sk"), Pair(NULL, inner))
+        for order in ([outer, inner, key], [inner, outer, key]):
+            k, seen = Knowledge(), []
+            for t in order:
+                k.learn(t)
+                seen.append(t)
+                assert k.closure() == per_subterm_closure(seen)
+            assert p in k.closure()
+        # the memo holds the keyless parts and the ciphertexts among them
+        assert set(terms._open_parts(inner)[0]) == {inner, n, SEnc(key, p)}
+        assert terms._open_parts(outer)[1] == (SEnc(key, p),)
