@@ -229,11 +229,16 @@ class AttackScript:
     claims: frozenset
 
 
-def _script_1(world: World) -> None:
-    code = world.request_profile(VICTIM)
-    world.start_download(VICTIM, code=code)  # code crosses the open channel
+def _use_stolen_code(world: World, code: Code) -> None:
     stolen = world.adversary_code(code.iac, code.s, code.oid)
     world.start_download(ADVERSARY_USER, code=stolen)
+
+
+def _script_1(world: World) -> Code:
+    code = world.request_profile(VICTIM)
+    world.start_download(VICTIM, code=code)  # code crosses the open channel
+    _use_stolen_code(world, code)
+    return code
 
 
 def _script_2(world: World) -> None:
@@ -295,10 +300,7 @@ def _script_6(world: World) -> None:
 
 
 def _script_7(world: World) -> None:
-    if world.cfg.approach == "ds":
-        world.fraud_order("impersonate-user", VICTIM, MNO1, ADV_EID)
-        world.start_download(ADVERSARY_USER)
-        return
+    # the default-server approach yields no code: the order names the device
     code = world.fraud_order("impersonate-user", VICTIM, MNO1, ADV_EID)
     world.start_download(ADVERSARY_USER, code=code)
 
@@ -306,16 +308,11 @@ def _script_7(world: World) -> None:
 def _script_8(world: World) -> None:
     # the code leaks on its way to the victim: a read delivery (8) or a
     # proxied ordering interface (f)
-    code = world.request_profile(VICTIM)
-    stolen = world.adversary_code(code.iac, code.s, code.oid)
-    world.start_download(ADVERSARY_USER, code=stolen)
+    _use_stolen_code(world, world.request_profile(VICTIM))
 
 
 def _script_9(world: World) -> None:
-    code = world.request_profile(VICTIM)
-    world.start_download(VICTIM, code=code)      # subverted LPA leaks the code
-    stolen = world.adversary_code(code.iac, code.s, code.oid)
-    world.start_download(ADVERSARY_USER, code=stolen)
+    code = _script_1(world)                      # subverted LPA leaks the code
     own = world.request_profile(ADVERSARY_USER)  # and can swap in its own
     world.start_download(VICTIM, code=code,
                          inject_code=Code(own.iac, own.s, own.oid))
@@ -364,73 +361,61 @@ def _script_e(world: World) -> None:
           swap_code(victim.sk_u, victim.cert_u, own.iac))
 
 
-def _both(scenarios, tls=None):
-    def applies(cfg: ScenarioConfig) -> bool:
-        if cfg.scenario not in scenarios:
-            return False
-        if tls is None:
-            return True
-        return cfg.tls == tls
-    return applies
-
-
-def _ac_only(scenarios, tls=None):
-    inner = _both(scenarios, tls)
-    return lambda cfg: cfg.approach == "ac" and inner(cfg)
-
-
-def _ds_only(scenarios, tls=None):
-    inner = _both(scenarios, tls)
-    return lambda cfg: cfg.approach == "ds" and inner(cfg)
+def _applies(scenarios, approach=None, tls=None):
+    """A script's filter: one of `scenarios`, and the approach and tunnel
+    setting where given."""
+    return lambda cfg: (cfg.scenario in scenarios
+                        and approach in (None, cfg.approach)
+                        and tls in (None, cfg.tls))
 
 
 # built once: the scripts are plain functions and their filters pure
 _ATTACKS = (
     AttackScript("1", "stolen activation code replay",
-                 _ac_only(AC_SCENARIOS, tls=False), _script_1,
+                 _applies(AC_SCENARIOS, "ac", tls=False), _script_1,
                  frozenset({"Bp", "G", "K"})),
     AttackScript("2", "compromised server impersonation and diverted delivery",
-                 _both({2}), _script_2,
+                 _applies({2}), _script_2,
                  frozenset({"A", "C", "E", "F", "G", "I", "J", "X", "Z"})),
     AttackScript("3", "redirection to a compromised second server",
-                 _both({5}, tls=False), _script_3,
+                 _applies({5}, tls=False), _script_3,
                  frozenset({"A", "C", "E", "F", "I", "J", "X", "Z"})),
     AttackScript("4", "client impersonation with the victim's eUICC key",
-                 _both({3}), _script_4,
+                 _applies({3}), _script_4,
                  frozenset({"B", "D", "G", "W", "Y"})),
     AttackScript("5", "captured code under a forged client identity",
-                 _ac_only({6}, tls=False), _script_5,
+                 _applies({6}, "ac", tls=False), _script_5,
                  frozenset({"B", "D", "W", "Y"})),
     AttackScript("6", "self-ordered code under the victim's identity",
-                 _ac_only({3}), _script_6,
+                 _applies({3}, "ac"), _script_6,
                  frozenset({"Bp", "G", "K"})),
     AttackScript("7", "profile ordered in the victim's name",
-                 _both({8}), _script_7,
+                 _applies({8}), _script_7,
                  frozenset({"Bp", "G", "K"})),
     AttackScript("8", "leaked activation code used directly",
-                 _ac_only({10}), _script_8,
+                 _applies({10}, "ac"), _script_8,
                  frozenset({"Bp", "G", "K"})),
     AttackScript("9", "compromised LPA leaks and swaps the code",
-                 _ac_only({4}), _script_9,
+                 _applies({4}, "ac"), _script_9,
                  frozenset({"Bp", "G", "J", "K"})),
     AttackScript("a", "second profile ordered for the victim's eUICC",
-                 _ds_only({9}), _script_a,
+                 _applies({9}, "ds"), _script_a,
                  frozenset({"Bp", "G", "J", "K"})),
     AttackScript("b", "activation code spoofed on delivery",
-                 _ac_only({11}), _script_b,
+                 _applies({11}, "ac"), _script_b,
                  frozenset({"Bp", "G", "J", "K"})),
     AttackScript("c", "server-side misbinding by signature replacement",
                  lambda cfg: cfg.scenario == 2 or (cfg.scenario == 5 and not cfg.tls),
                  _script_c,
                  frozenset({"A", "B", "C", "D"})),
     AttackScript("d", "client-side misbinding by signature replacement",
-                 _both({3, 6}, tls=False), _script_d,
+                 _applies({3, 6}, tls=False), _script_d,
                  frozenset({"C"})),
     AttackScript("e", "activation code replaced inside the signed response",
-                 _ac_only({3}, tls=False), _script_e,
+                 _applies({3}, "ac", tls=False), _script_e,
                  frozenset({"E", "F", "J"})),
     AttackScript("f", "activation codes exposed at the compromised server",
-                 _ac_only({2}), _script_8,
+                 _applies({2}, "ac"), _script_8,
                  frozenset({"Bp", "G", "K"})),
 )
 
@@ -557,13 +542,10 @@ def _ctl_notification_replay(world: World) -> None:
 
 
 def _ctl_mno_proxy_contained(world: World) -> None:
-    adv_atom = Atom(ADVERSARY_USER)
-    if world.cfg.approach == "ds":
-        world.proxy_order(MNO2, adv_atom, ADV_EID)
-        world.start_download(ADVERSARY_USER)
-    else:
-        code = world.proxy_order(MNO2, adv_atom, None)
-        world.start_download(ADVERSARY_USER, code=code)
+    # only a default-server order names the device
+    eid = ADV_EID if world.cfg.approach == "ds" else None
+    code = world.proxy_order(MNO2, Atom(ADVERSARY_USER), eid)
+    world.start_download(ADVERSARY_USER, code=code)
     world.note("info", "control", "proxied order affects only the rogue operator")
 
 

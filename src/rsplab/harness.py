@@ -305,8 +305,11 @@ def _cfg_from_args(args) -> ScenarioConfig:
     laid over it as one more key=value line."""
     text = ""
     if args.config:
-        with open(args.config) as fh:
-            text = fh.read()
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read --config: {exc}")
     given = {"approach": args.approach, "scenario": args.scenario,
              "tls": args.tls, "recs": args.recs, "lpa_strict": args.lpa_strict,
              "careless_user": args.careless_user}
@@ -340,8 +343,11 @@ def _cmd_matrix(args) -> int:
         raise ConfigError("no scenario row matches the selection")
     text = RENDERERS[args.format](report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out: {exc}")
     else:
         print(text)
     if report.audit_failures:

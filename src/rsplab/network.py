@@ -2,15 +2,16 @@
 Channels, the client-to-server tunnel, and the adversary's action surface.
 
 Four channel kinds exist.  The MNO-to-server and LPA-to-eUICC channels are
-private unless a matching endpoint compromise grants the adversary proxy
-access.  The user-to-MNO channel is private except under the ordering-fraud
-modes.  The LPA-to-server channel is the battleground: without the
-transport tunnel every request and response is adversary-readable and
--writable; with the tunnel, each request/response pair is confidential and
-integral end to end, and only the legitimate holder of the dialed server's
-transport key can stand in the middle; `tls_connect` is that pin check.
-The tunnel deliberately provides no cross-request session continuity; the
-application carries that in the transaction id.
+private unless ``world.grants`` gives the adversary proxy access through a
+compromised endpoint.  The user-to-MNO channel is private except under the
+ordering-fraud grants.  The LPA-to-server channel is the battleground:
+without the transport tunnel every request and response is
+adversary-readable and -writable; with the tunnel, each request/response
+pair is confidential and integral end to end, and only the legitimate
+holder of the dialed server's transport key can stand in the middle;
+`tls_connect` is that pin check.  The tunnel deliberately provides no
+cross-request session continuity; the application carries that in the
+transaction id.
 
 A download is a session (``World.download``): a generator that puts each
 request on the LPA-to-server channel with `put_request`, yields it, and is
@@ -61,7 +62,7 @@ def tls_connect(world, dial: Atom, intercepted: bool = False,
     the adversary intercepts only if the transport key of that name leaked.
     Without the tunnel the network adversary may freely intercept or answer.
     """
-    if intercepted and world.cfg.tls and dial.label not in world.compromised_servers:
+    if intercepted and world.cfg.tls and ("server", dial.label) not in world.grants:
         raise GateViolation(
             f"cannot intercept tunnel to {dial.label}: transport key not held")
     server = world.servers.get(dial.label)
@@ -80,16 +81,22 @@ def put_request(world, tun: Tunnel, stage: str, request: Term) -> tuple:
     return tun, stage, request
 
 
-def server_reply(world, tun: Tunnel, stage: str, request: Term) -> Term:
-    """Deliver `request` to the server and put its response on the channel;
+def _answer(world, server, direction: str, request: Term) -> Term:
+    """Deliver `request` to `server` and put its response on the channel;
     a server abort answers with the error message."""
     try:
-        response = tun.server.handle(request)
+        response = server.handle(request)
     except ProtocolAbort as exc:
         world.trace.append(Note("abort", exc.who, exc.reason))
         response = MSG_ERROR
-    world.trace.append(MessageOp(CH_LPA_SERVER,
-                                 f"server->lpa:{RESPONSE_STAGE[stage]}", response))
+    world.trace.append(MessageOp(CH_LPA_SERVER, direction, response))
+    return response
+
+
+def server_reply(world, tun: Tunnel, stage: str, request: Term) -> Term:
+    """The server's answer to the LPA's `request` in tunnel `tun`."""
+    response = _answer(world, tun.server,
+                       f"server->lpa:{RESPONSE_STAGE[stage]}", request)
     if tun.visible:
         world.adversary.learn(response)
     return response
@@ -127,13 +134,7 @@ def adversary_request(world, dial: Atom, request: Term) -> Term:
     server = world.servers.get(dial.label)
     if server is None:
         raise GateViolation(f"no server answers for {dial.label}")
-    adv = world.adversary
-    adv.gate_send(CH_LPA_SERVER, "adv->server", request)
-    try:
-        response = server.handle(request)
-    except ProtocolAbort as exc:
-        world.trace.append(Note("abort", exc.who, exc.reason))
-        response = MSG_ERROR
-    world.trace.append(MessageOp(CH_LPA_SERVER, "server->adv", response))
-    adv.learn(response)
+    world.adversary.gate_send(CH_LPA_SERVER, "adv->server", request)
+    response = _answer(world, server, "server->adv", request)
+    world.adversary.learn(response)
     return response

@@ -9,14 +9,12 @@ certificate issued directly by the CI.
 
 Certificates are plain terms (a CI signature over the field tuple), so they
 travel in messages and the adversary can read, store and replay them like
-any other term.  Compromising an identity leaks its private keys and its
-(public) certificates to the adversary and drops a marker event into the
-trace; goal exclusions are computed from those markers alone.
+any other term.
 
 Issued identities are immutable, so one ``Pki`` is issued per process and
-shared by every world; a compromise writes only to the world that suffers
-it.  Sharing changes no output: terms are interned, and each world's fresh
-source continues from the id after the PKI's keys.
+shared by every world; a compromise (see ``scenarios``) writes only to the
+world that suffers it.  Sharing changes no output: terms are interned, and
+each world's fresh source continues from the id after the PKI's keys.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import functools
 from dataclasses import InitVar, dataclass, field, replace
 from typing import Optional
 
-from .events import Event
 from .terms import (Atom, FreshSource, NULL, PrivKey, PubKey, Sign, Term,
                     SealError, pairs, pub, seal, unpairs, unseal)
 
@@ -185,45 +182,3 @@ def issue_pki(servers, eids, default_server: str) -> Pki:
                       default_server=Atom(default_server)) for eid in eids),
         fresh)
 
-
-# ---------------------------------------------------------------------------
-# Targeted compromise
-# ---------------------------------------------------------------------------
-
-def compromise_server(world, domain: str, keys: frozenset = frozenset({"tls", "sa", "sp"})) -> None:
-    """Leak the named private keys (certificates are public anyway) and mark it."""
-    srv = world.servers[domain]
-    ident = srv.identity
-    leaked: list[Term] = [ident.cert_st, ident.cert_sa, ident.cert_sp]
-    if "tls" in keys:
-        leaked.append(ident.sk_tls)
-    if "sa" in keys:
-        leaked.append(ident.sk_sa)
-    if "sp" in keys:
-        leaked.append(ident.sk_sp)
-    world.adversary.learn(*leaked)
-    world.trace.append(Event("CompromiseServer", (ident.subject,)))
-    world.compromised_servers.add(domain)
-    if keys == {"tls", "sa", "sp"}:
-        world.order_channel_proxies.add(domain)
-
-
-def compromise_euicc(world, eid: str) -> None:
-    dev = world.euiccs[eid]
-    world.adversary.learn(dev.identity.sk_u, dev.identity.cert_u)
-    world.trace.append(Event("CompromiseCert", (dev.identity.eid,)))
-
-
-def compromise_mno(world, mno: str) -> None:
-    """Adversary becomes a proxy on this MNO's private channel to its server."""
-    world.adversary_mno_proxies.add(mno)
-    world.trace.append(Event("CompromiseMno", (Atom(mno),)))
-
-
-def compromise_user_channel(world, mode: str) -> None:
-    """User/LPA-to-MNO channel fraud: impersonate, order-for-euicc, read, spoof."""
-    if mode not in ("impersonate-user", "order-for-euicc", "read-code",
-                    "spoof-code", "lpa"):
-        raise ValueError(f"unknown fraud mode {mode!r}")
-    world.user_channel_fraud.add(mode)
-    world.trace.append(Event("ChannelFraud", (Atom(mode),)))

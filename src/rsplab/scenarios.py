@@ -24,7 +24,9 @@ shorthand for the full hardening set of the given approach.
 Every world is rooted in the same PKI: one CI, two server identities and
 three eUICC identities, issued once per process (see ``pki``).  A world
 builds only what differs between scenarios: its roles, its trace and
-adversary, the LPA's stored oid under R2, and the compromises.
+adversary, the LPA's stored oid under R2, and what the adversary controls:
+the scenario's row of ``COMPROMISES``, granted one pair at a time by
+``compromise``.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .events import Event
-from .pki import (compromise_euicc, compromise_mno, compromise_server,
-                  compromise_user_channel, issue_pki)
+from .pki import issue_pki
 from .roles import EuiccDevice, MnoProcess, ServerProcess
 from .terms import Atom
 from .world import ADVERSARY_USER, UserAgent, World
@@ -135,7 +136,7 @@ def parse_config(text: str) -> ScenarioConfig:
     try:
         scenario = int(values.get("scenario", "1"))
     except ValueError:
-        raise ConfigError(f"scenario must be an integer")
+        raise ConfigError(f"scenario must be an integer, got {values['scenario']!r}")
     recs = expand_recs(values.get("recs", "").split(","), approach)
     return ScenarioConfig(
         approach=approach, scenario=scenario,
@@ -165,37 +166,47 @@ def build_world(cfg: ScenarioConfig) -> World:
         world.users[owner] = UserAgent(Atom(owner), eid, MNO1, lpa_oid)
         world.emit(Event("OWNER", (Atom(owner), ident.eid)))
 
-    _apply_compromises(world, cfg)
+    for kind, name in COMPROMISES[cfg.scenario]:
+        compromise(world, kind, name)
     return world
 
 
-def _apply_compromises(world: World, cfg: ScenarioConfig) -> None:
-    scenario = cfg.scenario
-    if scenario == 1:
-        return
-    if scenario == 2:
-        # the intended server falls, and with it any other server identity
-        # the same operator of compromised infrastructure can present
-        compromise_server(world, SERVER1)
-        compromise_server(world, SERVER2)
-    elif scenario == 3:
-        compromise_euicc(world, VICTIM_EID)
-    elif scenario == 4:
-        world.compromised_lpa_users.add(VICTIM)
-        compromise_user_channel(world, "lpa")
-    elif scenario == 5:
-        compromise_server(world, SERVER2)
-    elif scenario == 6:
-        compromise_euicc(world, ADV_EID)
-    elif scenario == 7:
-        compromise_mno(world, MNO2)
-    elif scenario == 8:
-        compromise_user_channel(world, "impersonate-user")
-    elif scenario == 9:
-        compromise_user_channel(world, "order-for-euicc")
-    elif scenario == 10:
-        compromise_user_channel(world, "read-code")
-    elif scenario == 11:
-        compromise_user_channel(world, "spoof-code")
+# what each scenario grants the adversary, as (kind, name) pairs
+COMPROMISES = {
+    1: (),
+    # the intended server falls, and with it any other server identity the
+    # same operator of compromised infrastructure can present
+    2: (("server", SERVER1), ("server", SERVER2)),
+    3: (("euicc", VICTIM_EID),),
+    4: (("lpa", VICTIM),),
+    5: (("server", SERVER2),),
+    6: (("euicc", ADV_EID),),
+    7: (("mno", MNO2),),
+    8: (("channel", "impersonate-user"),),
+    9: (("channel", "order-for-euicc"),),
+    10: (("channel", "read-code"),),
+    11: (("channel", "spoof-code"),),
+}
+
+
+def compromise(world: World, kind: str, name: str) -> None:
+    """Grant the adversary `kind` control of `name` and mark it in the
+    trace; goal exclusions are computed from the markers alone.  A "server"
+    or "euicc" leaks that identity's private keys (certificates are public
+    anyway), and a server its order channel too; an "mno" opens that
+    operator's order channel; a "channel" is one mode of fraud on the
+    user-to-operator channel; an "lpa" subverts that user's LPA."""
+    if kind == "server":
+        ident = world.servers[name].identity
+        world.adversary.learn(ident.cert_st, ident.cert_sa, ident.cert_sp,
+                              ident.sk_tls, ident.sk_sa, ident.sk_sp)
+        marker = Event("CompromiseServer", (ident.subject,))
+    elif kind == "euicc":
+        ident = world.euiccs[name].identity
+        world.adversary.learn(ident.sk_u, ident.cert_u)
+        marker = Event("CompromiseCert", (ident.eid,))
     else:
-        raise ConfigError(f"scenario {scenario} not wired")
+        tag = "CompromiseMno" if kind == "mno" else "ChannelFraud"
+        marker = Event(tag, (Atom(kind if kind == "lpa" else name),))
+    world.grants.add((kind, name))
+    world.emit(marker)

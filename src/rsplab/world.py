@@ -99,11 +99,9 @@ class World:
         self.mnos: dict[str, MnoProcess] = {}
         self.users: dict[str, UserAgent] = {}
         self.euiccs: dict[str, EuiccDevice] = {}
-        self.compromised_servers: set[str] = set()
-        self.adversary_mno_proxies: set[str] = set()
-        self.order_channel_proxies: set[str] = set()
-        self.user_channel_fraud: set[str] = set()
-        self.compromised_lpa_users: set[str] = set()
+        # what the adversary controls, as (kind, name) pairs such as
+        # ("server", domain) or ("channel", mode); see scenarios.COMPROMISES
+        self.grants: set[tuple[str, str]] = set()
 
     # -- plumbing ------------------------------------------------------------
 
@@ -128,17 +126,24 @@ class World:
         oid = server.oid if "R1" in self.cfg.recs else None
         return Code(order.iac, server.domain, oid)
 
-    def _mno_book_order(self, mno: MnoProcess, user_atom: Atom,
-                        eid: Term) -> Optional[Code]:
-        """MNO forwards the order on its private channel; the server prepares.
+    def _mno_book_order(self, mno: MnoProcess, user_atom: Atom, eid: Term,
+                        injected: bool = False) -> Optional[Code]:
+        """MNO forwards the order on its private channel, or the adversary
+        `injected` it there through the gate; the server prepares.
         Activation-code approach: returns the code the server replies with."""
+        if self.cfg.approach == "ds" and eid is NULL:
+            raise ValueError("default-server order needs an eUICC id")
         server = self.servers[mno.server_domain]
         request = ORDER_REQUEST.build(user=user_atom, mno=mno.atom, eid=eid)
-        self.trace.append(MessageOp(CH_MNO_SERVER, f"{mno.label}->server", request))
-        proxied = (mno.label in self.adversary_mno_proxies
-                   or mno.server_domain in self.order_channel_proxies)
-        if proxied:
-            self.adversary.learn(request)
+        proxied = (("mno", mno.label) in self.grants
+                   or ("server", mno.server_domain) in self.grants)
+        sent = f"{mno.label}->server"
+        if injected:
+            self.adversary.gate_send(CH_MNO_SERVER, "adv-as-" + sent, request)
+        else:
+            self.trace.append(MessageOp(CH_MNO_SERVER, sent, request))
+            if proxied:
+                self.adversary.learn(request)
         order = server.create_order(user_atom, mno.atom, eid)
         if self.cfg.approach != "ac":
             return None
@@ -171,9 +176,9 @@ class World:
         code.for_user = user_label
         delivery = code.message(CODE_DELIVERY)
         self.trace.append(MessageOp(CH_USER_MNO, f"{mno.label}->{user_label}", delivery))
-        if "read-code" in self.user_channel_fraud:
+        if ("channel", "read-code") in self.grants:
             self.adversary.learn(delivery)
-        if user_label == ADVERSARY_USER or user_label in self.compromised_lpa_users:
+        if user_label == ADVERSARY_USER or ("lpa", user_label) in self.grants:
             # the adversary reads codes it legitimately receives, and a
             # subverted LPA leaks the ones passing through it
             self.adversary.learn(code.iac)
@@ -189,7 +194,7 @@ class World:
         in the default-server approach).  ``order-for-euicc``: the adversary
         orders under its own identity but names someone else's eUICC.
         """
-        if mode not in self.user_channel_fraud:
+        if ("channel", mode) not in self.grants:
             raise GateViolation(f"user channel does not permit {mode}")
         mno = self.mnos[mno_label]
         claimed = Atom(claimed_user)
@@ -198,8 +203,6 @@ class World:
         else:  # order-for-euicc
             target_eid = self.euiccs[eid_label].eid
         self.emit(Event("FraudOrder", (Atom(mode), claimed, target_eid)))
-        if self.cfg.approach == "ds" and target_eid is NULL:
-            raise ValueError("default-server fraud order needs an eUICC id")
         code = self._mno_book_order(mno, claimed, target_eid)
         if code is not None:
             # the code goes back to whoever placed the order: the adversary
@@ -208,30 +211,17 @@ class World:
 
     def proxy_order(self, mno_label: str, user_atom: Atom, eid_label: Optional[str]) -> Optional[Code]:
         """Order injected straight onto a compromised MNO's server channel."""
-        if mno_label not in self.adversary_mno_proxies:
+        if ("mno", mno_label) not in self.grants:
             raise GateViolation(f"no proxy access to {mno_label}")
-        mno = self.mnos[mno_label]
-        server = self.servers[mno.server_domain]
         eid = self.euiccs[eid_label].eid if eid_label else NULL
-        request = ORDER_REQUEST.build(user=user_atom, mno=mno.atom, eid=eid)
-        self.adversary.gate_send(CH_MNO_SERVER, f"adv-as-{mno_label}->server", request)
-        if self.cfg.approach == "ds" and eid is NULL:
-            raise ValueError("default-server order needs an eUICC id")
-        order = server.create_order(user_atom, mno.atom, eid)
-        if self.cfg.approach == "ds":
-            return None
-        code = self._code_for(server, order)
-        reply = code.message(ORDER_REPLY)
-        self.trace.append(MessageOp(CH_MNO_SERVER, f"server->{mno_label}", reply))
-        self.adversary.learn(reply)
-        return code
+        return self._mno_book_order(self.mnos[mno_label], user_atom, eid, injected=True)
 
     def spoof_code_delivery(self, user_label: str, code: Code) -> Code:
         """Unsolicited or substituted code pushed at a user whose delivery
         channel integrity is compromised.  No intent event: the user never
         asked their operator for this."""
-        if "spoof-code" not in self.user_channel_fraud \
-                and user_label not in self.compromised_lpa_users:
+        if ("channel", "spoof-code") not in self.grants \
+                and ("lpa", user_label) not in self.grants:
             raise GateViolation("user channel integrity is intact")
         self.adversary.gate_send(CH_USER_MNO, f"adv->{user_label}",
                                  code.message(CODE_DELIVERY))
@@ -270,7 +260,7 @@ class World:
         user = self.users[user_label]
         device = self.euiccs[user.euicc]
         adversary_client = (user_label == ADVERSARY_USER)
-        lpa_compromised = user_label in self.compromised_lpa_users
+        lpa_compromised = ("lpa", user_label) in self.grants
 
         if cfg.approach == "ac":
             if code is None:

@@ -193,11 +193,20 @@ class TestCli:
         ["run", "--approach", "ac", "--recs", "R2"],
         ["matrix", "--scenario", "42"],
         ["matrix", "--approach", "ac", "--scenario", "9"],
+        ["run", "--config", "{missing}/x.cfg"],
+        ["trace", "--config", "{missing}/x.cfg"],
+        ["run", "--config", "{not_utf8}"],
+        ["matrix", "--approach", "ds", "--scenario", "1",
+         "--out", "{missing}/x.json"],
     ], ids=" ".join)
-    def test_input_errors_exit_2_with_one_line(self, argv, capsys):
+    def test_input_errors_exit_2_with_one_line(self, argv, tmp_path, capsys):
+        (tmp_path / "latin1.cfg").write_bytes(b"scenario = \xe9\n")
+        argv = [a.format(missing=tmp_path / "missing",
+                         not_utf8=tmp_path / "latin1.cfg") for a in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith(f"rsp-lab {argv[0]}: ")
         assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["run", "trace"])

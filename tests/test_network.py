@@ -10,10 +10,11 @@ from rsplab.goals import check_all
 from rsplab.network import (CH_LPA_SERVER, GateViolation, adversary_request,
                             relay, server_reply, tls_connect)
 from rsplab.roles import M3, M11, M15, MSG_ERROR, SIG11, SIG15, ProtocolAbort
-from rsplab.scenarios import (ADV_EID, BYSTANDER, SERVER1, VICTIM, VICTIM_EID,
-                              ScenarioConfig, build_world)
+from rsplab.scenarios import (AC_SCENARIOS, ADV_EID, BYSTANDER, COMPROMISES,
+                              DS_SCENARIOS, MNO1, MNO2, SERVER1, VICTIM,
+                              VICTIM_EID, ScenarioConfig, build_world)
 from rsplab.terms import NULL, Atom, Knowledge, Pair, seal, subterms
-from rsplab.world import ADVERSARY_USER
+from rsplab.world import ADVERSARY_USER, Code
 
 
 def run_world(approach="ac", scenario=1, tls=True):
@@ -211,15 +212,61 @@ class TestPrivateChannels:
         code = w.request_profile(VICTIM)
         assert w.adversary.knows(code.iac)
 
-    def test_rogue_mno_proxy_can_inject_orders(self):
-        w = build_world(ScenarioConfig("ac", 7, True))
-        code = w.proxy_order("mno2", Atom("user-adv"), None)
-        assert code is not None and w.adversary.knows(code.iac)
 
-    def test_intact_mno_channel_refuses_injection(self):
-        w = build_world(ScenarioConfig("ac", 1, True))
-        with pytest.raises(GateViolation):
-            w.proxy_order("mno2", Atom("user-adv"), None)
+def _own_code(w):
+    own = w.request_profile(ADVERSARY_USER)
+    return Code(own.iac, own.s, own.oid)
+
+
+def _steal_victims_code(w):
+    code = w.request_profile(VICTIM)
+    w.adversary_code(code.iac, code.s, code.oid)
+
+
+def _proxy_order(w):
+    code = w.proxy_order(MNO2, Atom(ADVERSARY_USER),
+                         ADV_EID if w.cfg.approach == "ds" else None)
+    assert code is None or w.adversary.knows(code.iac)
+
+
+# each gated action, and the scenario whose row of COMPROMISES grants it
+GATED = [
+    ("impersonate-user", ("channel", "impersonate-user"), 8, ("ds", "ac"),
+     lambda w: w.fraud_order("impersonate-user", VICTIM, MNO1, ADV_EID)),
+    ("order-for-euicc", ("channel", "order-for-euicc"), 9, ("ds",),
+     lambda w: w.fraud_order("order-for-euicc", ADVERSARY_USER, MNO1, VICTIM_EID)),
+    ("spoof-code", ("channel", "spoof-code"), 11, ("ac",),
+     lambda w: w.spoof_code_delivery(VICTIM, _own_code(w))),
+    ("lpa-spoofs-code", ("lpa", VICTIM), 4, ("ac",),
+     lambda w: w.spoof_code_delivery(VICTIM, _own_code(w))),
+    ("lpa-injects-code", ("lpa", VICTIM), 4, ("ac",),
+     lambda w: w.start_download(VICTIM, w.request_profile(VICTIM),
+                                inject_code=_own_code(w))),
+    ("proxy-order", ("mno", MNO2), 7, ("ds", "ac"), _proxy_order),
+    ("intercept", ("server", SERVER1), 2, ("ds", "ac"),
+     lambda w: tls_connect(w, Atom(SERVER1), intercepted=True)),
+    ("read-code", ("channel", "read-code"), 10, ("ac",), _steal_victims_code),
+    ("lpa-leaks-code", ("lpa", VICTIM), 4, ("ac",), _steal_victims_code),
+]
+
+
+class TestCapabilityGates:
+    @pytest.mark.parametrize("grant, scenario, approaches, act",
+                             [case[1:] for case in GATED],
+                             ids=[case[0] for case in GATED])
+    def test_action_needs_its_grant(self, grant, scenario, approaches, act):
+        assert grant in COMPROMISES[scenario]
+        for approach in approaches:
+            w = build_world(ScenarioConfig(approach, 1, True))
+            with pytest.raises(GateViolation):
+                act(w)
+            w = build_world(ScenarioConfig(approach, scenario, True))
+            assert grant in w.grants
+            act(w)
+            assert audit_trace(w.trace) == []
+
+    def test_one_row_per_scenario(self):
+        assert sorted(COMPROMISES) == sorted(set(DS_SCENARIOS) | set(AC_SCENARIOS))
 
 
 class TestAudit:

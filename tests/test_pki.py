@@ -4,8 +4,8 @@ from rsplab.pki import (POLICY_EUICC, POLICY_PROFILE_BINDING,
                         POLICY_SERVER_AUTH, POLICY_TLS, CertError,
                         issue_euicc, issue_server, new_ci, parse_certificate,
                         verify_cert)
-from rsplab.scenarios import (ADV_EID, SERVER1, SERVER2, VICTIM_EID,
-                              ScenarioConfig, build_world)
+from rsplab.scenarios import (ADV_EID, SERVER1, VICTIM_EID, ScenarioConfig,
+                              build_world)
 from rsplab.terms import Atom, FreshSource, Sign, seal
 
 
@@ -105,15 +105,6 @@ class TestCompromise:
         w = build_world(ScenarioConfig("ac", 6, True))
         assert w.adversary.knows(w.euiccs[ADV_EID].identity.sk_u)
         assert not w.adversary.knows(w.euiccs[VICTIM_EID].identity.sk_u)
-
-    def test_tls_only_compromise_spares_application_keys(self):
-        from rsplab.pki import compromise_server
-        w = build_world(ScenarioConfig("ds", 1, True))
-        compromise_server(w, SERVER2, frozenset({"tls"}))
-        ident = w.servers[SERVER2].identity
-        assert w.adversary.knows(ident.sk_tls)
-        assert not w.adversary.knows(ident.sk_sa)
-        assert not w.adversary.knows(ident.sk_sp)
 
     @pytest.mark.parametrize("approach", ["ds", "ac"])
     @pytest.mark.parametrize("tls", [True, False])

@@ -53,6 +53,8 @@ class TestConfig:
             parse_config("approach ds")
         with pytest.raises(ConfigError):
             parse_config("tls = sometimes")
+        with pytest.raises(ConfigError, match="got 'six'"):
+            parse_config("scenario = six")
 
 
 class TestWorldBuilding:
