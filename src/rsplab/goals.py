@@ -12,18 +12,25 @@ witness tuples, which on these small traces is exact.
 Cost model: the checker never scans the trace.  It reads the trace's own
 index (``Trace.events_tagged`` and ``Trace.with_value``), which lists the
 events of each tag and buckets them by the value at a position from the
-first lookup on, growing as the trace grows.  A conjunct's candidates are
-the smallest bucket over its already-bound variables, so a witness lookup
-costs about the number of events that agree on those values; a tag with
+first lookup on, growing as the trace grows.  Each goal fixes its search
+plan when the catalog is built: per conjunct, the ``Var`` slots that the
+trigger or an earlier conjunct always binds (the only slots worth narrowing
+on), the names it newly binds, and whether it is the last.  A conjunct's
+candidates are the smallest bucket over those slots, so a witness lookup
+costs about the number of events that agree on their values; a tag with
 only a few events is handed over whole, since bucketing it would cost more
-than the match calls it saves.  The exclusions ask the same buckets.  The
-witness search keeps only what the injective assignment can tell apart: an
-injective conjunct keeps every witness, a non-injective one keeps one
-witness (the earliest) per distinct set of variables it newly binds, and
-once no injective conjunct is left the first consistent completion is
-enough.  Each pattern works out its literal and variable slots once, so a
-match walks only those, and each goal its search plan, so a check only
-reads plans and stores nothing that grows with the number of checks.
+than the candidates it saves.  The search matches each candidate against
+the plan itself, copies the bindings only when the conjunct binds something
+new, and records the last conjunct's witness without recursing.  It keeps
+only what the injective assignment can tell apart: an injective conjunct
+keeps every witness, a non-injective one keeps one witness (the earliest)
+per distinct set of names it newly binds, and once no injective conjunct is
+left the first consistent completion is enough.  The assignment is first
+fit with backtracking over one set of claimed witnesses per injective slot,
+each choice added and then taken back, so it copies nothing.  ``check_all``
+asks the exclusions once per trigger event and hands the answer to every
+goal; they read the same buckets.  A check only reads plans and stores
+nothing that grows with the number of checks.
 
 Secrecy goals bind a target parameter at the trigger and fail iff the
 end-of-run adversary knowledge derives it (knowledge only grows, so
@@ -39,7 +46,7 @@ and ownership all come from the trace, never from hidden state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .events import ADVERSARY_USER, CLIENT_TRIGGER_TAGS, Event, Trace
 from .terms import NULL, Atom, Knowledge, Term, encode
@@ -76,19 +83,15 @@ class EventPattern:
     # slot and (position, name, optional) of every Var/OptVar slot
     literals: tuple = field(init=False, repr=False, compare=False)
     binders: tuple = field(init=False, repr=False, compare=False)
-    # (position, name) of every Var slot, the positions the index can narrow on
-    var_slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        binders = tuple((pos, p.name, isinstance(p, OptVar))
-                        for pos, p in enumerate(self.params)
-                        if isinstance(p, (Var, OptVar)))
         object.__setattr__(self, "literals", tuple(
             (pos, p) for pos, p in enumerate(self.params)
             if not isinstance(p, (Var, OptVar, Wild))))
-        object.__setattr__(self, "binders", binders)
-        object.__setattr__(self, "var_slots", tuple(
-            (pos, name) for pos, name, optional in binders if not optional))
+        object.__setattr__(self, "binders", tuple(
+            (pos, p.name, isinstance(p, OptVar))
+            for pos, p in enumerate(self.params)
+            if isinstance(p, (Var, OptVar))))
 
     def match(self, event: Event, bindings: dict) -> Optional[dict]:
         if event.tag != self.tag:
@@ -116,6 +119,18 @@ class Requirement:
     injective: bool
 
 
+class Step(NamedTuple):
+    """One conjunct of a goal's witness search, as the search reads it."""
+    tag: str
+    narrow: tuple        # (position, name) of the Var slots always bound here
+    literals: tuple      # (position, term) of the literal slots
+    checks: tuple        # (position, name, optional) of the slots always bound
+    binds: tuple         # (position, name, optional) of the slots that may bind
+    names: Optional[tuple]  # the names it may newly bind; None if injective
+    first_only: bool     # no injective conjunct from here on
+    last: bool
+
+
 @dataclass(frozen=True)
 class GoalSpec:
     name: str
@@ -125,19 +140,32 @@ class GoalSpec:
     trigger: EventPattern
     requires: tuple = ()
     secrecy_index: Optional[int] = None
-    # the witness search plan, worked out once per goal: for each conjunct,
-    # (pattern, its match function, the names it binds or None if it is
-    # injective, whether the first completion from it on is enough)
+    # the witness search plan, worked out once per goal: one Step per conjunct
     plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         requires = self.requires
-        object.__setattr__(self, "plan", tuple(
-            (r.pattern, r.pattern.match,
-             None if r.injective
-             else tuple(name for _, name, _ in r.pattern.binders),
-             not any(later.injective for later in requires[k:]))
-            for k, r in enumerate(requires)))
+        # the names bound whatever the events: every Var slot of the trigger
+        # and of the conjuncts before the current one (an OptVar slot binds
+        # nothing when it holds null)
+        bound = {name for _, name, optional in self.trigger.binders
+                 if not optional}
+        plan = []
+        for k, r in enumerate(requires):
+            binders = r.pattern.binders
+            checks = tuple(b for b in binders if b[1] in bound)
+            binds = tuple(b for b in binders if b[1] not in bound)
+            plan.append(Step(
+                r.pattern.tag,
+                tuple((pos, name) for pos, name, optional in checks
+                      if not optional),
+                r.pattern.literals, checks, binds,
+                None if r.injective
+                else tuple(dict.fromkeys(name for _, name, _ in binds)),
+                not any(later.injective for later in requires[k:]),
+                k == len(requires) - 1))
+            bound.update(name for _, name, optional in binders if not optional)
+        object.__setattr__(self, "plan", tuple(plan))
 
 
 @dataclass
@@ -276,34 +304,6 @@ CATALOG = tuple(goal_catalog())
 
 
 # ---------------------------------------------------------------------------
-# Candidate witnesses
-# ---------------------------------------------------------------------------
-
-# A tag list this short is scanned whole: a value bucket would cost a pass
-# over the list per bound position to save at most a few match calls.
-_SHORT_LIST = 4
-
-
-def _candidates(trace: Trace, pattern: EventPattern, bindings: dict) -> list:
-    """A superset of the events `pattern` matches under `bindings`, in trace
-    order: the smallest value bucket over the pattern's bound ``Var``
-    positions, or every event of its tag when none is bound or the tag's
-    list is short."""
-    best = trace.events_tagged(pattern.tag)
-    if len(best) <= _SHORT_LIST:
-        return best
-    for pos, name in pattern.var_slots:
-        value = bindings.get(name)
-        if value is not None:
-            bucket = trace.with_value(pattern.tag, pos, value)
-            if len(bucket) < len(best):
-                best = bucket
-                if len(best) <= 1:
-                    break
-    return best
-
-
-# ---------------------------------------------------------------------------
 # Exclusions
 # ---------------------------------------------------------------------------
 
@@ -345,9 +345,21 @@ def _excluded(trace: Trace, event: Event) -> bool:
     return False
 
 
+def _exclusions(trace: Trace, tags) -> set:
+    """The indices of the excluded events among the triggers of `tags`, asked
+    once per event however many goals share its tag."""
+    return {i for tag in tags for i, e in trace.events_tagged(tag)
+            if _excluded(trace, e)}
+
+
 # ---------------------------------------------------------------------------
 # Correspondence checking
 # ---------------------------------------------------------------------------
+
+# A tag list this short is scanned whole: a value bucket would cost a pass
+# over the list per bound position to save at most a few candidates.
+_SHORT_LIST = 4
+
 
 def _witness_tuples(trace: Trace, upto: int, plan: tuple, bindings: dict,
                     k: int = 0) -> list:
@@ -357,72 +369,111 @@ def _witness_tuples(trace: Trace, upto: int, plan: tuple, bindings: dict,
     reads the injective slots alone.  So a non-injective conjunct keeps one
     witness, the earliest, for each distinct set of variables it newly binds
     (the rest of the search depends on nothing else), and once no injective
-    conjunct is left the first completion stands for all of them."""
+    conjunct is left the first completion stands for all of them.
+
+    The candidates are the conjunct's tag list, or the smallest value bucket
+    over its always-bound ``Var`` slots when that list is longer than
+    ``_SHORT_LIST``; both are in trace order."""
     if k == len(plan):
-        return [((), bindings)]
-    pattern, match, names, first_only = plan[k]
-    new_names = None if names is None else tuple(
-        [name for name in names if name not in bindings])
+        return [((), bindings)]  # an empty plan: nothing to witness
+    tag, narrow, literals, checks, binds, names, first_only, last = plan[k]
+    candidates = trace.events_tagged(tag)
+    if len(candidates) > _SHORT_LIST:
+        for pos, name in narrow:
+            bucket = trace.with_value(tag, pos, bindings[name])
+            if len(bucket) < len(candidates):
+                candidates = bucket
+                if len(candidates) <= 1:
+                    break
     seen = set()
     out = []
-    for i, e in _candidates(trace, pattern, bindings):
+    for i, e in candidates:
         if i >= upto:
             break
-        nb = match(e, bindings)
-        if nb is None:
+        params = e.params
+        if literals and any(params[pos] is not term for pos, term in literals):
             continue
-        if new_names is not None:
-            key = tuple([nb.get(name) for name in new_names])
-            if key in seen:
-                continue
-            seen.add(key)
-        for tail, fb in _witness_tuples(trace, upto, plan, nb, k + 1):
-            out.append(((i,) + tail, fb))
-            if first_only:
-                return out
-        if new_names == ():
-            break  # binds nothing new: every later witness is the same
+        for pos, name, optional in checks:
+            value = params[pos]
+            if value is not bindings[name] and not (optional and value is NULL):
+                break
+        else:
+            nb = bindings
+            if binds:
+                nb = dict(bindings)
+                for pos, name, optional in binds:
+                    value = params[pos]
+                    if ((not optional or value is not NULL)
+                            and nb.setdefault(name, value) is not value):
+                        nb = None
+                        break
+                if nb is None:
+                    continue
+            if names:
+                key = tuple([nb.get(name) for name in names])
+                if key in seen:
+                    continue
+                seen.add(key)
+            if last:
+                out.append(((i,), nb))
+                if first_only:
+                    return out
+            else:
+                for tail, fb in _witness_tuples(trace, upto, plan, nb, k + 1):
+                    out.append(((i,) + tail, fb))
+                    if first_only:
+                        return out
+            if names == ():
+                break  # binds nothing new: every later witness is the same
     return out
 
 
 def _assign_injectively(trigger_options: list, requires: tuple) -> bool:
-    """Pick one witness tuple per trigger so injective slots never share."""
+    """Pick one witness tuple per trigger so injective slots never share:
+    first fit, backtracking over one set of claimed witnesses per injective
+    slot, each choice added before the next trigger and taken back after."""
     inj_slots = [i for i, r in enumerate(requires) if r.injective]
     if not inj_slots or len(trigger_options) <= 1:
         return True  # every trigger has an option, and none can clash
+    claimed = [(slot, set()) for slot in inj_slots]
 
-    def backtrack(t: int, used: dict) -> bool:
+    def backtrack(t: int) -> bool:
         if t == len(trigger_options):
             return True
         for indices, _b in trigger_options[t]:
-            clash = False
-            for slot in inj_slots:
-                if indices[slot] in used.get(slot, ()):  # witness already spoken for
-                    clash = True
-                    break
-            if clash:
-                continue
-            nxt = {s: used.get(s, frozenset()) for s in inj_slots}
-            for slot in inj_slots:
-                nxt[slot] = nxt[slot] | {indices[slot]}
-            if backtrack(t + 1, nxt):
-                return True
+            for slot, used in claimed:
+                if indices[slot] in used:
+                    break  # a witness already spoken for
+            else:
+                for slot, used in claimed:
+                    used.add(indices[slot])
+                if backtrack(t + 1):
+                    return True
+                for slot, used in claimed:
+                    used.remove(indices[slot])
         return False
 
-    return backtrack(0, {})
+    return backtrack(0)
 
 
-def check_correspondence(trace: Trace, goal: GoalSpec) -> GoalVerdict:
+def check_correspondence(trace: Trace, goal: GoalSpec,
+                         excluded: Optional[set] = None) -> GoalVerdict:
+    """`excluded` holds the indices of the excluded triggers, as
+    ``_exclusions`` gives them for at least this goal's trigger tag."""
     if goal.kind != "auth":
         raise ValueError(f"goal {goal.name} is not a correspondence")
+    if excluded is None:
+        excluded = _exclusions(trace, (goal.trigger.tag,))
     trigger_options = []
     for i, e in trace.events_tagged(goal.trigger.tag):
+        if i in excluded:
+            continue
         b = goal.trigger.match(e, {})
-        if b is None or _excluded(trace, e):
+        if b is None:
             continue
         options = _witness_tuples(trace, i, goal.plan, b)
         if not options:
-            missing = _first_unmatchable(trace, i, goal.plan, b)
+            missing = _first_unmatchable(trace, i, goal, b)
             return GoalVerdict(goal.name, "violated", _witness_text(i, e, missing))
         trigger_options.append(options)
         last = (i, e)
@@ -435,17 +486,19 @@ def check_correspondence(trace: Trace, goal: GoalSpec) -> GoalVerdict:
     return GoalVerdict(goal.name, "pass")
 
 
-def _first_unmatchable(trace: Trace, upto: int, plan: tuple,
+def _first_unmatchable(trace: Trace, upto: int, goal: GoalSpec,
                        bindings: dict) -> str:
-    # minimal diagnosis: the first conjunct that no consistent choice of
-    # witnesses for the conjuncts before it can extend; only existence is
-    # asked, so the first completion of each prefix is enough
+    # minimal diagnosis: the first conjunct, in declared order, that no
+    # consistent choice of witnesses for the conjuncts before it can extend;
+    # only existence is asked, so the first completion of each prefix is
+    # enough
     prefix = ()
-    for pattern, match, names, _first_only in plan:
-        prefix += ((pattern, match, names, True),)
-        if not _witness_tuples(trace, upto, prefix, bindings):
-            return (f"no earlier {pattern.tag} matches "
-                    f"{_pattern_text(pattern, bindings)}")
+    for r, step in zip(goal.requires, goal.plan):
+        probe = prefix + (step._replace(first_only=True, last=True),)
+        if not _witness_tuples(trace, upto, probe, bindings):
+            return (f"no earlier {r.pattern.tag} matches "
+                    f"{_pattern_text(r.pattern, bindings)}")
+        prefix += (step._replace(first_only=True),)
     return "no consistent combination of witnesses"
 
 
@@ -472,11 +525,15 @@ def _witness_text(index: int, event: Event, detail: str) -> str:
 # Secrecy
 # ---------------------------------------------------------------------------
 
-def check_secrecy(trace: Trace, knowledge: Knowledge, goal: GoalSpec) -> GoalVerdict:
+def check_secrecy(trace: Trace, knowledge: Knowledge, goal: GoalSpec,
+                  excluded: Optional[set] = None) -> GoalVerdict:
+    """`excluded` as for ``check_correspondence``."""
     if goal.kind != "secrecy":
         raise ValueError(f"goal {goal.name} is not a secrecy goal")
+    if excluded is None:
+        excluded = _exclusions(trace, (goal.trigger.tag,))
     for i, e in trace.events_tagged(goal.trigger.tag):
-        if goal.trigger.match(e, {}) is None or _excluded(trace, e):
+        if i in excluded or goal.trigger.match(e, {}) is None:
             continue
         target = e.params[goal.secrecy_index]
         if knowledge.deduce(target):
@@ -486,16 +543,20 @@ def check_secrecy(trace: Trace, knowledge: Knowledge, goal: GoalSpec) -> GoalVer
     return GoalVerdict(goal.name, "pass")
 
 
-def check_goal(trace: Trace, knowledge: Knowledge, goal: GoalSpec) -> GoalVerdict:
+def check_goal(trace: Trace, knowledge: Knowledge, goal: GoalSpec,
+               excluded: Optional[set] = None) -> GoalVerdict:
     if goal.kind == "secrecy":
-        return check_secrecy(trace, knowledge, goal)
-    return check_correspondence(trace, goal)
+        return check_secrecy(trace, knowledge, goal, excluded)
+    return check_correspondence(trace, goal, excluded)
 
 
 def check_all(trace: Trace, knowledge: Knowledge,
               catalog: Optional[list] = None) -> dict:
-    catalog = catalog or CATALOG
-    return {g.name: check_goal(trace, knowledge, g) for g in catalog}
+    """The verdict of every goal of `catalog` (default: the fifteen), the
+    exclusions worked out once for all of them."""
+    catalog = CATALOG if catalog is None else catalog
+    excluded = _exclusions(trace, dict.fromkeys(g.trigger.tag for g in catalog))
+    return {g.name: check_goal(trace, knowledge, g, excluded) for g in catalog}
 
 
 def check_forward_secrecy(world) -> GoalVerdict:
@@ -504,10 +565,10 @@ def check_forward_secrecy(world) -> GoalVerdict:
     of its own, so the world's adversary learns nothing."""
     post = Knowledge([*world.adversary.knowledge.base,
                       *world.long_term_private_keys()])
-    for g in CATALOG:
-        if g.kind != "secrecy":
-            continue
-        verdict = check_secrecy(world.trace, post, g)
+    secrecy = [g for g in CATALOG if g.kind == "secrecy"]
+    excluded = _exclusions(world.trace, dict.fromkeys(g.trigger.tag for g in secrecy))
+    for g in secrecy:
+        verdict = check_secrecy(world.trace, post, g, excluded)
         if not verdict.ok:
             return GoalVerdict("forward-secrecy", "violated",
                                f"{g.name} fails after long-term key leak: "

@@ -3,18 +3,21 @@
 Deliberately the plain algorithm the indexed checker in ``rsplab.goals``
 replaced: every conjunct is tried against every earlier event of the whole
 trace, every consistent witness tuple is enumerated, and the exclusion
-facts are recomputed by scanning.  It shares only the pattern language,
-the injective assignment and the text formatting with the checker under
-test; patterns are matched slot by slot here, not through the match plan
-each ``EventPattern`` works out.  Exponential in the number of conjuncts on
-long traces, so tests feed it short ones.
+facts are recomputed by scanning.  It shares only the pattern language
+and the text formatting with the checker under test: patterns are matched
+slot by slot here, not through the match plan each ``EventPattern`` works
+out, and the injective assignment tries every combination of witness tuples
+instead of backtracking.  Exponential in the number of conjuncts and of
+triggers on long traces, so tests feed it short ones.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from rsplab.events import ADVERSARY_USER, Event, Trace
 from rsplab.goals import (EventPattern, GoalSpec, GoalVerdict, OptVar, Var,
-                          Wild, _assign_injectively, _pattern_text)
+                          Wild, _pattern_text)
 from rsplab.terms import NULL, Atom, Knowledge, encode
 
 CLIENT_TAGS = ("U0", "U1", "U2", "U3")
@@ -106,6 +109,19 @@ def witness_tuples(events: list, upto: int, requires: tuple, bindings: dict) -> 
     return out
 
 
+def assign_injectively(trigger_options: list, requires: tuple) -> bool:
+    """Is there one witness tuple per trigger such that no two triggers
+    share a witness in an injective slot?  Every combination is tried; a
+    trigger's tuples that agree on all injective slots count once, since
+    nothing else is compared."""
+    slots = [k for k, r in enumerate(requires) if r.injective]
+    choices = [{tuple(indices[k] for k in slots) for indices, _ in options}
+               for options in trigger_options]
+    return any(all(len({pick[n] for pick in combo}) == len(combo)
+                   for n in range(len(slots)))
+               for combo in itertools.product(*choices))
+
+
 def _first_unmatchable(events, upto, requires, bindings) -> str:
     for k, req in enumerate(requires):
         prefix_ok = witness_tuples(events, upto, requires[:k], bindings)
@@ -135,7 +151,7 @@ def check_correspondence(trace: Trace, goal: GoalSpec) -> GoalVerdict:
                                f"trigger #{i} {e.render()}; {missing}")
         trigger_options.append(options)
 
-    if not _assign_injectively(trigger_options, goal.requires):
+    if not assign_injectively(trigger_options, goal.requires):
         i, e, _ = triggers[-1]
         return GoalVerdict(goal.name, "violated",
                            f"trigger #{i} {e.render()}; injective witness "

@@ -189,6 +189,30 @@ class TestPaths:
         assert v.witness.startswith("trigger #3 ")
         assert_same_verdicts(t, Knowledge())
 
+    def test_first_fit_backtracks(self):
+        # the first accepted session may start from either U0, the second
+        # only from the null one; first fit hands the first trigger that
+        # earliest U0, so the goal holds only if the assignment takes it back
+        s1, s2 = Atom("dl-1"), Atom("dl-2")
+        events = [Event("U0", (U, NULL)), Event("U0", (U, s1)),
+                  Event("S0", (SA, it(1), s1, MNO, NULL)),
+                  Event("S0", (SA, it(2), s2, MNO, NULL)),
+                  Event("U1", (U, SA, it(1), s1)),
+                  Event("U1", (U, SA, it(2), s2))]
+        t = make_trace(*events)
+        g = goal("A")
+        first = [goals._witness_tuples(t, i, g.plan, g.trigger.match(e, {}))
+                 for i, e in t.events_tagged("U1")]
+        assert [ix for ix, _ in first[0]] == [(0, 2), (1, 2)]
+        assert [ix for ix, _ in first[1]] == [(0, 3)]
+        assert check_goal(t, Knowledge(), g).ok
+        assert_same_verdicts(t, Knowledge())
+
+        t = make_trace(*events[:1], *events[2:])
+        v = check_goal(t, Knowledge(), g)
+        assert "injective witness exhausted" in v.witness
+        assert_same_verdicts(t, Knowledge())
+
 
 def test_notification_goal_with_many_orders_per_user():
     # 14 orders, and so 14 INTENT and ORDER events, per user before any

@@ -194,6 +194,36 @@ class TestSecrecy:
         assert check_secrecy(t, Knowledge([k]), goal("X")).ok
 
 
+class TestCheckAll:
+    def test_exclusions_are_asked_once_per_trigger_event(self, monkeypatch):
+        # some triggers of this attack are excluded; every goal that shares
+        # a trigger tag reuses one answer per event
+        w = build_world(ScenarioConfig("ac", 2, False))
+        ATTACKS_BY_ID["1"].run(w)
+        asked = []
+        excluded = goals._excluded
+
+        def counted(trace, event):
+            asked.append(event)
+            return excluded(trace, event)
+
+        monkeypatch.setattr(goals, "_excluded", counted)
+        verdicts = check_all(w.trace, w.adversary.knowledge)
+        triggers = sum(len(w.trace.events_tagged(tag))
+                       for tag in ("U1", "U2", "U3", "S1", "S2", "S3"))
+        assert any(excluded(w.trace, e) for e in asked)
+        assert 0 < len(asked) <= triggers
+        assert len(set(map(id, asked))) == len(asked)
+        assert verdicts == {g.name: goals.check_goal(w.trace, w.adversary.knowledge, g)
+                            for g in goals.CATALOG}
+
+    def test_an_empty_catalog_checks_no_goal(self):
+        w = build_world(ScenarioConfig("ds", 1, True))
+        honest_script(w)
+        assert check_all(w.trace, w.adversary.knowledge, []) == {}
+        assert len(check_all(w.trace, w.adversary.knowledge)) == len(goals.CATALOG)
+
+
 class TestForwardSecrecy:
     @pytest.mark.parametrize("tls", [True, False])
     def test_the_leak_leaves_the_adversary_knowledge_untouched(self, tls):
