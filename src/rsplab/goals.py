@@ -15,22 +15,26 @@ events of each tag and buckets them by the value at a position from the
 first lookup on, growing as the trace grows.  Each goal fixes its search
 plan when the catalog is built: per conjunct, the ``Var`` slots that the
 trigger or an earlier conjunct always binds (the only slots worth narrowing
-on), the names it newly binds, and whether it is the last.  A conjunct's
-candidates are the smallest bucket over those slots, so a witness lookup
-costs about the number of events that agree on their values; a tag with
-only a few events is handed over whole, since bucketing it would cost more
-than the candidates it saves.  The search matches each candidate against
-the plan itself, copies the bindings only when the conjunct binds something
-new, and records the last conjunct's witness without recursing.  It keeps
-only what the injective assignment can tell apart: an injective conjunct
-keeps every witness, a non-injective one keeps one witness (the earliest)
-per distinct set of names it newly binds, and once no injective conjunct is
-left the first consistent completion is enough.  The assignment is first
-fit with backtracking over one set of claimed witnesses per injective slot,
-each choice added and then taken back, so it copies nothing.  ``check_all``
-asks the exclusions once per trigger event and hands the answer to every
-goal; they read the same buckets.  A check only reads plans and stores
-nothing that grows with the number of checks.
+on), the slots to compare and to bind, the names it newly binds, and
+whether an injective conjunct is still to come.  A correspondence goal then
+compiles its plan, once per process and distinct plan, into its kernel: one
+generated function whose nested loops, one per conjunct, match the trigger
+and each candidate slot by slot, in locals, with no binding dict and no
+recursion.  A conjunct's candidates are the smallest bucket over
+its always-bound slots, so a witness lookup costs about the number of
+events that agree on their values; a tag with only a few events is handed
+over whole, since bucketing it would cost more than the candidates it
+saves.  The kernel keeps only what the injective assignment can tell apart:
+an injective conjunct keeps every witness, a non-injective one keeps one
+witness (the earliest) per distinct set of names it newly binds, and once
+no injective conjunct is left the first consistent completion is enough.
+When it finds no witness it says how many leading conjuncts it could
+satisfy, which names the conjunct in the diagnosis without a second
+search.  The assignment is first fit with backtracking over one set of
+claimed witnesses per injective slot, each choice added and then taken
+back, so it copies nothing.  ``check_all`` asks the exclusions once per
+trigger event and hands the answer to every goal; they read the same
+buckets.  A check stores nothing that grows with the number of checks.
 
 Secrecy goals bind a target parameter at the trigger and fail iff the
 end-of-run adversary knowledge derives it (knowledge only grows, so
@@ -45,8 +49,10 @@ and ownership all come from the trace, never from hidden state.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .events import ADVERSARY_USER, CLIENT_TRIGGER_TAGS, Event, Trace
 from .terms import NULL, Atom, Knowledge, Term, encode
@@ -128,7 +134,6 @@ class Step(NamedTuple):
     binds: tuple         # (position, name, optional) of the slots that may bind
     names: Optional[tuple]  # the names it may newly bind; None if injective
     first_only: bool     # no injective conjunct from here on
-    last: bool
 
 
 @dataclass(frozen=True)
@@ -140,8 +145,11 @@ class GoalSpec:
     trigger: EventPattern
     requires: tuple = ()
     secrecy_index: Optional[int] = None
-    # the witness search plan, worked out once per goal: one Step per conjunct
+    # the witness search plan, worked out once per goal: one Step per
+    # conjunct; a correspondence compiles it to its kernel (see _compile)
     plan: tuple = field(init=False, repr=False, compare=False)
+    kernel: Optional[Callable] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self) -> None:
         requires = self.requires
@@ -162,10 +170,12 @@ class GoalSpec:
                 r.pattern.literals, checks, binds,
                 None if r.injective
                 else tuple(dict.fromkeys(name for _, name, _ in binds)),
-                not any(later.injective for later in requires[k:]),
-                k == len(requires) - 1))
+                not any(later.injective for later in requires[k:])))
             bound.update(name for _, name, optional in binders if not optional)
         object.__setattr__(self, "plan", tuple(plan))
+        if self.kind == "auth":
+            object.__setattr__(self, "kernel",
+                               _compile(self.trigger, self.plan))
 
 
 @dataclass
@@ -177,6 +187,141 @@ class GoalVerdict:
     @property
     def ok(self) -> bool:
         return self.status == "pass"
+
+
+# ---------------------------------------------------------------------------
+# Witness search, compiled
+# ---------------------------------------------------------------------------
+
+# A tag list this short is scanned whole: a value bucket would cost a pass
+# over the list per bound position to save at most a few candidates.
+_SHORT_LIST = 4
+
+
+def _narrow(trace: Trace, tag: str, candidates: list, positions: tuple,
+            values: tuple) -> list:
+    """The shortest of `candidates` and the buckets of the `tag` events that
+    hold `values` at `positions`, tried in turn until one holds at most one
+    event; all of them in trace order."""
+    for pos, value in zip(positions, values):
+        bucket = trace.with_value(tag, pos, value)
+        if len(bucket) < len(candidates):
+            candidates = bucket
+            if len(candidates) <= 1:
+                break
+    return candidates
+
+
+@functools.cache
+def _compile(trigger: EventPattern, plan: tuple) -> Callable:
+    """The witness search of `plan` as one generated function,
+    ``kernel(trace, upto, params)``, with one nested loop per conjunct.
+
+    Given the parameters of a `trigger`-tagged event at index `upto`, the
+    kernel returns None if they do not match `trigger`; else the witness
+    index tuples, in trace order, that ``_assign_injectively`` can tell
+    apart (see the cost model above); else, when there is none, how many
+    leading conjuncts some consistent witnesses satisfy.  The cuts that
+    keep the tuples few skip only subtrees equal to one already searched,
+    so that count is exact.
+
+    Each binding gets a local of its own, so a loop's next candidate never
+    sees what an inner loop bound; a name that only ``OptVar`` slots have
+    bound so far holds null while unbound, since they never bind null.
+    Tags and literal terms reach the code through its namespace, so its
+    source spells no pattern data."""
+    env = {"NULL": NULL, "narrow": _narrow}
+    lines = ["def kernel(trace, upto, p):"]
+    local = {}            # name -> the local holding its value
+    optional_only = set()  # names only OptVar slots have bound so far
+    fresh = itertools.count()
+
+    def const(value) -> str:
+        key = f"k{len(env)}"
+        env[key] = value
+        return key
+
+    def emit(indent: int, line: str) -> None:
+        lines.append("    " * indent + line)
+
+    def match(indent: int, q: str, literals: tuple, binders: tuple,
+              fail: str) -> None:
+        for pos, term in literals:
+            emit(indent, f"if {q}[{pos}] is not {const(term)}: {fail}")
+        for pos, name, optional in binders:
+            old = local.get(name)
+            if old is not None and name not in optional_only:
+                # `a is not b is not NULL`: b differs from a and is not null
+                emit(indent, f"if {old} is not {q}[{pos}] is not NULL: {fail}"
+                     if optional else f"if {q}[{pos}] is not {old}: {fail}")
+                continue
+            new = local[name] = f"v{next(fresh)}"
+            emit(indent, f"{new} = {q}[{pos}]")
+            if old is not None:  # bound only if not null
+                if optional:
+                    emit(indent, f"if {new} is NULL: {new} = {old}")
+                    emit(indent, f"elif NULL is not {old} is not {new}: {fail}")
+                else:
+                    emit(indent, f"if NULL is not {old} is not {new}: {fail}")
+            if optional:
+                optional_only.add(name)
+            else:
+                optional_only.discard(name)
+
+    match(1, "p", trigger.literals, trigger.binders, "return None")
+    n = len(plan)
+    # the first conjunct from which one completion is enough
+    first = next((k for k, step in enumerate(plan) if step.first_only), n)
+    # reached[k] is set once conjuncts 0..k have consistent witnesses
+    reached = [f"r{k}" for k in range(n - 1)]
+    if reached:
+        emit(1, " = ".join(reached) + " = 0")
+    if first:
+        emit(1, "out = []")
+    emit(1, "tagged = trace.events_tagged")
+    for k, step in enumerate(plan):
+        tag = const(step.tag)
+        emit(k + 1, f"c{k} = tagged({tag})")
+        if step.narrow:
+            positions = tuple(pos for pos, _ in step.narrow)
+            values = "".join(f"{local[name]}, " for _, name in step.narrow)
+            emit(k + 1, f"if len(c{k}) > {_SHORT_LIST}: c{k} = narrow("
+                        f"trace, {tag}, c{k}, {positions}, ({values}))")
+        if step.names:
+            emit(k + 1, f"s{k} = set()")
+        if 0 < k == first < n - 1:
+            emit(k + 1, "h = 0")  # set once a completion is found
+        emit(k + 1, f"for i{k}, e{k} in c{k}:")
+        emit(k + 2, f"if i{k} >= upto: break")
+        emit(k + 2, f"q = e{k}.params")
+        match(k + 2, "q", step.literals, step.checks + step.binds,
+              "continue")
+        if step.names:
+            key = ", ".join(local[name] for name in step.names)
+            key = key if len(step.names) == 1 else f"({key})"
+            emit(k + 2, f"if {key} in s{k}: continue")
+            emit(k + 2, f"s{k}.add({key})")
+        if k < n - 1:
+            emit(k + 2, f"r{k} = 1")
+    witness = "".join(f"i{k}, " for k in range(n))  # () for an empty plan
+    if not first:
+        emit(n + 1, f"return [({witness})]")
+    else:
+        emit(n + 1, f"out.append(({witness}))")
+        if first < n - 1:
+            emit(n + 1, "h = 1")
+        if first < n:
+            emit(n + 1, "break")
+    # back in conjunct k's loop once conjunct k + 1's loop is done
+    for k in reversed(range(n - 1)):
+        if plan[k].names == ():
+            emit(k + 2, "break")  # binds nothing new: later ones the same
+        elif 0 < first <= k:
+            emit(k + 2, "if h: break")
+    depth = " + ".join(reached) or "0"
+    emit(1, f"return out or {depth}" if first else f"return {depth}")
+    exec(compile("\n".join(lines), "<goal kernel>", "exec"), env)
+    return env["kernel"]
 
 
 # ---------------------------------------------------------------------------
@@ -356,78 +501,6 @@ def _exclusions(trace: Trace, tags) -> set:
 # Correspondence checking
 # ---------------------------------------------------------------------------
 
-# A tag list this short is scanned whole: a value bucket would cost a pass
-# over the list per bound position to save at most a few candidates.
-_SHORT_LIST = 4
-
-
-def _witness_tuples(trace: Trace, upto: int, plan: tuple, bindings: dict,
-                    k: int = 0) -> list:
-    """Consistent ways to satisfy the conjuncts of `plan` from the `k`-th on
-    with events before `upto`, as (witness indices, bindings) in trace
-    order, keeping only what ``_assign_injectively`` can tell apart: it
-    reads the injective slots alone.  So a non-injective conjunct keeps one
-    witness, the earliest, for each distinct set of variables it newly binds
-    (the rest of the search depends on nothing else), and once no injective
-    conjunct is left the first completion stands for all of them.
-
-    The candidates are the conjunct's tag list, or the smallest value bucket
-    over its always-bound ``Var`` slots when that list is longer than
-    ``_SHORT_LIST``; both are in trace order."""
-    if k == len(plan):
-        return [((), bindings)]  # an empty plan: nothing to witness
-    tag, narrow, literals, checks, binds, names, first_only, last = plan[k]
-    candidates = trace.events_tagged(tag)
-    if len(candidates) > _SHORT_LIST:
-        for pos, name in narrow:
-            bucket = trace.with_value(tag, pos, bindings[name])
-            if len(bucket) < len(candidates):
-                candidates = bucket
-                if len(candidates) <= 1:
-                    break
-    seen = set()
-    out = []
-    for i, e in candidates:
-        if i >= upto:
-            break
-        params = e.params
-        if literals and any(params[pos] is not term for pos, term in literals):
-            continue
-        for pos, name, optional in checks:
-            value = params[pos]
-            if value is not bindings[name] and not (optional and value is NULL):
-                break
-        else:
-            nb = bindings
-            if binds:
-                nb = dict(bindings)
-                for pos, name, optional in binds:
-                    value = params[pos]
-                    if ((not optional or value is not NULL)
-                            and nb.setdefault(name, value) is not value):
-                        nb = None
-                        break
-                if nb is None:
-                    continue
-            if names:
-                key = tuple([nb.get(name) for name in names])
-                if key in seen:
-                    continue
-                seen.add(key)
-            if last:
-                out.append(((i,), nb))
-                if first_only:
-                    return out
-            else:
-                for tail, fb in _witness_tuples(trace, upto, plan, nb, k + 1):
-                    out.append(((i,) + tail, fb))
-                    if first_only:
-                        return out
-            if names == ():
-                break  # binds nothing new: every later witness is the same
-    return out
-
-
 def _assign_injectively(trigger_options: list, requires: tuple) -> bool:
     """Pick one witness tuple per trigger so injective slots never share:
     first fit, backtracking over one set of claimed witnesses per injective
@@ -440,7 +513,7 @@ def _assign_injectively(trigger_options: list, requires: tuple) -> bool:
     def backtrack(t: int) -> bool:
         if t == len(trigger_options):
             return True
-        for indices, _b in trigger_options[t]:
+        for indices in trigger_options[t]:
             for slot, used in claimed:
                 if indices[slot] in used:
                     break  # a witness already spoken for
@@ -464,17 +537,17 @@ def check_correspondence(trace: Trace, goal: GoalSpec,
         raise ValueError(f"goal {goal.name} is not a correspondence")
     if excluded is None:
         excluded = _exclusions(trace, (goal.trigger.tag,))
+    kernel = goal.kernel
     trigger_options = []
     for i, e in trace.events_tagged(goal.trigger.tag):
         if i in excluded:
             continue
-        b = goal.trigger.match(e, {})
-        if b is None:
+        options = kernel(trace, i, e.params)
+        if options is None:
             continue
-        options = _witness_tuples(trace, i, goal.plan, b)
-        if not options:
-            missing = _first_unmatchable(trace, i, goal, b)
-            return GoalVerdict(goal.name, "violated", _witness_text(i, e, missing))
+        if type(options) is int:
+            return GoalVerdict(goal.name, "violated", _witness_text(
+                i, e, _first_unmatchable(goal, options, e)))
         trigger_options.append(options)
         last = (i, e)
 
@@ -486,20 +559,13 @@ def check_correspondence(trace: Trace, goal: GoalSpec,
     return GoalVerdict(goal.name, "pass")
 
 
-def _first_unmatchable(trace: Trace, upto: int, goal: GoalSpec,
-                       bindings: dict) -> str:
+def _first_unmatchable(goal: GoalSpec, depth: int, event: Event) -> str:
     # minimal diagnosis: the first conjunct, in declared order, that no
-    # consistent choice of witnesses for the conjuncts before it can extend;
-    # only existence is asked, so the first completion of each prefix is
-    # enough
-    prefix = ()
-    for r, step in zip(goal.requires, goal.plan):
-        probe = prefix + (step._replace(first_only=True, last=True),)
-        if not _witness_tuples(trace, upto, probe, bindings):
-            return (f"no earlier {r.pattern.tag} matches "
-                    f"{_pattern_text(r.pattern, bindings)}")
-        prefix += (step._replace(first_only=True),)
-    return "no consistent combination of witnesses"
+    # consistent choice of witnesses for the conjuncts before it extends,
+    # which is how deep the failed search got
+    pattern = goal.requires[depth].pattern
+    return (f"no earlier {pattern.tag} matches "
+            f"{_pattern_text(pattern, goal.trigger.match(event, {}))}")
 
 
 def _pattern_text(pattern: EventPattern, bindings: dict) -> str:

@@ -76,43 +76,94 @@ SESSION = ("AUTHORIZE", "OWNER", "INTENT", "ORDER", "U0", "S0", "U1", "S1",
            "U2", "S2", "U3", "S3")
 TAGS = sorted(LAYOUT)
 
-# A trace interleaves up to three runs, each a valuation of the run
-# variables.  Each draw names a run and, two times in three, appends that
-# run's next session step (starting over after S3), else an event of any
-# tag; one event in four has one parameter swapped for another pool term.
-runs = st.lists(st.fixed_dictionaries({v: st.sampled_from(POOL) for v in RUN_VARS}),
-                min_size=1, max_size=3)
+# A trace interleaves two or three runs, each a valuation of the run
+# variables.  The first is drawn whole; each other one copies it with the
+# device (U) or the server (S) switched between null and a named term.  An
+# optional identity slot takes null or the bound value, so a witness naming
+# no identity serves the triggers of several runs, and a trigger whose
+# identity is null takes only such a witness: the triggers of one goal
+# compete for the same injective witnesses, and when the run whose witness
+# comes first triggers last, first fit has to take its choice back.  The
+# runs take turns in a drawn order; each turn appends the run's next session
+# step (starting over after S3) or, one time in eight, an event of any tag,
+# and about one event in twelve has one parameter swapped for another pool
+# term.
+IDENTITIES = ("U", "S")
+valuation = st.fixed_dictionaries({v: st.sampled_from(POOL) for v in RUN_VARS})
+runs = st.tuples(valuation, st.lists(st.sampled_from(IDENTITIES), min_size=1,
+                                     max_size=2)).map(
+    lambda r: [r[0]] + [{**r[0], v: NULL if r[0][v] is not NULL else SECRETS[0]}
+                        for v in r[1]])
+turns = st.permutations([run for run in range(3) for _ in range(15)])
 event_draws = st.lists(
-    st.tuples(st.integers(0, 2), st.integers(0, 3 * len(TAGS) - 1),
-              st.integers(0, 31), st.sampled_from(POOL)),
-    min_size=12, max_size=36)
+    st.tuples(st.integers(0, 8 * len(TAGS) - 1), st.integers(0, 63),
+              st.sampled_from(POOL)),
+    min_size=30, max_size=45)
 
 
-@settings(max_examples=300, deadline=None)
-@given(runs, event_draws, st.sets(st.sampled_from(SECRETS)), st.integers(0, 36))
-def test_random_traces_match_the_oracle(valuations, draws, known, cut):
-    # checked once on a prefix, which fills the trace's value buckets, and
-    # again after the rest is appended to the same trace, which must grow
-    # the buckets already filled
-    steps = [0, 0, 0]
-    events = []
-    for run, pick, swap_pos, swap_term in draws:
-        if pick < len(TAGS):
-            tag = TAGS[pick]
+def first_fit(trigger_options: list, requires: tuple) -> bool:
+    """The injective assignment without backtracking: each trigger keeps
+    the first witness tuple that no earlier trigger claimed."""
+    slots = [k for k, r in enumerate(requires) if r.injective]
+    claimed = [set() for _ in slots]
+    for options in trigger_options:
+        for indices in options:
+            if all(indices[k] not in used for k, used in zip(slots, claimed)):
+                for k, used in zip(slots, claimed):
+                    used.add(indices[k])
+                break
         else:
-            tag = SESSION[steps[run] % len(SESSION)]
-            steps[run] += 1
-        valuation = valuations[run % len(valuations)]
-        params = [valuation[v] for v in LAYOUT[tag]]
-        if swap_pos < len(params):
-            params[swap_pos] = swap_term
-        events.append(Event(tag, tuple(params)))
-    knowledge = Knowledge(sorted(known, key=repr))
-    trace = make_trace(*events[:cut])
-    assert_same_verdicts(trace, knowledge)
-    for e in events[cut:]:
-        trace.append(e)
-    assert_same_verdicts(trace, knowledge)
+            return False
+    return True
+
+
+# examples, of 300, whose verdicts needed the assignment to take a choice
+# back; from 6 to 39, median 14, over 16 runs of this test
+BACKTRACKING_EXAMPLES = 3
+
+
+def test_random_traces_match_the_oracle(monkeypatch):
+    backtracked = []
+    assign = goals._assign_injectively
+
+    def counting(trigger_options, requires):
+        ok = assign(trigger_options, requires)
+        if ok and not first_fit(trigger_options, requires):
+            backtracked[-1] = True
+        return ok
+
+    monkeypatch.setattr(goals, "_assign_injectively", counting)
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs, turns, event_draws, st.sets(st.sampled_from(SECRETS)),
+           st.integers(0, 45))
+    def check(valuations, order, draws, known, cut):
+        # checked once on a prefix, which fills the trace's value buckets,
+        # and again after the rest is appended to the same trace, which
+        # must grow the buckets already filled
+        backtracked.append(False)
+        steps = [0, 0, 0]
+        events = []
+        order = [run for run in order if run < len(valuations)]
+        for run, (pick, swap_pos, swap_term) in zip(order, draws):
+            if pick < len(TAGS):
+                tag = TAGS[pick]
+            else:
+                tag = SESSION[steps[run] % len(SESSION)]
+                steps[run] += 1
+            params = [valuations[run][v] for v in LAYOUT[tag]]
+            if swap_pos < len(params):
+                params[swap_pos] = swap_term
+            events.append(Event(tag, tuple(params)))
+        knowledge = Knowledge(sorted(known, key=repr))
+        trace = make_trace(*events[:cut])
+        assert_same_verdicts(trace, knowledge)
+        for e in events[cut:]:
+            trace.append(e)
+        assert_same_verdicts(trace, knowledge)
+
+    check()
+    assert sum(backtracked) >= BACKTRACKING_EXAMPLES, sum(backtracked)
 
 
 # a pattern slot: a variable, a wildcard, or a literal built apart from the
@@ -201,10 +252,8 @@ class TestPaths:
                   Event("U1", (U, SA, it(2), s2))]
         t = make_trace(*events)
         g = goal("A")
-        first = [goals._witness_tuples(t, i, g.plan, g.trigger.match(e, {}))
-                 for i, e in t.events_tagged("U1")]
-        assert [ix for ix, _ in first[0]] == [(0, 2), (1, 2)]
-        assert [ix for ix, _ in first[1]] == [(0, 3)]
+        first = [g.kernel(t, i, e.params) for i, e in t.events_tagged("U1")]
+        assert first == [[(0, 2), (1, 2)], [(0, 3)]]
         assert check_goal(t, Knowledge(), g).ok
         assert_same_verdicts(t, Knowledge())
 
@@ -212,6 +261,51 @@ class TestPaths:
         v = check_goal(t, Knowledge(), g)
         assert "injective witness exhausted" in v.witness
         assert_same_verdicts(t, Knowledge())
+
+
+# Not one of the fifteen: variable names no Python identifier can spell, a
+# literal whose label holds a quote and a newline, an optional identity in
+# the trigger that a later Var slot must bind when it is null, and a name
+# bound twice within one conjunct.  None of it may reach the kernel source.
+ODD = Atom('it\'s "odd"\nlabel')
+CODEGEN = GoalSpec(
+    "codegen", "auth", "client", "names and literals the kernel cannot spell",
+    EventPattern("U1", (Var("u 1"), Var("class"), ODD, OptVar("S"))),
+    (Requirement(EventPattern("U0", (Var("u 1"), OptVar("S"))), True),
+     Requirement(EventPattern("S0", (Var("class"), ODD, Var("S"), W, W)), False),
+     Requirement(EventPattern("INTENT", (Var("for"), W, Var("u 1"), Var("for"))),
+                 False)))
+
+
+def test_kernel_source_holds_no_pattern_data():
+    x, y = Atom("x"), Atom("y")
+    start, served = Event("U0", (U, NULL)), Event("S0", (SA, ODD, S, MNO, NULL))
+    intent = Event("INTENT", (x, MNO, U, x))
+    accept = Event("U1", (U, SA, ODD, NULL))
+    traces = [
+        (start, served, intent, accept),                        # pass
+        (served, intent, accept),                               # no U0
+        (Event("U0", (U, Atom("dl-2"))), served, intent, accept),  # S differs
+        (start, served, Event("INTENT", (x, MNO, U, y)), accept),  # for != for
+        (start, served, intent, accept, accept),                # one U0, two U1
+        (start, served, intent, Event("U1", (U, SA, Atom("odd"), NULL))),
+    ]
+    verdicts = []
+    for events in traces:
+        t = make_trace(*events)
+        got = check_goal(t, Knowledge(), CODEGEN)
+        want = goal_oracle.check_goal(t, Knowledge(), CODEGEN)
+        assert (got.status, got.witness) == (want.status, want.witness)
+        verdicts.append(got.witness)
+    assert verdicts[0] is None and verdicts[5] is None
+    for witness, detail in zip(verdicts[1:5], (
+            "no earlier U0 ", "no earlier S0 ", "no earlier INTENT ",
+            "injective witness exhausted")):
+        assert witness.split("; ", 1)[1].startswith(detail)
+
+    misses = goals._compile.cache_info().misses
+    assert [g.kernel for g in goal_catalog()] == [g.kernel for g in CATALOGS["default"]]
+    assert goals._compile.cache_info().misses == misses
 
 
 def test_notification_goal_with_many_orders_per_user():
@@ -240,7 +334,7 @@ def test_notification_goal_with_many_orders_per_user():
     bindings = g.trigger.match(s3, {})
     events = goal_oracle._events(w.trace)
     assert len(goal_oracle.witness_tuples(events, i, g.requires, bindings)) == 14 * 14
-    assert len(goals._witness_tuples(w.trace, i, g.plan, bindings)) == 1
+    assert len(g.kernel(w.trace, i, s3.params)) == 1
 
 
 def ds_orders(k: int, triggers: int) -> Trace:
@@ -263,9 +357,9 @@ def test_identical_intents_give_one_witness_tuple_per_order():
     g = goal("Bp")
     i, s1 = t.events_tagged("S1")[-1]
     bindings = g.trigger.match(s1, {})
-    tuples = goals._witness_tuples(t, i, g.plan, bindings)
+    tuples = g.kernel(t, i, s1.params)
     orders = [j for j, _ in t.events_tagged("ORDER")]
-    assert [ix[2] for ix, _ in tuples] == orders
+    assert [ix[2] for ix in tuples] == orders
     events = goal_oracle._events(t)
     assert len(goal_oracle.witness_tuples(events, i, g.requires, bindings)) == k * k
     assert check_goal(t, Knowledge(), g).ok
