@@ -182,9 +182,9 @@ def swap_code(sk_u, cert_u, new_iac):
 
 def fake_client_download(world: World, domain: str, cert_u, sk_u,
                          iac: Term = NULL, notify: bool = True,
-                         qu_override: Optional[Term] = None) -> Optional[dict]:
+                         qu_override: Optional[Term] = None) -> Optional[Term]:
     """Run the client side of a download with raw key material.  Returns
-    session facts, or None as soon as the server refuses."""
+    the delivery's ciphertext, or None as soon as the server refuses."""
     adv = world.adversary
     dial = world.servers[domain].identity.domain
     recs = world.cfg.recs
@@ -209,11 +209,11 @@ def fake_client_download(world: World, domain: str, cert_u, sk_u,
         sig=seal("sign", sk_u, SIG11.build(it=it, q_u=q_u))))
     if m12 == MSG_ERROR:
         return None
-    m12 = M12.parse(m12, "adv")
+    enc = M12.parse(m12, "adv")["enc"]
     if notify:
         adversary_request(world, dial, M15.build(
             sig=seal("sign", sk_u, SIG15.build(s=s, oid=cert_sa.oid, it=it))))
-    return {"it": it, "enc": m12["enc"], "mno": m12["mno"], "s": s}
+    return enc
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +520,7 @@ def _ctl_replayed_server_share(world: World) -> None:
     if second is not None:
         # the replayed share pairs two server-side ephemerals; neither private
         # component ever leaves its owner, so the delivery must stay sealed
-        assert not world.adversary.knows(second["enc"].body), \
+        assert not world.adversary.knows(second.body), \
             "replayed server share must not open the delivery"
     world.note("info", "control", "replayed key share gained nothing")
 

@@ -12,22 +12,24 @@ witness tuples, which on these small traces is exact.
 Cost model: the checker never scans the trace.  It reads the trace's own
 index (``Trace.events_tagged`` and ``Trace.with_value``), which lists the
 events of each tag and buckets them by the value at a position from the
-first lookup on, growing as the trace grows.  Each goal fixes its search
-plan when the catalog is built: per conjunct, the ``Var`` slots that the
-trigger or an earlier conjunct always binds (the only slots worth narrowing
-on), the slots to compare and to bind, the names it newly binds, and
-whether an injective conjunct is still to come.  A correspondence goal then
-compiles its plan, once per process and distinct plan, into its kernel: one
-generated function whose nested loops, one per conjunct, match the trigger
-and each candidate slot by slot, in locals, with no binding dict and no
-recursion.  A conjunct's candidates are the smallest bucket over
-its always-bound slots, so a witness lookup costs about the number of
-events that agree on their values; a tag with only a few events is handed
-over whole, since bucketing it would cost more than the candidates it
-saves.  The kernel keeps only what the injective assignment can tell apart:
-an injective conjunct keeps every witness, a non-injective one keeps one
-witness (the earliest) per distinct set of names it newly binds, and once
-no injective conjunct is left the first consistent completion is enough.
+first lookup on, growing as the trace grows.  Each goal's patterns are
+compiled when the catalog is built, once per process and distinct goal,
+into its kernel, the checker's only matcher: one generated function that
+matches the trigger and then, in nested loops, one per conjunct, each
+candidate slot by slot, in locals, with no binding dict and no recursion.
+The compiler reads what it needs of a conjunct off the slots before it:
+the ``Var`` slots that the trigger or an earlier conjunct always binds (the
+only slots worth narrowing on), the slots to compare and to bind, the names
+it newly binds, and whether an injective conjunct is still to come.  A
+secrecy goal's kernel has no conjunct and only matches its trigger.  A
+conjunct's candidates are the smallest bucket over its always-bound slots,
+so a witness lookup costs about the number of events that agree on their
+values; a tag with only a few events is handed over whole, since
+bucketing it would cost more than the candidates it saves.  The kernel
+keeps only what the injective assignment can tell apart: an injective
+conjunct keeps every witness, a non-injective one keeps one witness (the
+earliest) per distinct set of names it newly binds, and once no injective
+conjunct is left the first consistent completion is enough.
 When it finds no witness it says how many leading conjuncts it could
 satisfy, which names the conjunct in the diagnosis without a second
 search.  The assignment is first fit with backtracking over one set of
@@ -52,7 +54,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .events import ADVERSARY_USER, CLIENT_TRIGGER_TAGS, Event, Trace
 from .terms import NULL, Atom, Knowledge, Term, encode
@@ -85,8 +87,8 @@ W = Wild()
 class EventPattern:
     tag: str
     params: tuple
-    # the match plan, worked out once: (position, term) of every literal
-    # slot and (position, name, optional) of every Var/OptVar slot
+    # worked out once: (position, term) of every literal slot and
+    # (position, name, optional) of every Var/OptVar slot
     literals: tuple = field(init=False, repr=False, compare=False)
     binders: tuple = field(init=False, repr=False, compare=False)
 
@@ -99,41 +101,11 @@ class EventPattern:
             for pos, p in enumerate(self.params)
             if isinstance(p, (Var, OptVar))))
 
-    def match(self, event: Event, bindings: dict) -> Optional[dict]:
-        if event.tag != self.tag:
-            return None
-        params = event.params
-        for pos, term in self.literals:
-            value = params[pos]
-            if value is not term:
-                return None
-        out = dict(bindings)
-        for pos, name, optional in self.binders:
-            value = params[pos]
-            if optional and value is NULL:
-                continue
-            if name not in out:
-                out[name] = value
-            elif out[name] is not value:
-                return None
-        return out
-
 
 @dataclass(frozen=True)
 class Requirement:
     pattern: EventPattern
     injective: bool
-
-
-class Step(NamedTuple):
-    """One conjunct of a goal's witness search, as the search reads it."""
-    tag: str
-    narrow: tuple        # (position, name) of the Var slots always bound here
-    literals: tuple      # (position, term) of the literal slots
-    checks: tuple        # (position, name, optional) of the slots always bound
-    binds: tuple         # (position, name, optional) of the slots that may bind
-    names: Optional[tuple]  # the names it may newly bind; None if injective
-    first_only: bool     # no injective conjunct from here on
 
 
 @dataclass(frozen=True)
@@ -145,37 +117,12 @@ class GoalSpec:
     trigger: EventPattern
     requires: tuple = ()
     secrecy_index: Optional[int] = None
-    # the witness search plan, worked out once per goal: one Step per
-    # conjunct; a correspondence compiles it to its kernel (see _compile)
-    plan: tuple = field(init=False, repr=False, compare=False)
-    kernel: Optional[Callable] = field(default=None, init=False, repr=False,
-                                       compare=False)
+    # the goal's matcher, compiled once per distinct goal (see _compile)
+    kernel: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        requires = self.requires
-        # the names bound whatever the events: every Var slot of the trigger
-        # and of the conjuncts before the current one (an OptVar slot binds
-        # nothing when it holds null)
-        bound = {name for _, name, optional in self.trigger.binders
-                 if not optional}
-        plan = []
-        for k, r in enumerate(requires):
-            binders = r.pattern.binders
-            checks = tuple(b for b in binders if b[1] in bound)
-            binds = tuple(b for b in binders if b[1] not in bound)
-            plan.append(Step(
-                r.pattern.tag,
-                tuple((pos, name) for pos, name, optional in checks
-                      if not optional),
-                r.pattern.literals, checks, binds,
-                None if r.injective
-                else tuple(dict.fromkeys(name for _, name, _ in binds)),
-                not any(later.injective for later in requires[k:])))
-            bound.update(name for _, name, optional in binders if not optional)
-        object.__setattr__(self, "plan", tuple(plan))
-        if self.kind == "auth":
-            object.__setattr__(self, "kernel",
-                               _compile(self.trigger, self.plan))
+        object.__setattr__(self, "kernel",
+                           _compile(self.trigger, self.requires))
 
 
 @dataclass
@@ -213,17 +160,18 @@ def _narrow(trace: Trace, tag: str, candidates: list, positions: tuple,
 
 
 @functools.cache
-def _compile(trigger: EventPattern, plan: tuple) -> Callable:
-    """The witness search of `plan` as one generated function,
-    ``kernel(trace, upto, params)``, with one nested loop per conjunct.
+def _compile(trigger: EventPattern, requires: tuple) -> Callable:
+    """The matcher of a goal with `trigger` and the conjuncts `requires`, as
+    one generated function, ``kernel(trace, upto, params)``, with one
+    nested loop per conjunct.
 
     Given the parameters of a `trigger`-tagged event at index `upto`, the
     kernel returns None if they do not match `trigger`; else the witness
     index tuples, in trace order, that ``_assign_injectively`` can tell
-    apart (see the cost model above); else, when there is none, how many
-    leading conjuncts some consistent witnesses satisfy.  The cuts that
-    keep the tuples few skip only subtrees equal to one already searched,
-    so that count is exact.
+    apart (see the cost model above), which is ``[()]`` for a goal with no
+    conjuncts; else, when there is none, how many leading conjuncts some
+    consistent witnesses satisfy.  The cuts that keep the tuples few skip
+    only subtrees equal to one already searched, so that count is exact.
 
     Each binding gets a local of its own, so a loop's next candidate never
     sees what an inner loop bound; a name that only ``OptVar`` slots have
@@ -244,13 +192,18 @@ def _compile(trigger: EventPattern, plan: tuple) -> Callable:
     def emit(indent: int, line: str) -> None:
         lines.append("    " * indent + line)
 
+    def bound(name: str) -> bool:
+        # bound whatever the events: a Var slot has bound it (an OptVar
+        # slot binds nothing when it holds null)
+        return name in local and name not in optional_only
+
     def match(indent: int, q: str, literals: tuple, binders: tuple,
               fail: str) -> None:
         for pos, term in literals:
             emit(indent, f"if {q}[{pos}] is not {const(term)}: {fail}")
         for pos, name, optional in binders:
             old = local.get(name)
-            if old is not None and name not in optional_only:
+            if bound(name):
                 # `a is not b is not NULL`: b differs from a and is not null
                 emit(indent, f"if {old} is not {q}[{pos}] is not NULL: {fail}"
                      if optional else f"if {q}[{pos}] is not {old}: {fail}")
@@ -269,9 +222,11 @@ def _compile(trigger: EventPattern, plan: tuple) -> Callable:
                 optional_only.discard(name)
 
     match(1, "p", trigger.literals, trigger.binders, "return None")
-    n = len(plan)
-    # the first conjunct from which one completion is enough
-    first = next((k for k, step in enumerate(plan) if step.first_only), n)
+    n = len(requires)
+    # the first conjunct from which one completion is enough: no injective
+    # conjunct is left
+    first = max((k + 1 for k, r in enumerate(requires) if r.injective),
+                default=0)
     # reached[k] is set once conjuncts 0..k have consistent witnesses
     reached = [f"r{k}" for k in range(n - 1)]
     if reached:
@@ -279,31 +234,39 @@ def _compile(trigger: EventPattern, plan: tuple) -> Callable:
     if first:
         emit(1, "out = []")
     emit(1, "tagged = trace.events_tagged")
-    for k, step in enumerate(plan):
-        tag = const(step.tag)
+    news = []  # per conjunct, the names it newly binds; None if injective
+    for k, r in enumerate(requires):
+        tag = const(r.pattern.tag)
+        checks = tuple(b for b in r.pattern.binders if bound(b[1]))
+        binds = tuple(b for b in r.pattern.binders if not bound(b[1]))
+        names = None if r.injective \
+            else tuple(dict.fromkeys(name for _, name, _ in binds))
+        news.append(names)
         emit(k + 1, f"c{k} = tagged({tag})")
-        if step.narrow:
-            positions = tuple(pos for pos, _ in step.narrow)
-            values = "".join(f"{local[name]}, " for _, name in step.narrow)
+        # candidates narrowed on the Var slots bound whatever the events
+        narrow = [(pos, local[name]) for pos, name, optional in checks
+                  if not optional]
+        if narrow:
+            positions = tuple(pos for pos, _ in narrow)
+            values = "".join(f"{value}, " for _, value in narrow)
             emit(k + 1, f"if len(c{k}) > {_SHORT_LIST}: c{k} = narrow("
                         f"trace, {tag}, c{k}, {positions}, ({values}))")
-        if step.names:
+        if names:
             emit(k + 1, f"s{k} = set()")
         if 0 < k == first < n - 1:
             emit(k + 1, "h = 0")  # set once a completion is found
         emit(k + 1, f"for i{k}, e{k} in c{k}:")
         emit(k + 2, f"if i{k} >= upto: break")
         emit(k + 2, f"q = e{k}.params")
-        match(k + 2, "q", step.literals, step.checks + step.binds,
-              "continue")
-        if step.names:
-            key = ", ".join(local[name] for name in step.names)
-            key = key if len(step.names) == 1 else f"({key})"
+        match(k + 2, "q", r.pattern.literals, checks + binds, "continue")
+        if names:
+            key = ", ".join(local[name] for name in names)
+            key = key if len(names) == 1 else f"({key})"
             emit(k + 2, f"if {key} in s{k}: continue")
             emit(k + 2, f"s{k}.add({key})")
         if k < n - 1:
             emit(k + 2, f"r{k} = 1")
-    witness = "".join(f"i{k}, " for k in range(n))  # () for an empty plan
+    witness = "".join(f"i{k}, " for k in range(n))
     if not first:
         emit(n + 1, f"return [({witness})]")
     else:
@@ -314,7 +277,7 @@ def _compile(trigger: EventPattern, plan: tuple) -> Callable:
             emit(n + 1, "break")
     # back in conjunct k's loop once conjunct k + 1's loop is done
     for k in reversed(range(n - 1)):
-        if plan[k].names == ():
+        if news[k] == ():
             emit(k + 2, "break")  # binds nothing new: later ones the same
         elif 0 < first <= k:
             emit(k + 2, "if h: break")
@@ -562,10 +525,14 @@ def check_correspondence(trace: Trace, goal: GoalSpec,
 def _first_unmatchable(goal: GoalSpec, depth: int, event: Event) -> str:
     # minimal diagnosis: the first conjunct, in declared order, that no
     # consistent choice of witnesses for the conjuncts before it extends,
-    # which is how deep the failed search got
+    # which is how deep the failed search got; the kernel has matched the
+    # trigger, so its slots agree on each name they bind
+    params = event.params
+    bindings = {name: params[pos]
+                for pos, name, optional in goal.trigger.binders
+                if not (optional and params[pos] is NULL)}
     pattern = goal.requires[depth].pattern
-    return (f"no earlier {pattern.tag} matches "
-            f"{_pattern_text(pattern, goal.trigger.match(event, {}))}")
+    return f"no earlier {pattern.tag} matches {_pattern_text(pattern, bindings)}"
 
 
 def _pattern_text(pattern: EventPattern, bindings: dict) -> str:
@@ -598,8 +565,9 @@ def check_secrecy(trace: Trace, knowledge: Knowledge, goal: GoalSpec,
         raise ValueError(f"goal {goal.name} is not a secrecy goal")
     if excluded is None:
         excluded = _exclusions(trace, (goal.trigger.tag,))
+    kernel = goal.kernel
     for i, e in trace.events_tagged(goal.trigger.tag):
-        if i in excluded or goal.trigger.match(e, {}) is None:
+        if i in excluded or kernel(trace, i, e.params) is None:
             continue
         target = e.params[goal.secrecy_index]
         if knowledge.deduce(target):

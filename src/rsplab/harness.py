@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -28,8 +27,6 @@ from .fixture import GOALS, expected_matrix, scenario_rows
 from .goals import check_all, goal_catalog
 from .scenarios import (ConfigError, ScenarioConfig, build_world, expand_recs,
                         parse_config)
-
-DEFAULT_SEED_ENV = "RSP_LAB_SEED"
 
 
 @dataclass
@@ -61,7 +58,6 @@ class Cell:
 @dataclass
 class MatrixReport:
     cells: list
-    seed: int
     recs: tuple
     runtime: float
     audit_failures: list = field(default_factory=list)
@@ -128,7 +124,7 @@ def evaluate_cell_group(cfg: ScenarioConfig, outcomes: list[RunOutcome],
 
 
 def run_matrix(approaches=("ds", "ac"), scenarios=None, tls_values=(True, False),
-               recs=frozenset(), seed: int = 0) -> MatrixReport:
+               recs=frozenset()) -> MatrixReport:
     start = time.monotonic()
     cells = []
     audit_failures = []
@@ -145,7 +141,7 @@ def run_matrix(approaches=("ds", "ac"), scenarios=None, tls_values=(True, False)
                     cfg, run_world_suite(cfg), compare)
                 cells.extend(group)
                 audit_failures.extend(audits)
-    return MatrixReport(cells, seed, tuple(sorted(recs)),
+    return MatrixReport(cells, tuple(sorted(recs)),
                         time.monotonic() - start, audit_failures)
 
 
@@ -195,7 +191,7 @@ def render_text(report: MatrixReport) -> str:
     bad = report.disagreements()
     out.append(f"cells: {len(report.cells)}  disagreements: {len(bad)}  "
                f"audit failures: {len(report.audit_failures)}  "
-               f"runtime: {report.runtime:.2f}s  seed: {report.seed}")
+               f"runtime: {report.runtime:.2f}s")
     for c in bad:
         out.append(f"  DISAGREE {c.approach}/{c.scenario}/"
                    f"{'tls' if c.tls else 'notls'}/{c.goal}: actual={c.actual} "
@@ -209,9 +205,10 @@ def render_text(report: MatrixReport) -> str:
     return "\n".join(out)
 
 
-# render_json's report and cell, keys in sorted order
+# render_json's report and cell, keys in sorted order; the report's
+# "seed" is always 0, kept because the product's pinned digests include it
 _JSON_REPORT = ('{{\n  "audit_failures": {},\n  "cells": {},\n'
-                '  "disagreements": {:d},\n  "recs": {},\n  "seed": {:d}\n}}')
+                '  "disagreements": {:d},\n  "recs": {},\n  "seed": 0\n}}')
 _JSON_CELL = ('{{\n      "actual": {},\n      "agree": {},\n      "approach": {},\n'
               '      "expected": {},\n      "goal": {},\n      "refs": {},\n'
               '      "scenario": {:d},\n      "tls": {},\n      "via": {},\n'
@@ -245,7 +242,7 @@ def render_json(report: MatrixReport) -> str:
     return _JSON_REPORT.format(
         _json_list(report.audit_failures, "  "),
         _json_list(report.cells, "  ", _json_cell), len(report.disagreements()),
-        _json_list(report.recs, "  "), report.seed)
+        _json_list(report.recs, "  "))
 
 
 def render_csv(report: MatrixReport) -> str:
@@ -337,8 +334,7 @@ def _cmd_matrix(args) -> int:
     tls_values = {"both": (True, False), "on": (True,), "off": (False,)}[args.tls_filter]
     scenarios = set(args.scenario_filter) if args.scenario_filter else None
     recs = frozenset(x.strip().upper() for x in args.recs.split(",") if x.strip())
-    report = run_matrix(approaches, scenarios, tls_values, recs=recs,
-                        seed=args.seed)
+    report = run_matrix(approaches, scenarios, tls_values, recs=recs)
     if not report.cells:
         raise ConfigError("no scenario row matches the selection")
     text = RENDERERS[args.format](report)
@@ -437,12 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report format (default: text)")
     p.add_argument("--out", help="write the report to this file instead of "
                                  "standard output")
-    # argparse converts a string default only when it parses a command that
-    # has --seed, so a bad value is a usage error there and nowhere else
-    p.add_argument("--seed", type=int,
-                   default=os.environ.get(DEFAULT_SEED_ENV, "0"),
-                   help=f"only recorded in the report; nothing reads it "
-                        f"(default: ${DEFAULT_SEED_ENV} or 0)")
     p.set_defaults(fn=_cmd_matrix)
 
     p = sub.add_parser("run", help="run one world: honest plus applicable attacks")

@@ -5,10 +5,10 @@ replaced: every conjunct is tried against every earlier event of the whole
 trace, every consistent witness tuple is enumerated, and the exclusion
 facts are recomputed by scanning.  It shares only the pattern language
 and the text formatting with the checker under test: patterns are matched
-slot by slot here, not through the match plan each ``EventPattern`` works
-out, and the injective assignment tries every combination of witness tuples
-instead of backtracking.  Exponential in the number of conjuncts and of
-triggers on long traces, so tests feed it short ones.
+slot by slot here, not through the kernel compiled for each goal, and the
+injective assignment tries every combination of witness tuples instead of
+backtracking.  Exponential in the number of conjuncts and of triggers on
+long traces, so tests feed it short ones.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 goal_oracle.py: same status and byte-equal witness text for every goal of
 every catalog variant, on random traces whose parameters come from a small
 term pool so that bindings collide, and on the paths random traces reach
-rarely.  Patterns are matched by each side's own code, so the match plans
-are under test too."""
+rarely.  Patterns are matched by each side's own code, so the compiled
+goal kernels are under test too."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,13 +27,22 @@ TWO_NEW = GoalSpec(
                                         W, W)), False),
      Requirement(EventPattern("INTENT", (Var("uid"), Var("mno"), Var("U"), W)),
                  True)))
+ADV = Atom(ADVERSARY_USER)
+# Not one of the fifteen: a secrecy goal whose trigger holds a literal and
+# names the device twice, once in an optional slot, so that its kernel and
+# not only the tag decides which events trigger it.
+LITERAL_SECRET = GoalSpec(
+    "literal-secret", "secrecy", "client",
+    "a key accepted for the adversary's operator stays secret",
+    EventPattern("U3", (Var("U"), W, W, W, Var("k"), W, ADV, OptVar("U"))),
+    secrecy_index=4)
 CATALOGS = {
     "default": goal_catalog(),
     "injective_notification": goal_catalog(injective_notification=True),
     "strict_identity": goal_catalog(strict_identity=True),
     "two_new": [TWO_NEW],
+    "literal_secret": [LITERAL_SECRET],
 }
-ADV = Atom(ADVERSARY_USER)
 SECRETS = (Nonce(1, "x"), Nonce(2, "x"))
 POOL = SECRETS + (NULL, ADV)
 RUN_VARS = ("uid", "U", "S", "Sa", "Sp", "It", "k", "P", "mno", "iac")
@@ -175,12 +184,21 @@ slots = st.one_of(
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(slots, min_size=4, max_size=4),
-       st.lists(st.sampled_from(POOL), min_size=4, max_size=4),
-       st.dictionaries(st.sampled_from("ab"), st.sampled_from(POOL)))
-def test_match_plan_matches_slot_by_slot(params, values, bindings):
+       st.lists(st.sampled_from(POOL), min_size=4, max_size=4))
+def test_trigger_kernel_matches_slot_by_slot(params, values):
+    # the kernel refuses exactly the events the oracle does not match, and
+    # the diagnosis of a missing witness shows the oracle's bindings
     pattern = EventPattern("U1", tuple(params))
     event = Event("U1", tuple(values))
-    assert pattern.match(event, bindings) == goal_oracle.match(pattern, event, bindings)
+    missing = EventPattern("U0", (Var("a"), Var("b")))
+    g = GoalSpec("slots", "auth", "client", "the trigger alone binds a and b",
+                 pattern, (Requirement(missing, False),))
+    want = goal_oracle.match(pattern, event, {})
+    depth = g.kernel(make_trace(event), 0, event.params)
+    assert (depth is None) == (want is None)
+    if want is not None:
+        assert goals._first_unmatchable(g, depth, event) == \
+            f"no earlier U0 matches {goals._pattern_text(missing, want)}"
 
 
 U, SA, S, MNO, P = Atom("eid-1"), Atom("srv-a"), Atom("dl"), Atom("mno1"), Atom("p")
@@ -262,6 +280,22 @@ class TestPaths:
         assert "injective witness exhausted" in v.witness
         assert_same_verdicts(t, Knowledge())
 
+    def test_secrecy_trigger_needs_its_literal_and_its_device_twice(self):
+        # the adversary knows the key of all three accepted profiles, but
+        # the first is for another operator and the second names another
+        # device in its optional slot: only the third triggers the goal
+        key = SECRETS[0]
+        events = [Event("U3", (U, SA, SA, it(1), key, P, MNO, NULL)),
+                  Event("U3", (U, SA, SA, it(2), key, P, ADV, ADV_EID)),
+                  Event("U3", (U, SA, SA, it(3), key, P, ADV, U))]
+        known = Knowledge([key])
+        t = make_trace(*events)
+        assert check_goal(t, known, LITERAL_SECRET).witness.startswith("trigger #2 ")
+        assert_same_verdicts(t, known)
+        t = make_trace(*events[:2])
+        assert check_goal(t, known, LITERAL_SECRET).ok
+        assert_same_verdicts(t, known)
+
 
 # Not one of the fifteen: variable names no Python identifier can spell, a
 # literal whose label holds a quote and a newline, an optional identity in
@@ -331,7 +365,7 @@ def test_notification_goal_with_many_orders_per_user():
     victim_eid = w.euiccs[w.users[VICTIM].euicc].eid
     i, s3 = [(i, e) for i, e in w.trace.events_tagged("S3")
              if e.params[0] == victim_eid][-1]
-    bindings = g.trigger.match(s3, {})
+    bindings = goal_oracle.match(g.trigger, s3, {})
     events = goal_oracle._events(w.trace)
     assert len(goal_oracle.witness_tuples(events, i, g.requires, bindings)) == 14 * 14
     assert len(g.kernel(w.trace, i, s3.params)) == 1
@@ -356,7 +390,7 @@ def test_identical_intents_give_one_witness_tuple_per_order():
     t = ds_orders(k, k)
     g = goal("Bp")
     i, s1 = t.events_tagged("S1")[-1]
-    bindings = g.trigger.match(s1, {})
+    bindings = goal_oracle.match(g.trigger, s1, {})
     tuples = g.kernel(t, i, s1.params)
     orders = [j for j, _ in t.events_tagged("ORDER")]
     assert [ix[2] for ix in tuples] == orders

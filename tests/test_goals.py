@@ -288,8 +288,8 @@ class TestTransitivity:
         assert checked > 30
 
 
-def test_goal_plans_do_not_grow_with_checks():
-    # plans are worked out once per goal; repeated checks, the diagnosis of
+def test_goal_kernels_do_not_grow_with_checks():
+    # kernels are compiled once per goal; repeated checks, the diagnosis of
     # a missing witness included, leave no store in the checker larger
     # than the catalog
     w = build_world(ScenarioConfig("ac", 2, False))
@@ -300,11 +300,11 @@ def test_goal_plans_do_not_grow_with_checks():
                 if isinstance(value, (dict, list, set))
                 and not name.startswith("__")}
 
-    plans = [g.plan for g in goals.CATALOG]
+    kernels = [g.kernel for g in goals.CATALOG]
     before = stores()
     for _ in range(100):
         verdicts = check_all(w.trace, w.adversary.knowledge)
     assert any("no earlier" in (v.witness or "") for v in verdicts.values())
-    assert all(g.plan is plan for g, plan in zip(goals.CATALOG, plans))
+    assert all(g.kernel is kernel for g, kernel in zip(goals.CATALOG, kernels))
     for name, size in stores().items():
         assert size <= max(before.get(name, 0), len(goals.CATALOG)), name

@@ -14,11 +14,11 @@ from rsplab.harness import (main, render_csv, render_json, render_text,
 
 @pytest.fixture(scope="module")
 def small_report():
-    return run_matrix(approaches=("ds",), scenarios={1, 5}, seed=3)
+    return run_matrix(approaches=("ds",), scenarios={1, 5})
 
 
 class TestReports:
-    def test_same_seed_gives_byte_identical_json(self):
+    def test_two_runs_give_byte_identical_json(self):
         a = run_matrix(approaches=("ac",), scenarios={10})
         b = run_matrix(approaches=("ac",), scenarios={10})
         ja, jb = render_json(a), render_json(b)
@@ -80,7 +80,7 @@ def dumped_payload(report) -> str:
     """The report through ``json.dumps``, as render_json wrote it before it
     wrote the fixed shape itself."""
     payload = {
-        "seed": report.seed,
+        "seed": 0,
         "recs": list(report.recs),
         "cells": [
             {"approach": c.approach, "scenario": c.scenario, "tls": c.tls,
@@ -106,7 +106,7 @@ class TestJsonRendering:
         assert render_json(report) == dumped_payload(report)
 
     def test_an_empty_report_renders_as_json_dumps_writes_it(self):
-        report = harness.MatrixReport([], 0, (), 0.0)
+        report = harness.MatrixReport([], (), 0.0)
         assert render_json(report) == dumped_payload(report)
 
     def test_every_field_shape_renders_as_json_dumps_writes_it(self):
@@ -119,7 +119,7 @@ class TestJsonRendering:
                          via=odd, witness=""),
             harness.Cell("ac", 6, True, odd, odd),
         ]
-        report = harness.MatrixReport(cells, 7, ("R10", odd), 1.5,
+        report = harness.MatrixReport(cells, ("R10", odd), 1.5,
                                       audit_failures=["crashed: " + odd, ""])
         assert [c.agree for c in cells] == [True, False, None, None]
         assert render_json(report) == dumped_payload(report)
@@ -209,32 +209,18 @@ class TestCli:
         assert captured.err.startswith(f"rsp-lab {argv[0]}: ")
         assert len(captured.err.splitlines()) == 1
 
-    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize("command", ["matrix", "run", "trace"])
     def test_seed_is_refused_where_nothing_reads_it(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--seed", "1"])
         assert exc.value.code == 2
-
-    def test_bad_seed_variable_is_a_usage_error_only_where_read(
-            self, monkeypatch, capsys):
-        monkeypatch.setenv("RSP_LAB_SEED", "abc")
-        assert main(["goals"]) == 0
-        assert main(["explain", "c"]) == 0
-        assert main(["trace", "--approach", "ac", "--scenario", "1"]) == 0
-        with pytest.raises(SystemExit) as exc:
-            main(["matrix", "--approach", "ds", "--scenario", "1"])
-        assert exc.value.code == 2
-        assert "invalid int value: 'abc'" in capsys.readouterr().err
-        assert main(["matrix", "--approach", "ds", "--scenario", "1",
-                     "--seed", "5"]) == 0
-        assert "seed: 5" in capsys.readouterr().out
 
     def test_every_matrix_flag_says_what_it_does(self):
         # and every flag and argument of the other subcommands too
         sub = next(a for a in harness.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         flags = [a for a in sub.choices["matrix"]._actions if a.option_strings]
-        assert len(flags) == 8  # --help and seven of its own
+        assert len(flags) == 7  # --help and six of its own
         silent = [(name, a.dest) for name, p in sub.choices.items()
                   for a in p._actions if not a.help]
         assert sorted(sub.choices) == ["explain", "goals", "matrix", "run", "trace"]
