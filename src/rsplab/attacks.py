@@ -36,11 +36,11 @@ from .events import LearnOp, MessageOp
 from .network import (CH_LPA_SERVER, GateViolation, adversary_request, relay,
                       server_reply)
 from .pki import parse_certificate
-from .roles import (M3, M4, M7, M8, M11, M12, M15, MSG_ERROR, SIG4, SIG7,
-                    SIG8, SIG11, SIG12, SIG15, ProtocolAbort)
+from .roles import (M3, M4, M7, M8, M11, M12, M15, MSG_ERROR, ProtocolAbort,
+                    delivery)
 from .scenarios import (AC_SCENARIOS, ADV_EID, BYSTANDER, MNO1, MNO2, SERVER1,
                         SERVER2, VICTIM, VICTIM_EID, ScenarioConfig)
-from .terms import Atom, Knowledge, NULL, Pair, Term, dh_pub, dh_shared, kdf, seal
+from .terms import Atom, Knowledge, NULL, Pair, Term, dh_pub, seal
 from .world import ADVERSARY_USER, Code, World
 
 
@@ -65,14 +65,8 @@ def fake_m12(world: World, ident, eid, it, q_u, mno, label: str) -> Term:
     the client share `q_u` and a fresh share of the adversary's own."""
     adv = world.adversary
     d = adv.fresh_dh(label)
-    z = dh_shared(d, q_u)
-    k = kdf(z, ident.oid, eid, "enc")
-    k_mac = kdf(z, ident.oid, eid, "mac")
-    enc = seal("senc", k, Pair(Atom("profile-fake"), adv.fresh_nonce("fake-ki")))
-    return M12.build(sig=seal("sign", ident.sk_sp,
-                              SIG12.build(it=it, q_s=dh_pub(d), q_u=q_u)),
-                     enc=enc, mac_enc=seal("mac", k_mac, enc),
-                     mno=mno, mac_mno=seal("mac", k_mac, mno))
+    fake = Pair(Atom("profile-fake"), adv.fresh_nonce("fake-ki"))
+    return delivery(ident, eid, it, d, q_u, fake, mno)[1]
 
 
 def impersonate_server(world: World, lpa, ident, claim_domain, mno_claim):
@@ -89,17 +83,13 @@ def impersonate_server(world: World, lpa, ident, claim_domain, mno_claim):
     try:
         n_u = M3.parse(next(lpa)[2], "adv")["n_u"]
         n_s, it = adv.fresh_nonce("fake-ns"), adv.fresh_nonce("fake-it")
-        oid = ident.oid if "R7" in recs else None
-        m7 = answer("m3", M4.build(
-            sig=seal("sign", ident.sk_sa,
-                     SIG4.build(n_u=n_u, n_s=n_s, it=it, s=claim_domain, oid=oid)),
-            cert=ident.cert_sa))
+        m7 = answer("m3", M4.sign(ident.sk_sa, recs, n_u=n_u, n_s=n_s, it=it,
+                                  s=claim_domain, oid=ident.oid,
+                                  cert=ident.cert_sa))
         eid = parse_certificate(M7.parse(m7, "adv")["cert"])[0].subject
-        m11 = answer("m7", M8.build(
-            sig=seal("sign", ident.sk_sp,
-                     SIG8.build(it=it, eid=eid if "R9" in recs else None)),
-            cert=ident.cert_sp))
-        q_u = SIG11.parse(M11.parse(m11, "adv")["sig"].body, "adv")["q_u"]
+        m11 = answer("m7", M8.sign(ident.sk_sp, recs, it=it, eid=eid,
+                                   cert=ident.cert_sp))
+        q_u = M11.read(m11)["q_u"]
         answer("m11", fake_m12(world, ident, eid, it, q_u, mno_claim, "fake-ds"))
         answer("m15", Atom("ok"))
     except StopIteration as done:
@@ -114,9 +104,8 @@ def diverge_delivery(ident, eid):
     def rewrite(world, stage, term):
         if stage != "m12" or term == MSG_ERROR:
             return term
-        m12 = M12.parse(term, "adv")
-        body = SIG12.parse(m12["sig"].body, "adv")
-        return fake_m12(world, ident, eid, body["it"], body["q_u"], m12["mno"],
+        m12 = M12.read(term)
+        return fake_m12(world, ident, eid, m12["it"], m12["q_u"], m12["mno"],
                         "diverge-ds")
     return rewrite
 
@@ -128,18 +117,15 @@ def resign_as(other):
     def rewrite(world, stage, term):
         if term == MSG_ERROR:
             return term
+        recs = world.cfg.recs
         if stage == "m4":
-            sig = M4.parse(term, "adv")["sig"]
-            return M4.build(sig=seal("sign", other.sk_sa, sig.body),
-                            cert=other.cert_sa)
+            return M4.sign(other.sk_sa, recs,
+                           **{**M4.read(term, recs), "cert": other.cert_sa})
         if stage == "m8":
-            sig = M8.parse(term, "adv")["sig"]
-            return M8.build(sig=seal("sign", other.sk_sp, sig.body),
-                            cert=other.cert_sp)
+            return M8.sign(other.sk_sp, recs,
+                           **{**M8.read(term, recs), "cert": other.cert_sp})
         if stage == "m12":
-            m12 = M12.parse(term, "adv")
-            m12["sig"] = seal("sign", other.sk_sp, m12["sig"].body)
-            return M12.build(**m12)
+            return M12.sign(other.sk_sp, **M12.read(term))
         return term
     return rewrite
 
@@ -149,17 +135,14 @@ def swap_client_identity(sk_u, cert_u, own_share: bool = False):
     messages with a compromised eUICC's; optionally substitute the key
     share so the adversary itself knows the resulting session key."""
     def rewrite(world, stage, term):
+        recs = world.cfg.recs
         if stage == "m7":
-            sig = M7.parse(term, "adv")["sig"]
-            return M7.build(sig=seal("sign", sk_u, sig.body), cert=cert_u)
+            return M7.sign(sk_u, recs, **{**M7.read(term, recs), "cert": cert_u})
         if stage == "m11":
-            sig = M11.parse(term, "adv")["sig"]
+            m11 = M11.read(term)
             if own_share:
-                it = SIG11.parse(sig.body, "adv")["it"]
-                q_e = dh_pub(world.adversary.fresh_dh("swap-d"))
-                return M11.build(sig=seal("sign", sk_u,
-                                          SIG11.build(it=it, q_u=q_e)))
-            return M11.build(sig=seal("sign", sk_u, sig.body))
+                m11["q_u"] = dh_pub(world.adversary.fresh_dh("swap-d"))
+            return M11.sign(sk_u, **m11)
         return term
     return rewrite
 
@@ -170,9 +153,9 @@ def swap_code(sk_u, cert_u, new_iac):
     def rewrite(world, stage, term):
         if stage != "m7":
             return term
-        body = SIG7.parse(M7.parse(term, "adv")["sig"].body, "adv", world.cfg.recs)
-        body["iac"] = new_iac
-        return M7.build(sig=seal("sign", sk_u, SIG7.build(**body)), cert=cert_u)
+        recs = world.cfg.recs
+        return M7.sign(sk_u, recs, **{**M7.read(term, recs), "iac": new_iac,
+                                      "cert": cert_u})
     return rewrite
 
 
@@ -192,27 +175,21 @@ def fake_client_download(world: World, domain: str, cert_u, sk_u,
     m4 = adversary_request(world, dial, M3.build(n_u=n_u, ski=world.ci.ski))
     if m4 == MSG_ERROR:
         return None
-    m4 = M4.parse(m4, "adv")
-    cert_sa, _ = parse_certificate(m4["cert"])
-    body = SIG4.parse(m4["sig"].body, "adv", recs)
-    it, s = body["it"], body["s"]
-    oid = cert_sa.oid if "R7" in recs else None
-    m8 = adversary_request(world, dial, M7.build(
-        sig=seal("sign", sk_u, SIG7.build(n_s=body["n_s"], it=it, s=s,
-                                          iac=iac, oid=oid)),
-        cert=cert_u))
+    m4 = M4.read(m4, recs)
+    oid = parse_certificate(m4["cert"])[0].oid
+    it, s = m4["it"], m4["s"]
+    m8 = adversary_request(world, dial, M7.sign(
+        sk_u, recs, n_s=m4["n_s"], it=it, s=s, iac=iac, oid=oid, cert=cert_u))
     if m8 == MSG_ERROR:
         return None
     d = adv.fresh_dh("forged-d")
     q_u = qu_override if qu_override is not None else dh_pub(d)
-    m12 = adversary_request(world, dial, M11.build(
-        sig=seal("sign", sk_u, SIG11.build(it=it, q_u=q_u))))
+    m12 = adversary_request(world, dial, M11.sign(sk_u, it=it, q_u=q_u))
     if m12 == MSG_ERROR:
         return None
     enc = M12.parse(m12, "adv")["enc"]
     if notify:
-        adversary_request(world, dial, M15.build(
-            sig=seal("sign", sk_u, SIG15.build(s=s, oid=cert_sa.oid, it=it))))
+        adversary_request(world, dial, M15.sign(sk_u, s=s, oid=oid, it=it))
     return enc
 
 
@@ -506,13 +483,13 @@ def _ctl_replayed_server_share(world: World) -> None:
     assert first is not None
     # fish the server's share out of the observed delivery and replay it as
     # the client share of a second run
-    sig12 = None
+    m12 = None
     for entry in world.trace.entries:
         if isinstance(entry, MessageOp) and entry.direction == "server->adv":
             if isinstance(entry.term, Pair) and entry.term.left == M12.tag:
-                sig12 = M12.parse(entry.term, "adv")["sig"]
-    assert sig12 is not None
-    q_s_prev = SIG12.parse(sig12.body, "adv")["q_s"]
+                m12 = entry.term
+    assert m12 is not None
+    q_s_prev = M12.read(m12)["q_s"]
     code2 = world.request_profile(ADVERSARY_USER)
     second = fake_client_download(world, SERVER1, own.cert_u, own.sk_u,
                                   iac=code2.iac, notify=False,

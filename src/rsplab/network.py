@@ -15,9 +15,9 @@ transaction id.
 
 A download is a session (``World.download``): a generator that puts each
 request on the LPA-to-server channel with `put_request`, yields it, and is
-sent the response.  Whoever holds the session schedules it.  The honest
-schedule hands every request to `server_reply` at once; `relay` lets the
-adversary rewrite requests and responses in flight; an attack script may
+sent the response.  Whoever holds the session schedules it.  `relay` lets
+the adversary rewrite requests and responses in flight, and the honest
+schedule is a relay that rewrites nothing; an attack script may
 also answer a session itself, withhold a response by throwing an abort
 into it, or hold one session while it runs others.  There are no hooks:
 the channel does not know who is at the far end.

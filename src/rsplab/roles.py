@@ -26,8 +26,9 @@ from .events import Event
 from .pki import (POLICY_EUICC, POLICY_PROFILE_BINDING, POLICY_SERVER_AUTH,
                   CertError, Certificate, EuiccIdentity, ServerIdentity,
                   verify_cert)
-from .terms import (Atom, DhPub, NULL, Nonce, Pair, PubKey, SealError, Sign,
-                    Term, dh_pub, dh_shared, kdf, pairs, seal, unpairs, unseal)
+from .terms import (Atom, DhPub, NULL, Nonce, Pair, PrivKey, PubKey,
+                    SealError, Sign, Term, dh_pub, dh_shared, kdf, pairs, seal,
+                    unpairs, unseal)
 
 MSG_OK = Atom("ok")
 MSG_ERROR = Atom("error")
@@ -51,12 +52,14 @@ class ProtocolAbort(Exception):
 class Message:
     """A tagged tuple: the tag atom, then the fields in wire order.  At most
     one optional field, always last, is on the wire exactly when
-    recommendation `rec` is in force.  Compared and hashed by identity, as
-    part of the key of ``build``'s memo."""
+    recommendation `rec` is in force.  A signed message has a `body`: its
+    ``sig`` field is a signature over that message.  Compared and hashed by
+    identity, as part of the key of ``build``'s and ``sign``'s memos."""
     tag: Atom
     fields: tuple
     optional: Optional[str] = None
     rec: Optional[str] = None
+    body: Optional[Message] = None
 
     def names(self, recs=frozenset()) -> tuple:
         if self.optional is not None and self.rec in recs:
@@ -72,6 +75,24 @@ class Message:
         if values:
             raise TypeError(f"{self.tag.label} has no field {sorted(values)[0]}")
         return pairs(items + ([extra] if extra is not None else []))
+
+    @functools.cache
+    def sign(self, key: PrivKey, recs=frozenset(), **fields: Term) -> Term:
+        """Sign the body's fields with `key` and build the message from the
+        signature and the remaining fields.  The body's optional field is
+        left off unless `recs` holds its recommendation.  Memoized like
+        ``build``."""
+        body = {name: fields.pop(name) for name in self.body.names(recs)}
+        fields.pop(self.body.optional, None)
+        return self.build(sig=seal("sign", key, self.body.build(**body)), **fields)
+
+    def read(self, term: Term, recs=frozenset()) -> dict:
+        """The fields of a signed message and of its body as one dict, the
+        signature and the tags unchecked; SealError if short.  Re-sign with a
+        change: ``M.sign(key, recs, **{**M.read(term, recs), name: value})``."""
+        _, fields = self.decode(term)
+        _, body = self.body.decode(fields.pop("sig").body, recs)
+        return {**fields, **body}
 
     def decode(self, term: Term, recs=frozenset()) -> tuple[Term, dict]:
         """(tag, fields by name) without checking the tag; SealError if short."""
@@ -92,20 +113,20 @@ class Message:
 
 M2 = Message(Atom("m2-challenge"), ("n_u", "ski"))
 M3 = Message(Atom("m3-init"), ("n_u", "ski"))
-M4 = Message(Atom("m4-server-auth"), ("sig", "cert"))
 SIG4 = Message(Atom("sig4"), ("n_u", "n_s", "it", "s"), "oid", "R7")
+M4 = Message(Atom("m4-server-auth"), ("sig", "cert"), body=SIG4)
 M5 = Message(Atom("m5-code-to-euicc"), ("iac",))
-M7 = Message(Atom("m7-client-auth"), ("sig", "cert"))
 SIG7 = Message(Atom("sig7"), ("n_s", "it", "s", "iac"), "oid", "R7")
-M8 = Message(Atom("m8-profile-binding"), ("sig", "cert"))
+M7 = Message(Atom("m7-client-auth"), ("sig", "cert"), body=SIG7)
 SIG8 = Message(Atom("sig8"), ("it",), "eid", "R9")
-M11 = Message(Atom("m11-client-share"), ("sig",))
+M8 = Message(Atom("m8-profile-binding"), ("sig", "cert"), body=SIG8)
 SIG11 = Message(Atom("sig11"), ("it", "q_u"))
-M12 = Message(Atom("m12-profile-delivery"),
-              ("sig", "enc", "mac_enc", "mno", "mac_mno"))
+M11 = Message(Atom("m11-client-share"), ("sig",), body=SIG11)
 SIG12 = Message(Atom("sig12"), ("it", "q_s", "q_u"))
-M15 = Message(Atom("m15-notification"), ("sig",))
+M12 = Message(Atom("m12-profile-delivery"),
+              ("sig", "enc", "mac_enc", "mno", "mac_mno"), body=SIG12)
 SIG15 = Message(Atom("sig15"), ("s", "oid", "it"))
+M15 = Message(Atom("m15-notification"), ("sig",), body=SIG15)
 PROFILE_REQUEST = Message(Atom("profile-request"), ("user", "eid"))
 ORDER_REQUEST = Message(Atom("order-request"), ("user", "mno", "eid"))
 ORDER_REPLY = Message(Atom("order-reply"), ("iac", "s"), "oid", "R1")
@@ -117,6 +138,20 @@ def signed_body(sig: Term, key: PubKey, who: str, what: str) -> Term:
         return unseal("sign", key, sig)
     except SealError as exc:
         raise ProtocolAbort(who, f"bad signature on {what}: {exc}") from exc
+
+
+def delivery(ident, eid: Term, it: Term, d_s: Term, q_u: Term, profile: Term,
+             mno: Term) -> tuple[Term, Term]:
+    """(session key, m12): `profile` delivered under server `ident`'s
+    binding key to eUICC `eid`, keyed by the server's DH private share `d_s`
+    and the client share `q_u`."""
+    shared = dh_shared(d_s, q_u)
+    k = kdf(shared, ident.oid, eid, "enc")
+    k_mac = kdf(shared, ident.oid, eid, "mac")
+    enc = seal("senc", k, profile)
+    return k, M12.sign(ident.sk_sp, it=it, q_s=dh_pub(d_s), q_u=q_u, enc=enc,
+                       mac_enc=seal("mac", k_mac, enc), mno=mno,
+                       mac_mno=seal("mac", k_mac, mno))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +259,9 @@ class ServerProcess:
         world.emit(Event("S0", (self.subject, it, self.domain,
                                 announced.mno if announced else NULL,
                                 announced.iac if announced else NULL)))
-        oid = self.oid if "R7" in self._recs() else None
-        sig = seal("sign", self.identity.sk_sa,
-                   SIG4.build(n_u=n_u, n_s=n_s, it=it, s=self.domain, oid=oid))
-        return M4.build(sig=sig, cert=self.identity.cert_sa)
+        return M4.sign(self.identity.sk_sa, self._recs(), n_u=n_u, n_s=n_s,
+                       it=it, s=self.domain, oid=self.oid,
+                       cert=self.identity.cert_sa)
 
     def _session_for(self, it: Term, phase: str) -> ServerSession:
         session = self.sessions.get(it)
@@ -284,9 +318,8 @@ class ServerProcess:
         session.phase = "await11"
         world.emit(Event("S1", (cert.subject, self.subject, self.subject,
                                 session.it, order.mno, order.iac)))
-        eid = cert.subject if "R9" in recs else None
-        sig8 = seal("sign", self.identity.sk_sp, SIG8.build(it=session.it, eid=eid))
-        return M8.build(sig=sig8, cert=self.identity.cert_sp)
+        return M8.sign(self.identity.sk_sp, recs, it=session.it,
+                       eid=cert.subject, cert=self.identity.cert_sp)
 
     def _handle_key_exchange(self, term: Term) -> Term:
         world = self.world
@@ -307,21 +340,15 @@ class ServerProcess:
             raise ProtocolAbort("server", "client share is not a DH point")
         world.emit(Event("RECV_QU", (q_u,)))
         d_s = world.fresh.dhpriv("d-s")
-        q_s = dh_pub(d_s)
-        world.emit(Event("SENT_QS", (q_s,)))
-        shared = dh_shared(d_s, q_u)
-        k = kdf(shared, self.oid, session.peer_eid, "enc")
-        k_mac = kdf(shared, self.oid, session.peer_eid, "mac")
+        world.emit(Event("SENT_QS", (dh_pub(d_s),)))
         order = session.order
+        k, m12 = delivery(self.identity, session.peer_eid, session.it, d_s, q_u,
+                          order.profile, order.mno)
         session.phase = "await15"
         world.emit(Event("S2", (session.peer_eid, self.subject, self.subject,
                                 session.it, k, order.profile, order.mno,
                                 order.iac)))
-        sig12 = seal("sign", self.identity.sk_sp,
-                     SIG12.build(it=session.it, q_s=q_s, q_u=q_u))
-        enc = seal("senc", k, order.profile)
-        return M12.build(sig=sig12, enc=enc, mac_enc=seal("mac", k_mac, enc),
-                         mno=order.mno, mac_mno=seal("mac", k_mac, order.mno))
+        return m12
 
     def _handle_notification(self, term: Term) -> Term:
         world = self.world
@@ -390,10 +417,6 @@ class EuiccDevice:
         world.emit(Event("U0", (self.eid, default_s or NULL)))
         return M2.build(n_u=n_u, ski=world.ci.ski)
 
-    def challenge(self) -> tuple:
-        session = self.session
-        return session.n_u, self.world.ci.ski
-
     def set_context(self, iac: Term, expected_oid: Optional[Atom]) -> None:
         self.session.iac = iac
         self.session.expected_oid = expected_oid
@@ -427,10 +450,8 @@ class EuiccDevice:
         session.n_s, session.it, session.s, session.sa_cert = n_s, it, s, cert
         session.phase = "await8"
         world.emit(Event("U1", (self.eid, cert.subject, it, s)))
-        oid = cert.oid if "R7" in recs else None
-        sig7 = seal("sign", self.identity.sk_u,
-                    SIG7.build(n_s=n_s, it=it, s=s, iac=session.iac, oid=oid))
-        return M7.build(sig=sig7, cert=self.identity.cert_u)
+        return M7.sign(self.identity.sk_u, recs, n_s=n_s, it=it, s=s,
+                       iac=session.iac, oid=cert.oid, cert=self.identity.cert_u)
 
     def process_msg8(self, term: Term) -> Term:
         world = self.world
@@ -456,9 +477,7 @@ class EuiccDevice:
                                 cert.subject, session.it)))
         d_u = world.fresh.dhpriv("d-u")
         session.d_u, session.q_u = d_u, dh_pub(d_u)
-        sig11 = seal("sign", self.identity.sk_u,
-                     SIG11.build(it=session.it, q_u=session.q_u))
-        return M11.build(sig=sig11)
+        return M11.sign(self.identity.sk_u, it=session.it, q_u=session.q_u)
 
     def process_msg12(self, term: Term) -> Term:
         world = self.world
@@ -490,9 +509,7 @@ class EuiccDevice:
         world.emit(Event("U3", (self.eid, session.sa_cert.subject,
                                 session.sp_cert.subject, session.it, k,
                                 profile, mno, session.iac)))
-        sig15 = seal("sign", self.identity.sk_u,
-                     SIG15.build(s=session.s, oid=oid, it=session.it))
-        return M15.build(sig=sig15)
+        return M15.sign(self.identity.sk_u, s=session.s, oid=oid, it=session.it)
 
 
 # ---------------------------------------------------------------------------

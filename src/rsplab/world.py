@@ -15,9 +15,9 @@ from typing import Optional
 
 from .events import ADVERSARY_USER, Event, LearnOp, MessageOp, Note, Trace
 from .network import (CH_LPA_EUICC, CH_MNO_SERVER, CH_USER_MNO, GateViolation,
-                      put_request, server_reply, tls_connect)
+                      put_request, relay, tls_connect)
 from .pki import Pki
-from .roles import (CODE_DELIVERY, M3, M5, MSG_ERROR, ORDER_REPLY,
+from .roles import (CODE_DELIVERY, M2, M3, M5, MSG_ERROR, ORDER_REPLY,
                     ORDER_REQUEST, PROFILE_REQUEST, EuiccDevice, LpaContext,
                     Message, MnoProcess, Order, ProtocolAbort, ServerProcess,
                     lpa_check_msg12, lpa_check_msg4, lpa_check_msg8)
@@ -238,15 +238,9 @@ class World:
     def start_download(self, user_label: str, code: Optional[Code] = None,
                        inject_code: Optional[Code] = None) -> DownloadResult:
         """One download attempt for `user_label`'s device, each request
-        delivered honestly."""
-        lpa = self.download(user_label, code, inject_code)
-        try:
-            tun, stage, request = next(lpa)
-            while True:
-                tun, stage, request = lpa.send(
-                    server_reply(self, tun, stage, request))
-        except StopIteration as done:
-            return done.value
+        delivered honestly: a relay that rewrites nothing."""
+        return relay(self, self.download(user_label, code, inject_code),
+                     lambda world, stage, term: term)
 
     def download(self, user_label: str, code: Optional[Code] = None,
                  inject_code: Optional[Code] = None, intercepted: bool = False):
@@ -296,18 +290,18 @@ class World:
         tun = tls_connect(self, dial_to, intercepted,
                           client_is_adversary=adversary_client or lpa_compromised)
 
-        # challenge from the secure element
+        # challenge from the secure element, relayed to the server in m3
         m2 = device.begin_session()
         self.trace.append(MessageOp(CH_LPA_EUICC, "euicc->lpa:m2", m2))
-        n_u, ski = device.challenge()
-        ctx.n_u = n_u
+        challenge = M2.parse(m2, "lpa")
+        ctx.n_u = challenge["n_u"]
 
         def blocked(stage: str, reason: str) -> DownloadResult:
             self.note("blocked", f"lpa-{user_label}", f"{stage}: {reason}")
             return DownloadResult(False, stage, reason)
 
         try:
-            m4 = yield put_request(self, tun, "m3", M3.build(n_u=n_u, ski=ski))
+            m4 = yield put_request(self, tun, "m3", M3.build(**challenge))
             if m4 == MSG_ERROR:
                 return DownloadResult(False, "m3", "server abort")
             reason = lpa_check_msg4(ctx, self, m4)

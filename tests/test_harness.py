@@ -54,6 +54,7 @@ class TestReports:
                     "unpairs": terms._unpairs.cache_info().currsize,
                     "open_parts": terms._open_parts.cache_info().currsize,
                     "build": roles.Message.build.cache_info().currsize,
+                    "sign": roles.Message.sign.cache_info().currsize,
                     "verify_cert": pki.verify_cert.cache_info().currsize}
 
         def one_pass():

@@ -11,11 +11,11 @@ from rsplab import roles
 from rsplab.attacks import honest_script
 from rsplab.events import Note
 from rsplab.network import relay
-from rsplab.roles import (M4, M7, M8, M11, M12, M15, SIG4, SIG7, SIG8, SIG11,
-                          SIG12, SIG15, Message, ProtocolAbort)
+from rsplab.roles import (M4, M7, M8, M11, M12, M15, SIG4, SIG8, Message,
+                          ProtocolAbort)
 from rsplab.scenarios import (SERVER1, VICTIM, VICTIM_EID, ScenarioConfig,
                               build_world)
-from rsplab.terms import Atom, pairs, seal
+from rsplab.terms import Atom, FreshSource, Sign, pairs
 
 
 def run_honest(approach, tls=True, recs=frozenset()):
@@ -78,6 +78,7 @@ class TestHonestRun:
 # ---------------------------------------------------------------------------
 
 MESSAGES = [m for m in vars(roles).values() if isinstance(m, Message)]
+SIGNED_MESSAGES = [m for m in MESSAGES if m.body is not None]
 
 
 def sample(msg, recs):
@@ -132,6 +133,57 @@ class TestSchema:
         assert SIG8.build(it=it) == pairs([Atom("sig8"), it])
         assert SIG8.build(it=it, eid=eid) == pairs([Atom("sig8"), it, eid])
 
+    @pytest.mark.parametrize("msg", SIGNED_MESSAGES, ids=lambda m: m.tag.label)
+    def test_read_inverts_sign_with_and_without_the_optional_field(self, msg):
+        key = FreshSource().privkey("signer")
+        for recs in {frozenset(), frozenset({msg.body.rec} - {None})}:
+            values = {name: Atom(f"v-{name}") for name in
+                      msg.names(recs)[1:] + msg.body.names(recs)}
+            assert msg.read(msg.sign(key, recs, **values), recs) == values
+
+    @pytest.mark.parametrize("msg", SIGNED_MESSAGES, ids=lambda m: m.tag.label)
+    @pytest.mark.parametrize("recs", [set(), {"R7"}, {"R9"}, {"R7", "R9"}],
+                             ids=["none", "R7", "R9", "R7+R9"])
+    def test_sign_drops_the_optional_field_exactly_without_its_rec(self, msg,
+                                                                   recs):
+        key = FreshSource().privkey("signer")
+        body = msg.body
+        values = {name: Atom(f"v-{name}") for name in
+                  msg.fields[1:] + body.fields + (body.optional,) if name}
+        sig = msg.parse(msg.sign(key, frozenset(recs), **values), "x")["sig"]
+        assert isinstance(sig, Sign) and sig.key is key
+        wire = [body.tag] + [values[name] for name in body.fields]
+        if body.optional is not None and body.rec in recs:
+            wire.append(values[body.optional])
+        assert sig.body == pairs(wire)
+
+    def test_only_message_sign_signs_a_message(self):
+        # besides the schema, only the CI root signs (certificates), and one
+        # negative control tries a forgery that the gate must refuse
+        allowed = {("roles.py", "sign"), ("pki.py", "issue"),
+                   ("attacks.py", "_ctl_forgery_rejected")}
+
+        def signs(node):
+            func = getattr(node, "func", None)
+            return (isinstance(node, ast.Call)
+                    and getattr(func, "id", getattr(func, "attr", None)) == "seal"
+                    and node.args and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value == "sign")
+
+        found = set()
+        for path in sorted(Path(roles.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            outside = {n for n in ast.walk(tree) if signs(n)}
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    inside = [n for n in ast.walk(fn) if signs(n)]
+                    if inside:
+                        found.add((path.name, fn.name))
+                        outside -= set(inside)
+            if outside:
+                found.add((path.name, "<module>"))
+        assert found == allowed
+
     def test_only_roles_spells_a_message_tag(self):
         tags = {m.tag.label for m in MESSAGES}
         offenders = []
@@ -154,14 +206,14 @@ class TestSchema:
 # the victim eUICC's key (scenario 3).
 # ---------------------------------------------------------------------------
 
-# stage -> (message, its signed body, signing key attribute of the sender)
+# stage -> (signed message, signing key attribute of the sender)
 SIGNED = {
-    "m4": (M4, SIG4, "sk_sa"),
-    "m7": (M7, SIG7, "sk_u"),
-    "m8": (M8, SIG8, "sk_sp"),
-    "m11": (M11, SIG11, "sk_u"),
-    "m12": (M12, SIG12, "sk_sp"),
-    "m15": (M15, SIG15, "sk_u"),
+    "m4": (M4, "sk_sa"),
+    "m7": (M7, "sk_u"),
+    "m8": (M8, "sk_sp"),
+    "m11": (M11, "sk_u"),
+    "m12": (M12, "sk_sp"),
+    "m15": (M15, "sk_u"),
 }
 
 # Every other flip must stop the run.  The sig7 activation code stops in
@@ -176,7 +228,8 @@ UNCHECKED = {
 def _flips():
     """(stage, field, recommendation putting it on the wire, outcome)."""
     rows = []
-    for stage, (_msg, body, _key) in SIGNED.items():
+    for stage, (msg, _key) in SIGNED.items():
+        body = msg.body
         for name in body.names({body.rec}):
             rec = body.rec if name == body.optional else None
             outcome = "unchecked" if (stage, name) in UNCHECKED else "stops"
@@ -191,29 +244,24 @@ FLIPS = _flips()
 
 def flip_field(stage, name):
     """A rewrite for `relay`: flip one field of one message and re-seal it
-    with the legitimate sender's key."""
-    msg, body_msg, key = SIGNED[stage]
+    with the legitimate sender's key (a field outside the signed body keeps
+    the signature it had)."""
+    msg, key = SIGNED[stage]
 
     def rewrite(world, at, term):
         if at != stage:
             return term
-        fields = msg.parse(term, "test")
-        if name in fields:
-            fields[name] = Atom("flipped")
-        else:
-            signer = (world.euiccs[VICTIM_EID] if key == "sk_u"
-                      else world.servers[SERVER1]).identity
-            body = body_msg.parse(fields["sig"].body, "test", world.cfg.recs)
-            body[name] = Atom("flipped")
-            fields["sig"] = seal("sign", getattr(signer, key),
-                                 body_msg.build(**body))
-        return msg.build(**fields)
+        signer = (world.euiccs[VICTIM_EID] if key == "sk_u"
+                  else world.servers[SERVER1]).identity
+        recs = world.cfg.recs
+        return msg.sign(getattr(signer, key), recs,
+                        **{**msg.read(term, recs), name: Atom("flipped")})
     return rewrite
 
 
 def flip_once(approach, stage, name, rec=None):
     recs = frozenset({rec}) if rec else frozenset()
-    scenario = 3 if SIGNED[stage][2] == "sk_u" else 2
+    scenario = 3 if SIGNED[stage][1] == "sk_u" else 2
     w = build_world(ScenarioConfig(approach, scenario, False, recs=recs))
     code = w.request_profile(VICTIM)
     result = relay(w, w.download(VICTIM, code, intercepted=True),
@@ -251,11 +299,9 @@ class TestFaultInjection:
         def wrong_key(world, stage, term):
             if stage != "m4":
                 return term
-            m4 = M4.parse(term, "test")
             rogue = world.fresh.privkey("rogue")
             world.adversary.learn(rogue)
-            m4["sig"] = seal("sign", rogue, m4["sig"].body)
-            return M4.build(**m4)
+            return M4.sign(rogue, **M4.read(term))
 
         result = relay(w, w.download(VICTIM, intercepted=True), wrong_key)
         assert not result.completed
@@ -275,11 +321,7 @@ class TestFaultInjection:
         def rewrite(world, stage, term):
             if stage != "m4":
                 return term
-            m4 = M4.parse(term, "test")
-            body = SIG4.parse(m4["sig"].body, "test")
-            body["n_u"] = forged
-            m4["sig"] = seal("sign", sk_sa, SIG4.build(**body))
-            return M4.build(**m4)
+            return M4.sign(sk_sa, **{**M4.read(term), "n_u": forged})
 
         w.request_profile(VICTIM)
         result = relay(w, w.download(VICTIM), rewrite)
