@@ -7,6 +7,11 @@ operations (every transmitted term), adversary learns (so the capability
 audit can replay knowledge growth), and free-form notes (session aborts,
 blocked messages).  Everything a goal checker or audit needs is in the
 trace itself.
+
+Each event tag is declared once, in ``EVENT_FIELDS``, with its field names.
+An event is built by name, ``Event.S0(Sa=…, It=…, S=…, mno=…, iac=…)``, and
+read by name, ``event["mno"]``; only the trace's index and the goal
+checker's compiled patterns go by position.
 """
 
 from __future__ import annotations
@@ -15,33 +20,34 @@ from dataclasses import dataclass
 
 from .terms import Term, encode
 
-# Tags and their arities.  U*/S* events mark handshake progress on the two
-# endpoints, OWNER/INTENT/ORDER/AUTHORIZE anchor runs to out-of-band facts,
-# the Compromise*/ChannelFraud/FraudOrder markers make partial-compromise
-# state visible to the goal exclusions.
-EVENT_ARITY = {
-    "AUTHORIZE": 1,       # (Sp)
-    "OWNER": 2,           # (userId, U)
-    "INTENT": 4,          # (userId, mnoId, U, Iac)
-    "ORDER": 6,           # (userId, mnoId, S, U, P, Iac)
-    "U0": 2,              # (U, S)
-    "U1": 4,              # (U, Sa, It, S)
-    "U2": 4,              # (U, Sa, Sp, It)
-    "U3": 8,              # (U, Sa, Sp, It, k, P, mnoId, Iac)
-    "S0": 5,              # (Sa, It, S, mnoId, Iac)
-    "S1": 6,              # (U, Sa, Sp, It, mnoId, Iac)
-    "S2": 8,              # (U, Sa, Sp, It, k, P, mnoId, Iac)
-    "S3": 7,              # (U, Sa, Sp, It, P, S, mnoId)
-    "SENT_QS": 1,
-    "RECV_QU": 1,
-    "CompromiseServer": 1,
-    "CompromiseCert": 1,
-    "CompromiseMno": 1,
-    "ChannelFraud": 1,
-    "FraudOrder": 3,      # (mode, claimedUser, U-or-null)
+# Each tag's fields in parameter order.  U*/S* events mark handshake progress
+# on the two endpoints, OWNER/INTENT/ORDER/AUTHORIZE anchor runs to
+# out-of-band facts, the other markers make compromise state visible to the
+# goal exclusions.  A field means one thing in every tag: user (uid),
+# operator (mno), eUICC (U), server dialed (S), authenticating and
+# profile-binding server (Sa, Sp), transaction (It), session key (k), profile
+# (P), activation code (iac, null for default-server), DH share (q_u, q_s).
+EVENT_FIELDS = {
+    "AUTHORIZE": ("Sp",),
+    "OWNER": ("uid", "U"),
+    "INTENT": ("uid", "mno", "U", "iac"),
+    "ORDER": ("uid", "mno", "S", "U", "P", "iac"),
+    "U0": ("U", "S"),
+    "U1": ("U", "Sa", "It", "S"),
+    "U2": ("U", "Sa", "Sp", "It"),
+    "U3": ("U", "Sa", "Sp", "It", "k", "P", "mno", "iac"),
+    "S0": ("Sa", "It", "S", "mno", "iac"),
+    "S1": ("U", "Sa", "Sp", "It", "mno", "iac"),
+    "S2": ("U", "Sa", "Sp", "It", "k", "P", "mno", "iac"),
+    "S3": ("U", "Sa", "Sp", "It", "P", "S", "mno"),
+    "SENT_QS": ("q_s",),
+    "RECV_QU": ("q_u",),
+    "CompromiseServer": ("server",),
+    "CompromiseCert": ("U",),
+    "CompromiseMno": ("mno",),
+    "ChannelFraud": ("mode",),
+    "FraudOrder": ("mode", "uid", "U"),   # U null if no eUICC is named
 }
-
-CLIENT_TRIGGER_TAGS = {"U0", "U1", "U2", "U3"}
 
 # the adversary's own user account; goal exclusions spare what it owns
 ADVERSARY_USER = "user-adv"
@@ -49,19 +55,28 @@ ADVERSARY_USER = "user-adv"
 
 @dataclass(frozen=True)
 class Event:
+    """One protocol event.  The program builds it with ``Event.<tag>``,
+    whose required keywords are the tag's fields, never by position."""
     tag: str
     params: tuple
 
-    def __post_init__(self) -> None:
-        arity = EVENT_ARITY.get(self.tag)
-        if arity is None:
-            raise ValueError(f"unknown event tag {self.tag!r}")
-        if len(self.params) != arity:
-            raise ValueError(
-                f"{self.tag} expects {arity} params, got {len(self.params)}")
+    def __getitem__(self, field: str) -> Term:
+        return self.params[EVENT_FIELDS[self.tag].index(field)]
 
     def render(self) -> str:
         return f"{self.tag}({', '.join(encode(p) for p in self.params)})"
+
+
+def _constructor(tag: str, fields: tuple) -> staticmethod:
+    """``Event.<tag>``, which takes each field as a required keyword."""
+    env, args = {"Event": Event}, ", ".join(fields)
+    exec(compile(f"def {tag}(*, {args}):\n    return Event({tag!r}, ({args},))",
+                 f"<event {tag}>", "exec"), env)
+    return staticmethod(env[tag])
+
+
+for _tag, _fields in EVENT_FIELDS.items():
+    setattr(Event, _tag, _constructor(_tag, _fields))
 
 
 @dataclass(frozen=True)
@@ -109,11 +124,9 @@ class Trace:
 
     def __init__(self) -> None:
         self.entries: list = []
-        self._tagged: dict[str, list[tuple[int, Event]]] = {
-            tag: [] for tag in EVENT_ARITY}
+        self._tagged: dict[str, list[tuple[int, Event]]] = {tag: [] for tag in EVENT_FIELDS}
         # tag -> position -> value -> events, a position filled on first use
-        self._by_value: dict[str, dict[int, dict]] = {
-            tag: {} for tag in EVENT_ARITY}
+        self._by_value: dict[str, dict[int, dict]] = {tag: {} for tag in EVENT_FIELDS}
 
     def append(self, entry) -> int:
         i = len(self.entries)

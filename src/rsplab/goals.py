@@ -4,41 +4,44 @@ Trace-based checking of the fifteen authentication and secrecy goals.
 Authentication goals are correspondences: for every (non-excluded)
 occurrence of a trigger event, each required pattern must match a strictly
 earlier event, with all shared variables bound consistently across the
-conjunction.  A requirement marked injective additionally demands a
-globally one-to-one assignment from trigger occurrences to witness events;
-this checker realizes that as a backtracking matching over candidate
-witness tuples, which on these small traces is exact.
+conjunction.  A pattern, built by ``ep``, names the fields of its tag it
+constrains, each with the variable named after the field, an optional
+identity or a literal; every other field is a wildcard.  A requirement
+marked injective additionally demands a globally one-to-one assignment
+from trigger occurrences to witness events; this checker realizes that as
+a backtracking matching over candidate witness tuples, which on these
+small traces is exact.
 
 Cost model: the checker never scans the trace.  It reads the trace's own
 index (``Trace.events_tagged`` and ``Trace.with_value``), which lists the
 events of each tag and buckets them by the value at a position from the
 first lookup on, growing as the trace grows.  Each goal's patterns are
-compiled when the catalog is built, once per process and distinct goal,
-into its kernel, the checker's only matcher: one generated function that
-matches the trigger and then, in nested loops, one per conjunct, each
-candidate slot by slot, in locals, with no binding dict and no recursion.
-The compiler reads what it needs of a conjunct off the slots before it:
-the ``Var`` slots that the trigger or an earlier conjunct always binds (the
-only slots worth narrowing on), the slots to compare and to bind, the names
-it newly binds, and whether an injective conjunct is still to come.  A
-secrecy goal's kernel has no conjunct and only matches its trigger.  A
-conjunct's candidates are the smallest bucket over its always-bound slots,
-so a witness lookup costs about the number of events that agree on their
-values; a tag with only a few events is handed over whole, since
-bucketing it would cost more than the candidates it saves.  The kernel
-keeps only what the injective assignment can tell apart: an injective
-conjunct keeps every witness, a non-injective one keeps one witness (the
-earliest) per distinct set of names it newly binds, and once no injective
-conjunct is left the first consistent completion is enough.
-When it finds no witness it says how many leading conjuncts it could
-satisfy, which names the conjunct in the diagnosis without a second
+expanded to positions and compiled when the catalog is built, once per
+process and distinct goal, into its kernel, the checker's only matcher:
+one generated function that matches the trigger and then, in nested loops,
+one per conjunct, each candidate slot by slot, in locals, with no binding
+dict and no recursion.  The compiler reads what it needs of a conjunct off
+the slots before it: the ``Var`` slots that the trigger or an earlier
+conjunct always binds (the only slots worth narrowing on), the slots to
+compare and to bind, the names it newly binds, and whether an injective
+conjunct is still to come.  A secrecy goal's kernel has no conjunct and
+only matches its trigger.  A conjunct's candidates are the smallest bucket
+over its always-bound slots, so a witness lookup costs about the number of
+events that agree on their values; a tag with only a few events is handed
+over whole, since bucketing it would cost more than the candidates it
+saves.  The kernel keeps only what the injective assignment can tell
+apart: an injective conjunct keeps every witness, a non-injective one
+keeps one witness (the earliest) per distinct set of names it newly binds,
+and once no injective conjunct is left the first consistent completion is
+enough.  When it finds no witness it says how many leading conjuncts it
+could satisfy, which names the conjunct in the diagnosis without a second
 search.  The assignment is first fit with backtracking over one set of
 claimed witnesses per injective slot, each choice added and then taken
 back, so it copies nothing.  ``check_all`` asks the exclusions once per
 trigger event and hands the answer to every goal; they read the same
 buckets.  A check stores nothing that grows with the number of checks.
 
-Secrecy goals bind a target parameter at the trigger and fail iff the
+Secrecy goals name a target field of the trigger and fail iff the
 end-of-run adversary knowledge derives it (knowledge only grows, so
 end-of-run is the strongest point to ask).
 
@@ -56,7 +59,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .events import ADVERSARY_USER, CLIENT_TRIGGER_TAGS, Event, Trace
+from .events import ADVERSARY_USER, EVENT_FIELDS, Event, Trace
 from .terms import NULL, Atom, Knowledge, Term, encode
 
 
@@ -102,6 +105,16 @@ class EventPattern:
             if isinstance(p, (Var, OptVar))))
 
 
+def ep(tag: str, *names: str, **slots) -> EventPattern:
+    """The `tag` pattern with ``Var(name)`` in each field of `names`, each of
+    `slots` (field=slot) in its field and a wildcard in every other field."""
+    slots.update((name, Var(name)) for name in names)
+    params = tuple(slots.pop(f, W) for f in EVENT_FIELDS[tag])
+    if slots:
+        raise ValueError(f"{tag} has no field {', '.join(slots)}")
+    return EventPattern(tag, params)
+
+
 @dataclass(frozen=True)
 class Requirement:
     pattern: EventPattern
@@ -116,7 +129,7 @@ class GoalSpec:
     summary: str
     trigger: EventPattern
     requires: tuple = ()
-    secrecy_index: Optional[int] = None
+    secret: Optional[str] = None  # a secrecy goal's target field
     # the goal's matcher, compiled once per distinct goal (see _compile)
     kernel: Callable = field(init=False, repr=False, compare=False)
 
@@ -291,119 +304,99 @@ def _compile(trigger: EventPattern, requires: tuple) -> Callable:
 # Catalog
 # ---------------------------------------------------------------------------
 
-def goal_catalog(injective_notification: bool = False,
-                 strict_identity: bool = False) -> list[GoalSpec]:
+def goal_catalog() -> list[GoalSpec]:
     """The fifteen goals.  Optional identity slots ([U], [S]) accept null or
-    the bound value, which covers both ordering approaches with one catalog.
-
-    ``strict_identity`` is an informational variant, not one of the fifteen:
-    it demands that the client already knew the accepted server's name when
-    it started (the session-start slot must equal the bound value, null not
-    accepted).  Without pre-established identities this fails even on honest
-    runs - which is precisely why the protocol cannot promise it.
-    """
-    V = Var
-    order_u = OptVar("U")
-    u0_s = Var("S") if strict_identity else OptVar("S")
-
-    def ep(tag, *params):
-        return EventPattern(tag, tuple(params))
-
-    n = injective_notification
+    the bound value, which covers both ordering approaches with one catalog."""
     return [
         GoalSpec(
             "A", "auth", "client",
             "server authentication: accepting the server implies both sides started",
-            ep("U1", V("U"), V("Sa"), V("It"), V("S")),
-            (Requirement(ep("U0", V("U"), u0_s), True),
-             Requirement(ep("S0", V("Sa"), V("It"), V("S"), W, W), True))),
+            ep("U1", "U", "Sa", "It", "S"),
+            (Requirement(ep("U0", "U", S=OptVar("S")), True),
+             Requirement(ep("S0", "Sa", "It", "S"), True))),
         GoalSpec(
             "B", "auth", "server",
             "client authentication: accepting the client implies a matching client step",
-            ep("S1", V("U"), V("Sa"), W, V("It"), V("mno"), V("iac")),
-            (Requirement(ep("S0", V("Sa"), V("It"), V("S"), V("mno"), V("iac")), True),
-             Requirement(ep("U1", V("U"), V("Sa"), V("It"), V("S")), True))),
+            ep("S1", "U", "Sa", "It", "mno", "iac"),
+            (Requirement(ep("S0", "Sa", "It", "S", "mno", "iac"), True),
+             Requirement(ep("U1", "U", "Sa", "It", "S"), True))),
         GoalSpec(
             "Bp", "auth", "server",
             "order binding: authenticated client traces back to owner intent and a unique order",
-            ep("S1", V("U"), V("Sa"), W, V("It"), V("mno"), V("iac")),
-            (Requirement(ep("OWNER", V("uid"), V("U")), False),
-             Requirement(ep("INTENT", V("uid"), V("mno"), V("U"), V("iac")), False),
-             Requirement(ep("ORDER", V("uid"), V("mno"), W, order_u, W, V("iac")), True))),
+            ep("S1", "U", "Sa", "It", "mno", "iac"),
+            (Requirement(ep("OWNER", "uid", "U"), False),
+             Requirement(ep("INTENT", "uid", "mno", "U", "iac"), False),
+             Requirement(ep("ORDER", "uid", "mno", "iac", U=OptVar("U")), True))),
         GoalSpec(
             "C", "auth", "client",
             "profile binding: the binding certificate belongs to an authorized, live peer session",
-            ep("U2", V("U"), V("Sa"), V("Sp"), V("It")),
-            (Requirement(ep("AUTHORIZE", V("Sp")), False),
-             Requirement(ep("U1", V("U"), V("Sa"), V("It"), W), True),
-             Requirement(ep("S1", V("U"), V("Sa"), V("Sp"), V("It"), W, W), True))),
+            ep("U2", "U", "Sa", "Sp", "It"),
+            (Requirement(ep("AUTHORIZE", "Sp"), False),
+             Requirement(ep("U1", "U", "Sa", "It"), True),
+             Requirement(ep("S1", "U", "Sa", "Sp", "It"), True))),
         GoalSpec(
             "D", "auth", "server",
             "key exchange, server side: client really entered the exchange",
-            ep("S2", V("U"), V("Sa"), V("Sp"), V("It"), W, V("P"), V("mno"), V("iac")),
-            (Requirement(ep("S1", V("U"), V("Sa"), V("Sp"), V("It"), V("mno"), V("iac")), True),
-             Requirement(ep("U2", V("U"), V("Sa"), V("Sp"), V("It")), True))),
+            ep("S2", "U", "Sa", "Sp", "It", "P", "mno", "iac"),
+            (Requirement(ep("S1", "U", "Sa", "Sp", "It", "mno", "iac"), True),
+             Requirement(ep("U2", "U", "Sa", "Sp", "It"), True))),
         GoalSpec(
             "E", "auth", "client",
             "key exchange, client side: accepted key was issued by the matching server step",
-            ep("U3", V("U"), V("Sa"), V("Sp"), V("It"), V("k"), W, V("mno"), V("iac")),
-            (Requirement(ep("U2", V("U"), V("Sa"), V("Sp"), V("It")), True),
-             Requirement(ep("S2", V("U"), V("Sa"), V("Sp"), V("It"), V("k"), W, V("mno"), V("iac")), True))),
+            ep("U3", "U", "Sa", "Sp", "It", "k", "mno", "iac"),
+            (Requirement(ep("U2", "U", "Sa", "Sp", "It"), True),
+             Requirement(ep("S2", "U", "Sa", "Sp", "It", "k", "mno", "iac"), True))),
         GoalSpec(
             "F", "auth", "client",
             "profile delivery: accepted profile and key both come from the matching server step",
-            ep("U3", V("U"), V("Sa"), V("Sp"), V("It"), V("k"), V("P"), V("mno"), V("iac")),
-            (Requirement(ep("U2", V("U"), V("Sa"), V("Sp"), V("It")), True),
-             Requirement(ep("S2", V("U"), V("Sa"), V("Sp"), V("It"), V("k"), V("P"), V("mno"), V("iac")), True))),
+            ep("U3", "U", "Sa", "Sp", "It", "k", "P", "mno", "iac"),
+            (Requirement(ep("U2", "U", "Sa", "Sp", "It"), True),
+             Requirement(ep("S2", "U", "Sa", "Sp", "It", "k", "P", "mno", "iac"), True))),
         GoalSpec(
             "G", "auth", "server",
             "install notification: accepted only for a profile this server sent and the client took",
-            ep("S3", V("U"), V("Sa"), V("Sp"), V("It"), V("P"), W, V("mno")),
-            (Requirement(ep("S2", V("U"), V("Sa"), V("Sp"), V("It"), W, V("P"), V("mno"), W), n),
-             Requirement(ep("U3", V("U"), V("Sa"), V("Sp"), V("It"), W, V("P"), V("mno"), W), n),
-             Requirement(ep("OWNER", V("uid"), V("U")), False),
-             Requirement(ep("INTENT", V("uid"), V("mno"), V("U"), W), False),
-             Requirement(ep("ORDER", V("uid"), V("mno"), W, order_u, W, W), False))),
+            ep("S3", "U", "Sa", "Sp", "It", "P", "mno"),
+            (Requirement(ep("S2", "U", "Sa", "Sp", "It", "P", "mno"), False),
+             Requirement(ep("U3", "U", "Sa", "Sp", "It", "P", "mno"), False),
+             Requirement(ep("OWNER", "uid", "U"), False),
+             Requirement(ep("INTENT", "uid", "mno", "U"), False),
+             Requirement(ep("ORDER", "uid", "mno", U=OptVar("U")), False))),
         GoalSpec(
             "I", "auth", "client",
             "whole handshake: an accepted profile implies matching session starts on both sides",
-            ep("U3", V("U"), V("Sa"), W, V("It"), V("k"), V("P"), V("mno"), W),
-            (Requirement(ep("U0", V("U"), OptVar("S")), True),
-             Requirement(ep("S0", V("Sa"), V("It"), W, V("mno"), W), True))),
+            ep("U3", "U", "Sa", "It", "k", "P", "mno"),
+            (Requirement(ep("U0", "U", S=OptVar("S")), True),
+             Requirement(ep("S0", "Sa", "It", "mno"), True))),
         GoalSpec(
             "J", "auth", "client",
             "full protocol, client side: accepted profile traces back to intent and a unique order",
-            ep("U3", V("U"), V("Sa"), W, V("It"), W, V("P"), V("mno"), V("iac")),
-            (Requirement(ep("OWNER", V("uid"), V("U")), False),
-             Requirement(ep("INTENT", V("uid"), V("mno"), V("U"), V("iac")), False),
-             Requirement(ep("ORDER", V("uid"), V("mno"), W, order_u, V("P"), V("iac")), True))),
+            ep("U3", "U", "Sa", "It", "P", "mno", "iac"),
+            (Requirement(ep("OWNER", "uid", "U"), False),
+             Requirement(ep("INTENT", "uid", "mno", "U", "iac"), False),
+             Requirement(ep("ORDER", "uid", "mno", "P", "iac", U=OptVar("U")), True))),
         GoalSpec(
             "K", "auth", "server",
             "full protocol, server side: delivered profile traces back to intent and a unique order",
-            ep("S2", V("U"), V("Sa"), W, V("It"), W, V("P"), V("mno"), V("iac")),
-            (Requirement(ep("OWNER", V("uid"), V("U")), False),
-             Requirement(ep("INTENT", V("uid"), V("mno"), V("U"), V("iac")), False),
-             Requirement(ep("ORDER", V("uid"), V("mno"), W, order_u, V("P"), V("iac")), True))),
+            ep("S2", "U", "Sa", "It", "P", "mno", "iac"),
+            (Requirement(ep("OWNER", "uid", "U"), False),
+             Requirement(ep("INTENT", "uid", "mno", "U", "iac"), False),
+             Requirement(ep("ORDER", "uid", "mno", "P", "iac", U=OptVar("U")), True))),
         GoalSpec(
             "W", "secrecy", "server",
             "session key accepted by the server stays unknown to the adversary",
-            ep("S2", V("U"), V("Sa"), W, W, V("k"), V("P"), V("mno"), W),
-            secrecy_index=4),
+            ep("S2", "U", "Sa", "k", "P", "mno"), secret="k"),
         GoalSpec(
             "X", "secrecy", "client",
             "session key accepted by the client stays unknown to the adversary",
-            ep("U3", V("U"), V("Sa"), W, W, V("k"), V("P"), V("mno"), W),
-            secrecy_index=4),
+            ep("U3", "U", "Sa", "k", "P", "mno"), secret="k"),
         GoalSpec(
             "Y", "secrecy", "server",
             "profile sent by the server stays unknown to the adversary",
-            ep("S2", V("U"), V("Sa"), W, W, V("k"), V("P"), V("mno"), V("iac")),
-            secrecy_index=5),
+            ep("S2", "U", "Sa", "k", "P", "mno", "iac"), secret="P"),
         GoalSpec(
             "Z", "secrecy", "client",
             "profile accepted by the client stays unknown to the adversary",
-            ep("U3", V("U"), V("Sa"), W, W, V("k"), V("P"), V("mno"), V("iac")),
-            secrecy_index=5),
+            ep("U3", "U", "Sa", "k", "P", "mno", "iac"), secret="P"),
     ]
 
 
@@ -416,48 +409,50 @@ CATALOG = tuple(goal_catalog())
 # ---------------------------------------------------------------------------
 
 _ADVERSARY = Atom(ADVERSARY_USER)
-# trigger tag -> position of the operator it binds
-_MNO_POS = {"U3": 6, "S1": 4, "S2": 6, "S3": 6}
 
 
-def _adversary_owns(trace: Trace, eid: Term) -> bool:
-    return any(e.params[0] is _ADVERSARY
-               for _, e in trace.with_value("OWNER", 1, eid))
+def _having(trace: Trace, tag: str, field: str, value: Term) -> list:
+    """The events of `tag` whose `field` holds `value`."""
+    return trace.with_value(tag, EVENT_FIELDS[tag].index(field), value)
 
 
-def _excluded(trace: Trace, event: Event) -> bool:
+def _excluded(trace: Trace, event: Event, adversary_eids: set,
+              marked_mnos: set) -> bool:
     """Is this trigger occurrence outside the threat model's interest?"""
-    tag, params = event.tag, event.params
+    tag = event.tag
     # operator compromised and bound into the run: no security expected
-    mno_pos = _MNO_POS.get(tag)
-    if mno_pos is not None and trace.with_value("CompromiseMno", 0, params[mno_pos]):
+    mno = event["mno"] if "mno" in EVENT_FIELDS[tag] else None
+    if mno in marked_mnos:
         return True
-    if tag in CLIENT_TRIGGER_TAGS:
+    if tag in ("U0", "U1", "U2", "U3"):
         # client-side assurance protects the client; the adversary's own
         # device needs none
-        return _adversary_owns(trace, params[0])
+        return event["U"] in adversary_eids
     if tag in ("S1", "S2", "S3"):
-        u = params[0]
-        if not _adversary_owns(trace, u):
+        u = event["U"]
+        if u not in adversary_eids:
             return False
         # adversary device AND the adversary's own (honestly placed) order:
         # nothing of anyone else's is at stake
         if tag == "S1":
-            iac = params[5]
-            orders = (trace.with_value("ORDER", 5, iac) if iac is not NULL
-                      else [(i, e) for i, e in trace.with_value("ORDER", 3, u)
-                            if e.params[1] == params[4]])
+            iac = event["iac"]
+            orders = (_having(trace, "ORDER", "iac", iac) if iac is not NULL
+                      else [(i, e) for i, e in _having(trace, "ORDER", "U", u)
+                            if e["mno"] == mno])
         else:
-            orders = trace.with_value("ORDER", 4, params[4 if tag == "S3" else 5])
-        return bool(orders) and all(e.params[0] == _ADVERSARY for _, e in orders)
+            orders = _having(trace, "ORDER", "P", event["P"])
+        return bool(orders) and all(e["uid"] == _ADVERSARY for _, e in orders)
     return False
 
 
 def _exclusions(trace: Trace, tags) -> set:
     """The indices of the excluded events among the triggers of `tags`, asked
-    once per event however many goals share its tag."""
+    once per event however many goals share its tag.  The adversary's
+    devices and the compromised operators are read once per call."""
+    adversary_eids = {e["U"] for _, e in _having(trace, "OWNER", "uid", _ADVERSARY)}
+    marked_mnos = {e["mno"] for _, e in trace.events_tagged("CompromiseMno")}
     return {i for tag in tags for i, e in trace.events_tagged(tag)
-            if _excluded(trace, e)}
+            if _excluded(trace, e, adversary_eids, marked_mnos)}
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +564,7 @@ def check_secrecy(trace: Trace, knowledge: Knowledge, goal: GoalSpec,
     for i, e in trace.events_tagged(goal.trigger.tag):
         if i in excluded or kernel(trace, i, e.params) is None:
             continue
-        target = e.params[goal.secrecy_index]
+        target = e[goal.secret]
         if knowledge.deduce(target):
             return GoalVerdict(goal.name, "violated",
                                f"trigger #{i} {e.render()}; adversary derives "

@@ -155,7 +155,7 @@ def build_world(cfg: ScenarioConfig) -> World:
     world = World(cfg, PKI)
     for ident in PKI.servers:
         world.servers[ident.domain.label] = ServerProcess(world, ident)
-        world.emit(Event("AUTHORIZE", (ident.subject,)))
+        world.emit(Event.AUTHORIZE(Sp=ident.subject))
 
     world.mnos[MNO1] = MnoProcess(MNO1, Atom(MNO1), SERVER1)
     world.mnos[MNO2] = MnoProcess(MNO2, Atom(MNO2), SERVER1)
@@ -164,7 +164,7 @@ def build_world(cfg: ScenarioConfig) -> World:
     for ident, (eid, owner) in zip(PKI.euiccs, _OWNERS):
         world.euiccs[eid] = EuiccDevice(world, ident)
         world.users[owner] = UserAgent(Atom(owner), eid, MNO1, lpa_oid)
-        world.emit(Event("OWNER", (Atom(owner), ident.eid)))
+        world.emit(Event.OWNER(uid=Atom(owner), U=ident.eid))
 
     for kind, name in COMPROMISES[cfg.scenario]:
         compromise(world, kind, name)
@@ -200,13 +200,13 @@ def compromise(world: World, kind: str, name: str) -> None:
         ident = world.servers[name].identity
         world.adversary.learn(ident.cert_st, ident.cert_sa, ident.cert_sp,
                               ident.sk_tls, ident.sk_sa, ident.sk_sp)
-        marker = Event("CompromiseServer", (ident.subject,))
+        marker = Event.CompromiseServer(server=ident.subject)
     elif kind == "euicc":
         ident = world.euiccs[name].identity
         world.adversary.learn(ident.sk_u, ident.cert_u)
-        marker = Event("CompromiseCert", (ident.eid,))
+        marker = Event.CompromiseCert(U=ident.eid)
     else:
-        tag = "CompromiseMno" if kind == "mno" else "ChannelFraud"
-        marker = Event(tag, (Atom(kind if kind == "lpa" else name),))
+        marker = (Event.CompromiseMno(mno=Atom(name)) if kind == "mno" else
+                  Event.ChannelFraud(mode=Atom(kind if kind == "lpa" else name)))
     world.grants.add((kind, name))
     world.emit(marker)

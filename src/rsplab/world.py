@@ -169,7 +169,7 @@ class World:
         request = PROFILE_REQUEST.build(user=user.atom, eid=eid_atom)
         self.trace.append(MessageOp(CH_USER_MNO, f"{user_label}->{mno.label}", request))
         if self.cfg.approach == "ds":
-            self.emit(Event("INTENT", (user.atom, mno.atom, eid_atom, NULL)))
+            self.emit(Event.INTENT(uid=user.atom, mno=mno.atom, U=eid_atom, iac=NULL))
             self._mno_book_order(mno, user.atom, eid_atom)
             return None
         code = self._mno_book_order(mno, user.atom, eid_atom)
@@ -182,7 +182,7 @@ class World:
             # the adversary reads codes it legitimately receives, and a
             # subverted LPA leaks the ones passing through it
             self.adversary.learn(code.iac)
-        self.emit(Event("INTENT", (user.atom, mno.atom, eid_atom, code.iac)))
+        self.emit(Event.INTENT(uid=user.atom, mno=mno.atom, U=eid_atom, iac=code.iac))
         return code
 
     def fraud_order(self, mode: str, claimed_user: str, mno_label: str,
@@ -202,7 +202,7 @@ class World:
             target_eid = self.euiccs[eid_label].eid if eid_label else NULL
         else:  # order-for-euicc
             target_eid = self.euiccs[eid_label].eid
-        self.emit(Event("FraudOrder", (Atom(mode), claimed, target_eid)))
+        self.emit(Event.FraudOrder(mode=Atom(mode), uid=claimed, U=target_eid))
         code = self._mno_book_order(mno, claimed, target_eid)
         if code is not None:
             # the code goes back to whoever placed the order: the adversary

@@ -3,25 +3,52 @@
 Deliberately the plain algorithm the indexed checker in ``rsplab.goals``
 replaced: every conjunct is tried against every earlier event of the whole
 trace, every consistent witness tuple is enumerated, and the exclusion
-facts are recomputed by scanning.  It shares only the pattern language
-and the text formatting with the checker under test: patterns are matched
-slot by slot here, not through the kernel compiled for each goal, and the
-injective assignment tries every combination of witness tuples instead of
-backtracking.  Exponential in the number of conjuncts and of triggers on
-long traces, so tests feed it short ones.
+facts are recomputed by scanning.  It shares only the event schema, the
+pattern language and the text formatting with the checker under test:
+patterns are matched slot by slot here, not through the kernel compiled
+for each goal, and the injective assignment tries every combination of
+witness tuples instead of backtracking.  Exponential in the number of
+conjuncts and of triggers on long traces, so tests feed it short ones.
+
+It also builds the two informational variants of the catalog, each from
+the fifteen goals with one goal's named patterns replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
-from rsplab.events import ADVERSARY_USER, Event, Trace
-from rsplab.goals import (EventPattern, GoalSpec, GoalVerdict, OptVar, Var,
-                          Wild, _pattern_text)
+from rsplab.events import ADVERSARY_USER, EVENT_FIELDS, Event, Trace
+from rsplab.goals import (EventPattern, GoalSpec, GoalVerdict, OptVar,
+                          Requirement, Var, Wild, _pattern_text, ep,
+                          goal_catalog)
 from rsplab.terms import NULL, Atom, Knowledge, encode
 
 CLIENT_TAGS = ("U0", "U1", "U2", "U3")
-MNO_POSITION = {"U3": 6, "S1": 4, "S2": 6, "S3": 6}
+
+
+def _variant(name: str, **changes) -> list:
+    """The fifteen goals, with `changes` made to goal `name`."""
+    return [replace(g, **changes) if g.name == name else g
+            for g in goal_catalog()]
+
+
+def _goal(name: str) -> GoalSpec:
+    return next(g for g in goal_catalog() if g.name == name)
+
+
+# the install notification with its S2 and U3 witnesses injective: each
+# notification accepted for its own delivery and acceptance
+INJECTIVE_NOTIFICATION = _variant("G", requires=tuple(
+    replace(r, injective=True) if r.pattern.tag in ("S2", "U3") else r
+    for r in _goal("G").requires))
+# server authentication demanding that the client already knew the accepted
+# server's name when it started (the session-start slot must equal the
+# bound value, null not accepted).  Without pre-established identities this
+# fails even on honest runs, which is why the protocol cannot promise it.
+STRICT_IDENTITY = _variant("A", requires=(
+    Requirement(ep("U0", "U", "S"), True), *_goal("A").requires[1:]))
 
 
 def match(pattern: EventPattern, event: Event, bindings: dict):
@@ -50,44 +77,33 @@ class _Exclusions:
     def __init__(self, trace: Trace) -> None:
         events = _events(trace)
         self.adv_atom = Atom(ADVERSARY_USER)
-        self.adv_eids = {e.params[1] for _, e in events
-                         if e.tag == "OWNER" and e.params[0] == self.adv_atom}
-        self.mno_marks = {e.params[0] for _, e in events
+        self.adv_eids = {e["U"] for _, e in events
+                         if e.tag == "OWNER" and e["uid"] == self.adv_atom}
+        self.mno_marks = {e["mno"] for _, e in events
                           if e.tag == "CompromiseMno"}
         self.orders = [e for _, e in events if e.tag == "ORDER"]
 
-    def order_users(self, *, iac=None, p=None, u=None, mno=None) -> list:
-        out = []
-        for e in self.orders:
-            o_user, o_mno, _o_s, o_u, o_p, o_iac = e.params
-            if iac is not None and o_iac != iac:
-                continue
-            if p is not None and o_p != p:
-                continue
-            if u is not None and o_u != u:
-                continue
-            if mno is not None and o_mno != mno:
-                continue
-            out.append(o_user)
-        return out
+    def order_users(self, **fields) -> list:
+        """The users of the orders whose fields hold `fields`."""
+        return [e["uid"] for e in self.orders
+                if all(e[f] == value for f, value in fields.items())]
 
     def excluded(self, event: Event) -> bool:
-        tag, params = event.tag, event.params
-        mno_pos = MNO_POSITION.get(tag)
-        if mno_pos is not None and params[mno_pos] in self.mno_marks:
+        tag = event.tag
+        if "mno" in EVENT_FIELDS[tag] and event["mno"] in self.mno_marks:
             return True
         if tag in CLIENT_TAGS:
-            return params[0] in self.adv_eids
+            return event["U"] in self.adv_eids
         if tag in ("S1", "S2", "S3"):
-            u = params[0]
+            u = event["U"]
             if u not in self.adv_eids:
                 return False
             if tag == "S1":
-                iac = params[5]
+                iac = event["iac"]
                 users = (self.order_users(iac=iac) if iac != NULL
-                         else self.order_users(u=u, mno=params[4]))
+                         else self.order_users(U=u, mno=event["mno"]))
             else:
-                users = self.order_users(p=params[4 if tag == "S3" else 5])
+                users = self.order_users(P=event["P"])
             return bool(users) and all(x == self.adv_atom for x in users)
         return False
 
@@ -165,7 +181,7 @@ def check_secrecy(trace: Trace, knowledge: Knowledge, goal: GoalSpec) -> GoalVer
     for i, e in _events(trace):
         if match(goal.trigger, e, {}) is None or excl.excluded(e):
             continue
-        target = e.params[goal.secrecy_index]
+        target = e[goal.secret]
         if knowledge.deduce(target):
             return GoalVerdict(goal.name, "violated",
                                f"trigger #{i} {e.render()}; adversary derives "

@@ -130,7 +130,7 @@ def test_criterion_5_forward_secrecy():
     mutant = build_world(ScenarioConfig("ds", 1, False))
     honest_script(mutant)
     (_, sent_qs), = mutant.trace.events_tagged("SENT_QS")
-    mutant.adversary.learn(sent_qs.params[0].of)
+    mutant.adversary.learn(sent_qs["q_s"].of)
     caught = not check_forward_secrecy(mutant).ok
     _verdict_line(5, caught, "long-term key leak after the run reveals "
                              "nothing; the ephemeral-leaking mutant is caught")

@@ -4,10 +4,11 @@ negative control must leave a clean trace."""
 
 import pytest
 
+import goal_oracle
 from rsplab.attacks import (ATTACKS_BY_ID, attack_registry, audit_trace,
                             honest_script, negative_controls)
 from rsplab.fixture import GOALS, expected_matrix, scenario_rows
-from rsplab.goals import check_all, goal_catalog
+from rsplab.goals import check_all
 from rsplab.scenarios import ScenarioConfig, build_world
 
 # one representative world per script (approach, scenario, tls)
@@ -132,7 +133,7 @@ class TestNamedReproductions:
         world, verdicts = run_script("a", "ds", 9, True)
         (_, u3), = world.trace.events_tagged("U3")
         (_, order), = world.trace.events_tagged("ORDER")
-        assert u3.params[5] == order.params[4]  # the fraud-ordered profile
+        assert u3["P"] == order["P"]  # the fraud-ordered profile
         for g in ("Bp", "G", "J", "K"):
             assert not verdicts[g].ok
 
@@ -140,7 +141,7 @@ class TestNamedReproductions:
         world, verdicts = run_script("c", "ds", 5, False)
         (_, u1), = world.trace.events_tagged("U1")
         (_, s1), = world.trace.events_tagged("S1")
-        assert u1.params[1] != s1.params[1]  # different server identities
+        assert u1["Sa"] != s1["Sa"]  # different server identities
         assert not verdicts["B"].ok
 
 
@@ -184,6 +185,6 @@ class TestControls:
     def test_injective_notification_variant_holds_on_honest_runs(self):
         world = build_world(ScenarioConfig("ac", 1, False))
         honest_script(world)
-        catalog = goal_catalog(injective_notification=True)
+        catalog = goal_oracle.INJECTIVE_NOTIFICATION
         verdicts = check_all(world.trace, world.adversary.knowledge, catalog)
         assert verdicts["G"].ok

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import goal_oracle
 from rsplab import goals
-from rsplab.events import Event, Trace
+from rsplab.events import EVENT_FIELDS, Event, Trace
 from rsplab.goals import (EventPattern, GoalSpec, OptVar, Requirement, Var,
                           W, check_goal, goal_catalog)
 from rsplab.scenarios import BYSTANDER, VICTIM, ScenarioConfig, build_world
@@ -35,33 +35,17 @@ LITERAL_SECRET = GoalSpec(
     "literal-secret", "secrecy", "client",
     "a key accepted for the adversary's operator stays secret",
     EventPattern("U3", (Var("U"), W, W, W, Var("k"), W, ADV, OptVar("U"))),
-    secrecy_index=4)
+    secret="k")
 CATALOGS = {
     "default": goal_catalog(),
-    "injective_notification": goal_catalog(injective_notification=True),
-    "strict_identity": goal_catalog(strict_identity=True),
+    "injective_notification": goal_oracle.INJECTIVE_NOTIFICATION,
+    "strict_identity": goal_oracle.STRICT_IDENTITY,
     "two_new": [TWO_NEW],
     "literal_secret": [LITERAL_SECRET],
 }
 SECRETS = (Nonce(1, "x"), Nonce(2, "x"))
 POOL = SECRETS + (NULL, ADV)
 RUN_VARS = ("uid", "U", "S", "Sa", "Sp", "It", "k", "P", "mno", "iac")
-# the run variable each parameter of an event carries in an honest run
-LAYOUT = {
-    "AUTHORIZE": ("Sp",),
-    "OWNER": ("uid", "U"),
-    "INTENT": ("uid", "mno", "U", "iac"),
-    "ORDER": ("uid", "mno", "S", "U", "P", "iac"),
-    "U0": ("U", "S"),
-    "U1": ("U", "Sa", "It", "S"),
-    "U2": ("U", "Sa", "Sp", "It"),
-    "U3": ("U", "Sa", "Sp", "It", "k", "P", "mno", "iac"),
-    "S0": ("Sa", "It", "S", "mno", "iac"),
-    "S1": ("U", "Sa", "Sp", "It", "mno", "iac"),
-    "S2": ("U", "Sa", "Sp", "It", "k", "P", "mno", "iac"),
-    "S3": ("U", "Sa", "Sp", "It", "P", "S", "mno"),
-    "CompromiseMno": ("mno",),
-}
 
 
 def make_trace(*events) -> Trace:
@@ -83,7 +67,10 @@ def assert_same_verdicts(trace: Trace, knowledge: Knowledge) -> None:
 # one honest session, in protocol order
 SESSION = ("AUTHORIZE", "OWNER", "INTENT", "ORDER", "U0", "S0", "U1", "S1",
            "U2", "S2", "U3", "S3")
-TAGS = sorted(LAYOUT)
+# the tags whose every field carries a run variable: an event's field holds
+# the run's value of the variable named after it
+TAGS = sorted(tag for tag, fields in EVENT_FIELDS.items()
+              if set(fields) <= set(RUN_VARS))
 
 # A trace interleaves two or three runs, each a valuation of the run
 # variables.  The first is drawn whole; each other one copies it with the
@@ -127,7 +114,10 @@ def first_fit(trigger_options: list, requires: tuple) -> bool:
 
 
 # examples, of 300, whose verdicts needed the assignment to take a choice
-# back; from 6 to 39, median 14, over 16 runs of this test
+# back.  The draw is derandomized, so the count is a property of the code:
+# 22, alike under the default environment, PYTHONHASHSEED=1,
+# PYTHONMALLOC=malloc and -X dev.  Drawn afresh on every run it ranged
+# from 0 to 39.
 BACKTRACKING_EXAMPLES = 3
 
 
@@ -143,7 +133,7 @@ def test_random_traces_match_the_oracle(monkeypatch):
 
     monkeypatch.setattr(goals, "_assign_injectively", counting)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(runs, turns, event_draws, st.sets(st.sampled_from(SECRETS)),
            st.integers(0, 45))
     def check(valuations, order, draws, known, cut):
@@ -160,7 +150,7 @@ def test_random_traces_match_the_oracle(monkeypatch):
             else:
                 tag = SESSION[steps[run] % len(SESSION)]
                 steps[run] += 1
-            params = [valuations[run][v] for v in LAYOUT[tag]]
+            params = [valuations[run][v] for v in EVENT_FIELDS[tag]]
             if swap_pos < len(params):
                 params[swap_pos] = swap_term
             events.append(Event(tag, tuple(params)))
@@ -364,7 +354,7 @@ def test_notification_goal_with_many_orders_per_user():
     g = goal("G")
     victim_eid = w.euiccs[w.users[VICTIM].euicc].eid
     i, s3 = [(i, e) for i, e in w.trace.events_tagged("S3")
-             if e.params[0] == victim_eid][-1]
+             if e["U"] == victim_eid][-1]
     bindings = goal_oracle.match(g.trigger, s3, {})
     events = goal_oracle._events(w.trace)
     assert len(goal_oracle.witness_tuples(events, i, g.requires, bindings)) == 14 * 14

@@ -4,6 +4,7 @@ and wildcard slots, and apply the exclusion rules from trace markers."""
 
 import pytest
 
+import goal_oracle
 from rsplab import goals
 from rsplab.attacks import ATTACKS_BY_ID, honest_script
 from rsplab.events import Event, Trace
@@ -203,17 +204,18 @@ class TestCheckAll:
         asked = []
         excluded = goals._excluded
 
-        def counted(trace, event):
-            asked.append(event)
-            return excluded(trace, event)
+        def counted(trace, event, *facts):
+            answer = excluded(trace, event, *facts)
+            asked.append((event, answer))
+            return answer
 
         monkeypatch.setattr(goals, "_excluded", counted)
         verdicts = check_all(w.trace, w.adversary.knowledge)
         triggers = sum(len(w.trace.events_tagged(tag))
                        for tag in ("U1", "U2", "U3", "S1", "S2", "S3"))
-        assert any(excluded(w.trace, e) for e in asked)
+        assert any(answer for _, answer in asked)
         assert 0 < len(asked) <= triggers
-        assert len(set(map(id, asked))) == len(asked)
+        assert len({id(event) for event, _ in asked}) == len(asked)
         assert verdicts == {g.name: goals.check_goal(w.trace, w.adversary.knowledge, g)
                             for g in goals.CATALOG}
 
@@ -252,7 +254,7 @@ class TestStrictIdentityVariant:
         # activation-code runs
         from rsplab.attacks import honest_script
         from rsplab.scenarios import ScenarioConfig, build_world
-        strict = goal_catalog(strict_identity=True)
+        strict = goal_oracle.STRICT_IDENTITY
         results = {}
         for approach in ("ds", "ac"):
             w = build_world(ScenarioConfig(approach, 1, True))

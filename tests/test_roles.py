@@ -9,7 +9,8 @@ import pytest
 
 from rsplab import roles
 from rsplab.attacks import honest_script
-from rsplab.events import Note
+from rsplab.events import EVENT_FIELDS, Event, Note
+from rsplab.goals import EventPattern, OptVar, Var, W, ep
 from rsplab.network import relay
 from rsplab.roles import (M4, M7, M8, M11, M12, M15, SIG4, SIG8, Message,
                           ProtocolAbort)
@@ -44,7 +45,7 @@ class TestHonestRun:
         seen = set()
         for _, e in w.trace.events():
             if e.tag in ("U0", "U1", "U2", "U3", "S0", "S1", "S2", "S3"):
-                key = (e.tag, e.params[3] if len(e.params) > 3 else None)
+                key = (e.tag, e["It"] if "It" in EVENT_FIELDS[e.tag] else None)
                 assert key not in seen
                 seen.add(key)
 
@@ -53,14 +54,14 @@ class TestHonestRun:
         w = run_honest(approach)
         (_, s2), = w.trace.events_tagged("S2")
         (_, u3), = w.trace.events_tagged("U3")
-        assert s2.params[4] == u3.params[4]    # session key
-        assert s2.params[5] == u3.params[5]    # profile
+        assert s2["k"] == u3["k"]
+        assert s2["P"] == u3["P"]
 
     def test_activation_code_intent_binds_the_delivered_code(self):
         w = run_honest("ac")
         (_, intent), = w.trace.events_tagged("INTENT")
         (_, order), = w.trace.events_tagged("ORDER")
-        assert intent.params[3] == order.params[5]
+        assert intent["iac"] == order["iac"]
 
     @pytest.mark.parametrize("recs", [frozenset(), frozenset({"R10"})])
     @pytest.mark.parametrize("approach", ["ds", "ac"])
@@ -193,6 +194,53 @@ class TestSchema:
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Constant) and node.value in tags:
                     offenders.append(f"{path.name}:{node.lineno} {node.value!r}")
+        assert not offenders
+
+
+# ---------------------------------------------------------------------------
+# The event schema: one declaration of each tag's fields
+# ---------------------------------------------------------------------------
+
+class TestEventSchema:
+    @pytest.mark.parametrize("tag", sorted(EVENT_FIELDS))
+    def test_constructor_takes_each_field_by_name(self, tag):
+        fields = EVENT_FIELDS[tag]
+        values = {f: Atom(f"v-{f}") for f in fields}
+        event = getattr(Event, tag)(**values)
+        assert event == Event(tag, tuple(values[f] for f in fields))
+        assert {f: event[f] for f in fields} == values
+        with pytest.raises(TypeError):  # a field left out
+            getattr(Event, tag)(**dict(list(values.items())[1:]))
+        with pytest.raises(TypeError):  # a field the tag does not have
+            getattr(Event, tag)(**values, other=Atom("x"))
+        with pytest.raises(TypeError):  # a field passed by position
+            getattr(Event, tag)(*values.values())
+        with pytest.raises(ValueError):  # a field the tag does not have
+            event["other"]
+
+    def test_a_pattern_names_only_fields_of_its_tag(self):
+        assert ep("S0", "Sa", S=OptVar("S")) == \
+            EventPattern("S0", (Var("Sa"), W, OptVar("S"), W, W))
+        with pytest.raises(ValueError, match="S0 has no field k"):
+            ep("S0", "Sa", "k")
+
+    def test_only_the_schema_builds_an_event_by_position(self):
+        # everywhere else an event is built through its tag's constructor
+        # and read by field name: no call of Event(...) and no params[<int>]
+        offenders = []
+        for path in sorted(Path(roles.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                by_position = (
+                    path.name != "events.py" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "Event")
+                indexed = (
+                    isinstance(node, ast.Subscript)
+                    and getattr(node.value, "attr", getattr(node.value, "id", None))
+                    == "params"
+                    and isinstance(node.slice, ast.Constant)
+                    and type(node.slice.value) is int)
+                if by_position or indexed:
+                    offenders.append(f"{path.name}:{node.lineno}")
         assert not offenders
 
 
