@@ -12,11 +12,18 @@ Each event tag is declared once, in ``EVENT_FIELDS``, with its field names.
 An event is built by name, ``Event.S0(Sa=…, It=…, S=…, mno=…, iac=…)``, and
 read by name, ``event["mno"]``; only the trace's index and the goal
 checker's compiled patterns go by position.
+
+Worlds append thousands of entries, so each kind is a ``NamedTuple``:
+immutable, read by field name, and built without the per-field
+``object.__setattr__`` a frozen dataclass pays.  ``isinstance`` tells the
+kinds apart, and ``Trace.append`` files events by exact type.  An entry
+equals a bare tuple of its values; no two kinds have as many fields, and
+nothing compares entries by value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .terms import Term, encode
 
@@ -53,8 +60,7 @@ EVENT_FIELDS = {
 ADVERSARY_USER = "user-adv"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One protocol event.  The program builds it with ``Event.<tag>``,
     whose required keywords are the tag's fields, never by position."""
     tag: str
@@ -68,9 +74,11 @@ class Event:
 
 
 def _constructor(tag: str, fields: tuple) -> staticmethod:
-    """``Event.<tag>``, which takes each field as a required keyword."""
-    env, args = {"Event": Event}, ", ".join(fields)
-    exec(compile(f"def {tag}(*, {args}):\n    return Event({tag!r}, ({args},))",
+    """``Event.<tag>``, which takes each field as a required keyword and
+    builds the tuple itself, without the NamedTuple's ``__new__``."""
+    env, args = {"Event": Event, "new": tuple.__new__}, ", ".join(fields)
+    exec(compile(f"def {tag}(*, {args}):\n"
+                 f"    return new(Event, ({tag!r}, ({args},)))",
                  f"<event {tag}>", "exec"), env)
     return staticmethod(env[tag])
 
@@ -79,8 +87,7 @@ for _tag, _fields in EVENT_FIELDS.items():
     setattr(Event, _tag, _constructor(_tag, _fields))
 
 
-@dataclass(frozen=True)
-class MessageOp:
+class MessageOp(NamedTuple):
     """One term crossing one channel."""
     channel: str          # mno_server_private | user_mno_private | lpa_server_public | lpa_euicc_internal
     direction: str        # e.g. "lpa->server"
@@ -92,16 +99,14 @@ class MessageOp:
         return f"[{self.channel}] {self.direction} ({who}) {encode(self.term)}"
 
 
-@dataclass(frozen=True)
-class LearnOp:
+class LearnOp(NamedTuple):
     term: Term
 
     def render(self) -> str:
         return f"learn {encode(self.term)}"
 
 
-@dataclass(frozen=True)
-class Note:
+class Note(NamedTuple):
     kind: str             # "abort" | "blocked" | "info"
     who: str
     detail: str
@@ -131,7 +136,7 @@ class Trace:
     def append(self, entry) -> int:
         i = len(self.entries)
         self.entries.append(entry)
-        if isinstance(entry, Event):
+        if type(entry) is Event:
             item = (i, entry)
             self._tagged[entry.tag].append(item)
             for pos, buckets in self._by_value[entry.tag].items():

@@ -38,9 +38,11 @@ class ProtocolAbort(Exception):
     """A receiver-side verification failed; the session must stop here."""
 
     def __init__(self, who: str, reason: str) -> None:
-        super().__init__(f"{who}: {reason}")
         self.who = who
         self.reason = reason
+
+    def __str__(self) -> str:
+        return f"{self.who}: {self.reason}"
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +56,8 @@ class Message:
     one optional field, always last, is on the wire exactly when
     recommendation `rec` is in force.  A signed message has a `body`: its
     ``sig`` field is a signature over that message.  Compared and hashed by
-    identity, as part of the key of ``build``'s and ``sign``'s memos."""
+    identity, as part of the key of ``build``'s, ``sign``'s and
+    ``decode``'s memos."""
     tag: Atom
     fields: tuple
     optional: Optional[str] = None
@@ -95,7 +98,14 @@ class Message:
         return {**fields, **body}
 
     def decode(self, term: Term, recs=frozenset()) -> tuple[Term, dict]:
-        """(tag, fields by name) without checking the tag; SealError if short."""
+        """(tag, fields by name) without checking the tag; SealError if short.
+        Each call returns a new dict, so the caller may change it."""
+        tag, fields = self._decode(term, recs)
+        return tag, fields.copy()
+
+    @functools.cache
+    def _decode(self, term: Term, recs: frozenset) -> tuple[Term, dict]:
+        """``decode``, memoized by the message, the term and `recs`."""
         names = self.names(recs)
         tag, *values = unpairs(term, len(names) + 1)
         return tag, dict(zip(names, values))

@@ -18,16 +18,17 @@ Four design points matter for everything downstream:
     the tree.
 
   * So a pure function of a term can be computed once per distinct term,
-    the payoff of hash-consing that paper names.  ``unpairs`` and the
-    keyless parts a closure takes out of a term (``_open_parts``) here,
-    ``Message.build`` in ``roles.py`` and ``verify_cert`` in ``pki.py``
-    are memoized with ``functools.cache``, keyed by the interned objects.
-    A term never changes and the table never frees it, so a key never goes
-    stale.  The cache stores only return values: a call that raises stores
-    nothing and raises again on the next call.  ``unpairs`` and message
-    parsing hand each caller a new list or dict that it may change.
-    Worlds are deterministic, so the memos stop growing when the table
-    does.
+    the payoff of hash-consing that paper names.  The keyless parts a
+    closure takes out of a term (``_open_parts``) here, ``Message.build``,
+    ``Message.sign`` and ``Message.decode`` in ``roles.py`` and
+    ``verify_cert`` in ``pki.py`` are memoized with ``functools.cache``,
+    keyed by the interned objects.  A term never changes and the table
+    never frees it, so a key never goes stale.  The cache stores only
+    return values: a call that raises stores nothing and raises again on
+    the next call.  Message decoding hands each caller a new dict that it
+    may change.  ``unpairs`` is not memoized: its callers are ``decode``
+    and certificate parsing, and both sit behind a memo.  Worlds are
+    deterministic, so the memos stop growing when the table does.
 
   * DH shared secrets are stored in a canonical form (the two private
     components sorted by id), so the client-side and server-side
@@ -272,13 +273,7 @@ def pairs(items: Iterable[Term]) -> Term:
 
 
 def unpairs(t: Term, n: int) -> list[Term]:
-    """Inverse of pairs() for a known arity; raises SealError on shape mismatch.
-    Each call returns a new list, so the caller may change it."""
-    return list(_unpairs(t, n))
-
-
-@functools.cache
-def _unpairs(t: Term, n: int) -> tuple[Term, ...]:
+    """Inverse of pairs() for a known arity; raises SealError on shape mismatch."""
     out: list[Term] = []
     for _ in range(n - 1):
         if not isinstance(t, Pair):
@@ -286,7 +281,7 @@ def _unpairs(t: Term, n: int) -> tuple[Term, ...]:
         out.append(t.left)
         t = t.right
     out.append(t)
-    return tuple(out)
+    return out
 
 
 def seal(kind: str, key: Term, body: Term) -> Term:

@@ -51,10 +51,10 @@ class TestReports:
 
         def sizes():
             return {"terms._TABLE": len(terms._TABLE),
-                    "unpairs": terms._unpairs.cache_info().currsize,
                     "open_parts": terms._open_parts.cache_info().currsize,
                     "build": roles.Message.build.cache_info().currsize,
                     "sign": roles.Message.sign.cache_info().currsize,
+                    "decode": roles.Message._decode.cache_info().currsize,
                     "verify_cert": pki.verify_cert.cache_info().currsize}
 
         def one_pass():
@@ -75,6 +75,57 @@ class TestReports:
         assert all(first.values()), first
         one_pass()
         assert sizes() == first
+
+
+# the plain matrix and the two R10 matrices, as the benchmark runs them
+THREE_MATRICES = ((("ds", "ac"), frozenset()), (("ds",), frozenset({"R10"})),
+                  (("ac",), frozenset({"R10"})))
+
+
+def worlds_of_three_matrices(monkeypatch) -> list:
+    """Every world the three matrices build, kept with its trace."""
+    worlds = []
+    build = harness.build_world
+
+    def recording(cfg):
+        worlds.append(build(cfg))
+        return worlds[-1]
+
+    monkeypatch.setattr(harness, "build_world", recording)
+    for approaches, recs in THREE_MATRICES:
+        run_matrix(approaches=approaches, recs=recs)
+    return worlds
+
+
+class TestBehaviourCounts:
+    def test_the_three_matrices_keep_their_behaviour_counts(self, monkeypatch):
+        # the counts that bench/README.md says a pure speed change must not
+        # move, taken from the traces of every world the matrices build
+        from rsplab.events import MessageOp, Note
+        worlds = worlds_of_three_matrices(monkeypatch)
+        entries = [e for w in worlds for e in w.trace.entries]
+        assert len(worlds) == 203
+        assert len(entries) == 9411
+        assert sum(isinstance(e, MessageOp) and e.by_adversary
+                   for e in entries) == 157
+        assert sum(isinstance(e, Note) and e.kind == "abort"
+                   for e in entries) == 50
+
+    def test_no_run_compares_trace_entries_by_value(self, monkeypatch):
+        # entries are NamedTuples, so one equals a bare tuple of its values;
+        # the matrices must not depend on that, or on entry equality at all
+        from rsplab.events import Event, LearnOp, MessageOp, Note
+        compared = []
+
+        def refuse(a, b):
+            compared.append((a, b))
+            raise AssertionError("a trace entry was compared by value")
+
+        for kind in (Event, LearnOp, MessageOp, Note):
+            monkeypatch.setattr(kind, "__eq__", refuse)
+            monkeypatch.setattr(kind, "__ne__", refuse)
+        worlds = worlds_of_three_matrices(monkeypatch)
+        assert len(worlds) == 203 and not compared
 
 
 def dumped_payload(report) -> str:

@@ -120,6 +120,6 @@ class TestCompromise:
         from rsplab.attacks import honest_script
         honest_script(w)
         first_auth = min(i for i, _ in w.trace.events_tagged("AUTHORIZE"))
-        first_handshake = min(i for i, e in w.trace.events()
-                              if e.tag in ("S0", "U0"))
+        first_handshake = min(i for tag in ("S0", "U0")
+                              for i, _ in w.trace.events_tagged(tag))
         assert first_auth < first_handshake

@@ -9,14 +9,14 @@ import pytest
 
 from rsplab import roles
 from rsplab.attacks import honest_script
-from rsplab.events import EVENT_FIELDS, Event, Note
+from rsplab.events import EVENT_FIELDS, Event, LearnOp, MessageOp, Note
 from rsplab.goals import EventPattern, OptVar, Var, W, ep
-from rsplab.network import relay
+from rsplab.network import CH_LPA_SERVER, adversary_request, relay
 from rsplab.roles import (M4, M7, M8, M11, M12, M15, SIG4, SIG8, Message,
                           ProtocolAbort)
 from rsplab.scenarios import (SERVER1, VICTIM, VICTIM_EID, ScenarioConfig,
                               build_world)
-from rsplab.terms import Atom, FreshSource, Sign, pairs
+from rsplab.terms import Atom, FreshSource, SealError, Sign, pairs, seal
 
 
 def run_honest(approach, tls=True, recs=frozenset()):
@@ -26,7 +26,7 @@ def run_honest(approach, tls=True, recs=frozenset()):
 
 
 def tags(world):
-    return [e.tag for _, e in world.trace.events()]
+    return [e.tag for e in world.trace.entries if isinstance(e, Event)]
 
 
 class TestHonestRun:
@@ -43,9 +43,9 @@ class TestHonestRun:
     def test_no_progress_event_repeats_for_one_transaction(self, approach):
         w = run_honest(approach)
         seen = set()
-        for _, e in w.trace.events():
-            if e.tag in ("U0", "U1", "U2", "U3", "S0", "S1", "S2", "S3"):
-                key = (e.tag, e["It"] if "It" in EVENT_FIELDS[e.tag] else None)
+        for tag in ("U0", "U1", "U2", "U3", "S0", "S1", "S2", "S3"):
+            for _, e in w.trace.events_tagged(tag):
+                key = (tag, e["It"] if "It" in EVENT_FIELDS[tag] else None)
                 assert key not in seen
                 seen.add(key)
 
@@ -123,6 +123,63 @@ class TestSchema:
         del first["oid"]
         assert SIG4.parse(term, "x", frozenset({"R7"})) == values
         assert SIG4.decode(term, frozenset({"R7"})) == (SIG4.tag, values)
+
+    @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: m.tag.label)
+    def test_every_decode_and_parse_returns_a_dict_of_its_own(self, msg):
+        # decode is memoized per term; a caller's change to what it got must
+        # not reach the next caller
+        values = sample(msg, frozenset())
+        term = msg.build(**values)
+        for fields in (lambda: msg.decode(term)[1], lambda: msg.parse(term, "x")):
+            first = fields()
+            first.clear()
+            assert fields() == values
+            assert fields() is not fields()
+
+    @pytest.mark.parametrize("msg", SIGNED_MESSAGES, ids=lambda m: m.tag.label)
+    def test_reading_a_signed_message_leaves_its_decode_whole(self, msg):
+        # read pops "sig" from the dict decode hands it
+        key = FreshSource().privkey("signer")
+        values = {name: Atom(f"v-{name}") for name in
+                  msg.names()[1:] + msg.body.names()}
+        term = msg.sign(key, **values)
+        for _ in range(2):
+            read = msg.read(term)
+            assert read == values
+            read.clear()
+            assert "sig" in msg.decode(term)[1]
+            assert "sig" in msg.parse(term, "x")
+
+    @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: m.tag.label)
+    def test_a_short_term_fails_on_every_call(self, msg):
+        # the memo stores only return values, so a failure is never cached
+        # away: the second and third calls fail like the first
+        items = list(sample(msg, frozenset()).values())
+        short = pairs([msg.tag] + items[:-1])
+        for _ in range(3):
+            with pytest.raises(SealError):
+                msg.decode(short)
+            with pytest.raises(ProtocolAbort):
+                msg.parse(short, "who")
+            if msg.body is not None:
+                with pytest.raises(SealError):
+                    msg.read(short)
+
+    @pytest.mark.parametrize("msg", SIGNED_MESSAGES, ids=lambda m: m.tag.label)
+    def test_a_short_signed_body_fails_every_read(self, msg):
+        key = FreshSource().privkey("signer")
+        body = list(sample(msg.body, frozenset()).values())
+        sig = seal("sign", key, pairs([msg.body.tag] + body[:-1]))
+        term = msg.build(sig=sig, **{name: Atom(f"v-{name}")
+                                     for name in msg.fields[1:]})
+        for _ in range(3):
+            with pytest.raises(SealError):
+                msg.read(term)
+
+    def test_an_abort_reads_as_who_and_why(self):
+        exc = ProtocolAbort("server", "unknown transaction id")
+        assert (exc.who, exc.reason) == ("server", "unknown transaction id")
+        assert str(exc) == "server: unknown transaction id"
 
     def test_signed_handshake_wire_layout(self):
         n_u, n_s, it, s, oid, eid = (Atom(x) for x in
@@ -242,6 +299,72 @@ class TestEventSchema:
                 if by_position or indexed:
                     offenders.append(f"{path.name}:{node.lineno}")
         assert not offenders
+
+
+# ---------------------------------------------------------------------------
+# Trace entries: one immutable kind per entry, told apart by type
+# ---------------------------------------------------------------------------
+
+ENTRY_FIELDS = {
+    Event: ("tag", "params"),
+    MessageOp: ("channel", "direction", "term", "by_adversary"),
+    LearnOp: ("term",),
+    Note: ("kind", "who", "detail"),
+}
+
+
+class TestTraceEntries:
+    @pytest.mark.parametrize("kind", ENTRY_FIELDS, ids=lambda k: k.__name__)
+    def test_each_kind_keeps_its_field_names(self, kind):
+        fields = ENTRY_FIELDS[kind]
+        values = {f: Atom(f"v-{f}") for f in fields}
+        entry = kind(**values)
+        assert kind._fields == fields
+        assert {f: getattr(entry, f) for f in fields} == values
+
+    def test_a_message_is_honest_unless_marked(self):
+        assert MessageOp(CH_LPA_SERVER, "lpa->server:m3", Atom("t")).by_adversary is False
+
+    @pytest.mark.parametrize("kind", ENTRY_FIELDS, ids=lambda k: k.__name__)
+    def test_an_entry_cannot_be_changed(self, kind):
+        entry = kind(*(Atom("v") for _ in ENTRY_FIELDS[kind]))
+        for f in ENTRY_FIELDS[kind]:
+            with pytest.raises(AttributeError):
+                setattr(entry, f, Atom("changed"))
+            with pytest.raises(AttributeError):
+                delattr(entry, f)
+        with pytest.raises(AttributeError):
+            entry.extra = Atom("added")
+        assert all(getattr(entry, f) is Atom("v") for f in ENTRY_FIELDS[kind])
+
+    def test_isinstance_tells_the_kinds_apart(self):
+        # an honest run, then a stale replay the server aborts: every kind
+        w = run_honest("ac", tls=False)
+        m7 = next(e.term for e in w.trace.entries if isinstance(e, MessageOp)
+                  and e.direction == "lpa->server:m7")
+        adversary_request(w, w.servers[SERVER1].identity.domain, m7)
+        kinds = [[k for k in ENTRY_FIELDS if isinstance(e, k)]
+                 for e in w.trace.entries]
+        assert all(len(k) == 1 for k in kinds)
+        assert {k[0] for k in kinds} == set(ENTRY_FIELDS)
+        # the trace's index files exactly the events, in trace order
+        filed = sorted(item for tag in EVENT_FIELDS
+                       for item in w.trace.events_tagged(tag))
+        assert [i for i, _ in filed] == [
+            i for i, e in enumerate(w.trace.entries) if isinstance(e, Event)]
+
+    def test_an_entry_equals_a_bare_tuple_of_its_values(self):
+        # NamedTuples compare as tuples; no two kinds have as many fields, so
+        # entries of two kinds never compare equal.  Nothing in the lab
+        # compares entries by value (see test_harness's
+        # test_no_run_compares_trace_entries_by_value)
+        t = Atom("t")
+        assert MessageOp(CH_LPA_SERVER, "adv->server", t, True) == \
+            (CH_LPA_SERVER, "adv->server", t, True)
+        assert LearnOp(t) == (t,)
+        assert Note("abort", "server", "why") == ("abort", "server", "why")
+        assert Event.SENT_QS(q_s=t) == ("SENT_QS", (t,))
+        assert len({len(f) for f in ENTRY_FIELDS.values()}) == len(ENTRY_FIELDS)
 
 
 # ---------------------------------------------------------------------------

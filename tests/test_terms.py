@@ -10,6 +10,7 @@ from dy_oracle import oracle_deduce
 from term_gen import TermGen
 from rsplab import terms
 from rsplab.attacks import honest_script
+from rsplab.events import Event
 from rsplab.scenarios import ScenarioConfig, build_world
 from rsplab.terms import (Atom, DhPriv, DhShared, FreshSource, Kdf, Knowledge,
                           Mac, NULL, Nonce, Pair, PrivKey, SEnc, SealError,
@@ -247,7 +248,9 @@ class TestInterning:
         world = build_world(ScenarioConfig("ac", 3, False))
         honest_script(world)
         by_encoding = {}
-        for _, event in world.trace.events():
+        for event in world.trace.entries:
+            if not isinstance(event, Event):
+                continue
             for param in event.params:
                 for t in subterms(param):
                     by_encoding.setdefault(encode(t), set()).add(id(t))
