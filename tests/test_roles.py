@@ -14,8 +14,8 @@ from rsplab.goals import EventPattern, OptVar, Var, W, ep
 from rsplab.network import CH_LPA_SERVER, adversary_request, relay
 from rsplab.roles import (M4, M7, M8, M11, M12, M15, SIG4, SIG8, Message,
                           ProtocolAbort)
-from rsplab.scenarios import (SERVER1, VICTIM, VICTIM_EID, ScenarioConfig,
-                              build_world)
+from rsplab.scenarios import (SERVER1, SERVER2, VICTIM, VICTIM_EID,
+                              ScenarioConfig, build_world)
 from rsplab.terms import Atom, FreshSource, SealError, Sign, pairs, seal
 
 
@@ -499,3 +499,95 @@ class TestFaultInjection:
         assert not result.completed
         assert [e.render() for e in w.trace.entries if isinstance(e, Note)] == [note]
         assert w.trace.events_tagged("U1") == []
+
+
+# ---------------------------------------------------------------------------
+# Receive-side verification: one download, one rewrite, the exact note.  The
+# relaxed LPA forwards m4 and m8 unverified, so it lets a rewrite reach the
+# eUICC's own checks behind the strict LPA's.
+# ---------------------------------------------------------------------------
+
+def rogue_signed(stage):
+    """A rewrite that re-signs `stage`'s message, certificate kept, with a
+    key the adversary made itself."""
+    msg = SIGNED[stage][0]
+
+    def rewrite(world, at, term):
+        if at != stage:
+            return term
+        rogue = world.adversary.fresh.privkey("rogue")
+        world.adversary.learn(rogue)
+        recs = world.cfg.recs
+        return msg.sign(rogue, recs, **msg.read(term, recs))
+    return rewrite
+
+
+def cert_swapped(stage, policy_of):
+    """A rewrite that keeps `stage`'s signature but swaps in the intended
+    server's certificate held in the `policy_of` attribute."""
+    msg = SIGNED[stage][0]
+
+    def rewrite(world, at, term):
+        if at != stage:
+            return term
+        cert = getattr(world.servers[SERVER1].identity, policy_of)
+        return msg.build(**{**msg.parse(term, "adv"), "cert": cert})
+    return rewrite
+
+
+def notes_of_one_download(rewrite, scenario=1, lpa_strict=True,
+                          recs=frozenset()):
+    w = build_world(ScenarioConfig("ds", scenario, False, recs, lpa_strict))
+    w.request_profile(VICTIM)
+    result = relay(w, w.download(VICTIM, intercepted=True), rewrite)
+    assert not result.completed
+    return [e.render() for e in w.trace.entries if isinstance(e, Note)]
+
+
+class TestReceivers:
+    @pytest.mark.parametrize("stage, lpa_strict, note", [
+        ("m4", False, "abort euicc: bad signature on server auth"),
+        ("m7", True, "abort server: bad signature on client auth"),
+        ("m8", False, "abort euicc: bad signature on profile binding"),
+        ("m11", True, "abort server: bad signature on key exchange"),
+        ("m12", True, "abort euicc: bad signature on key exchange"),
+        ("m15", True, "abort server: bad signature on notification"),
+        ("m4", True, f"blocked lpa-{VICTIM}: m4: unverifiable server message"),
+        ("m8", True, f"blocked lpa-{VICTIM}: m8: unverifiable binding message"),
+    ], ids=["m4-euicc", "m7-server", "m8-euicc", "m11-server", "m12-euicc",
+            "m15-server", "m4-lpa", "m8-lpa"])
+    def test_a_rogue_signature_stops_at_its_receiver(self, stage, lpa_strict, note):
+        assert notes_of_one_download(rogue_signed(stage), lpa_strict=lpa_strict) \
+            == [f"note {note}: signature key mismatch"]
+
+    @pytest.mark.parametrize("stage, cert, lpa_strict, note", [
+        ("m4", "cert_sp", False, "abort euicc: certificate policy "
+         "policy-profile-binding unfit for context policy-server-auth"),
+        ("m7", "cert_sa", True, "abort server: certificate policy "
+         "policy-server-auth unfit for context policy-euicc"),
+        ("m8", "cert_sa", False, "abort euicc: certificate policy "
+         "policy-server-auth unfit for context policy-profile-binding"),
+        ("m8", "cert_sa", True, f"blocked lpa-{VICTIM}: m8: unverifiable "
+         "binding message: certificate policy policy-server-auth unfit for "
+         "context policy-profile-binding"),
+    ], ids=["m4-euicc", "m7-server", "m8-euicc", "m8-lpa"])
+    def test_a_certificate_of_the_wrong_policy_stops_at_its_receiver(
+            self, stage, cert, lpa_strict, note):
+        # scenario 2: the adversary holds the intended server's certificates
+        assert notes_of_one_download(cert_swapped(stage, cert), scenario=2,
+                                     lpa_strict=lpa_strict) == [f"note {note}"]
+
+    def test_another_servers_signature_stops_at_the_expected_oid(self):
+        # scenario 5: the second server's leaked key signs m4 over the dialed
+        # name and its own oid; under R2 the LPA knows which oid to expect.
+        # The relaxed LPA verifies what it can too, so the eUICC's own
+        # expected-oid check under R7 is never reached behind it
+        def rewrite(world, stage, term):
+            if stage != "m4":
+                return term
+            other = world.servers[SERVER2].identity
+            return M4.sign(other.sk_sa, **{**M4.read(term), "cert": other.cert_sa})
+
+        assert notes_of_one_download(rewrite, scenario=5, recs=frozenset({"R2"})) \
+            == [f"note blocked lpa-{VICTIM}: m4: server oid does not match the "
+                "expected oid"]
