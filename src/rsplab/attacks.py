@@ -204,6 +204,7 @@ class AttackScript:
     applicable: Callable
     run: Callable
     claims: frozenset
+    explanation: str          # the narrative `rsp-lab explain` prints
 
 
 def _use_stolen_code(world: World, code: Code) -> None:
@@ -350,50 +351,105 @@ def _applies(scenarios, approach=None, tls=None):
 _ATTACKS = (
     AttackScript("1", "stolen activation code replay",
                  _applies(AC_SCENARIOS, "ac", tls=False), _script_1,
-                 frozenset({"Bp", "G", "K"})),
+                 frozenset({"Bp", "G", "K"}),
+                 "Without the transport tunnel, the activation code crosses the open\n"
+                 "network inside the signed client response. The adversary reads it,\n"
+                 "types it into its own device, and downloads the victim's profile\n"
+                 "there. The order chain behind the server's acceptance (owner,\n"
+                 "intent, order) no longer exists, so Bp, G and K fail."),
     AttackScript("2", "compromised server impersonation and diverted delivery",
                  _applies({2}), _script_2,
-                 frozenset({"A", "C", "E", "F", "G", "I", "J", "X", "Z"})),
+                 frozenset({"A", "C", "E", "F", "G", "I", "J", "X", "Z"}),
+                 "With every private key of the intended server, the adversary\n"
+                 "answers the victim's download itself (breaking all client-side\n"
+                 "goals and delivering a fake profile), or relays to the real\n"
+                 "server and swaps the final delivery, leaving the two ends with\n"
+                 "different beliefs about the installed profile (breaking G)."),
     AttackScript("3", "redirection to a compromised second server",
                  _applies({5}, tls=False), _script_3,
-                 frozenset({"A", "C", "E", "F", "I", "J", "X", "Z"})),
+                 frozenset({"A", "C", "E", "F", "I", "J", "X", "Z"}),
+                 "A compromised server elsewhere answers for the intended one: with\n"
+                 "the tunnel off, nothing pins the dialed name to the signer, the\n"
+                 "client only requires some authorized certificate. Every\n"
+                 "client-side goal fails and a fake profile is accepted."),
     AttackScript("4", "client impersonation with the victim's eUICC key",
                  _applies({3}), _script_4,
-                 frozenset({"B", "D", "G", "W", "Y"})),
+                 frozenset({"B", "D", "G", "W", "Y"}),
+                 "Holding the victim eUICC's private key, the adversary runs the\n"
+                 "client handshake itself: the server authenticates 'the victim',\n"
+                 "derives keys with the adversary, and hands over the profile."),
     AttackScript("5", "captured code under a forged client identity",
                  _applies({6}, "ac", tls=False), _script_5,
-                 frozenset({"B", "D", "W", "Y"})),
+                 frozenset({"B", "D", "W", "Y"}),
+                 "The adversary captures the victim's activation code in flight and\n"
+                 "re-signs the client response with its own compromised eUICC key;\n"
+                 "the server serves the victim's profile to a session whose key the\n"
+                 "adversary knows, so the profile leaks."),
     AttackScript("6", "self-ordered code under the victim's identity",
                  _applies({3}, "ac"), _script_6,
-                 frozenset({"Bp", "G", "K"})),
+                 frozenset({"Bp", "G", "K"}),
+                 "The adversary orders a profile for itself, then downloads it while\n"
+                 "presenting the victim's forged identity: the server's records now\n"
+                 "bind the victim's eUICC to an order the victim never made."),
     AttackScript("7", "profile ordered in the victim's name",
                  _applies({8}), _script_7,
-                 frozenset({"Bp", "G", "K"})),
+                 frozenset({"Bp", "G", "K"}),
+                 "The adversary passes as the victim when ordering; the resulting\n"
+                 "profile (or code) lands in the adversary's device. The server's\n"
+                 "view traces back to no real user intent."),
     AttackScript("8", "leaked activation code used directly",
                  _applies({10}, "ac"), _script_8,
-                 frozenset({"Bp", "G", "K"})),
+                 frozenset({"Bp", "G", "K"}),
+                 "An activation code leaked anywhere along its path lets anyone\n"
+                 "download the associated profile onto any device; mobile service\n"
+                 "is then charged to the victim's account."),
     AttackScript("9", "compromised LPA leaks and swaps the code",
                  _applies({4}, "ac"), _script_9,
-                 frozenset({"Bp", "G", "J", "K"})),
+                 frozenset({"Bp", "G", "J", "K"}),
+                 "A subverted LPA both leaks the code it is given (same effect as a\n"
+                 "leak anywhere else) and can feed the secure element a different\n"
+                 "code, installing a profile tied to someone else's subscription."),
     AttackScript("a", "second profile ordered for the victim's eUICC",
                  _applies({9}, "ds"), _script_a,
-                 frozenset({"Bp", "G", "J", "K"})),
+                 frozenset({"Bp", "G", "J", "K"}),
+                 "The adversary orders a profile for the victim's eUICC under its\n"
+                 "own customer identity. When the victim's device next fetches from\n"
+                 "the default server, it may receive the adversary's profile: same\n"
+                 "operator name on the confirmation screen, wrong subscription."),
     AttackScript("b", "activation code spoofed on delivery",
                  _applies({11}, "ac"), _script_b,
-                 frozenset({"Bp", "G", "J", "K"})),
+                 frozenset({"Bp", "G", "J", "K"}),
+                 "The code handed to the victim is replaced with one the adversary\n"
+                 "ordered for itself; the victim installs a profile billed to and\n"
+                 "controlled by the adversary's subscription."),
     AttackScript("c", "server-side misbinding by signature replacement",
                  lambda cfg: cfg.scenario == 2 or (cfg.scenario == 5 and not cfg.tls),
                  _script_c,
-                 frozenset({"A", "B", "C", "D"})),
+                 frozenset({"A", "B", "C", "D"}),
+                 "In-flight re-signing swaps which authorized server the client\n"
+                 "authenticates, while the real server still believes it owns the\n"
+                 "session: classic misbinding, prevented by naming the server oid\n"
+                 "inside the signed handshake."),
     AttackScript("d", "client-side misbinding by signature replacement",
                  _applies({3, 6}, tls=False), _script_d,
-                 frozenset({"C"})),
+                 frozenset({"C"}),
+                 "The mirror image on the client side: the signed client response is\n"
+                 "re-signed under a different eUICC identity, leaving client and\n"
+                 "server with different beliefs about who is enrolled. Detected at\n"
+                 "the key exchange, prevented by naming the eUICC in the binding."),
     AttackScript("e", "activation code replaced inside the signed response",
                  _applies({3}, "ac", tls=False), _script_e,
-                 frozenset({"E", "F", "J"})),
+                 frozenset({"E", "F", "J"}),
+                 "With the victim's signing key, the adversary rewrites the\n"
+                 "activation code inside the signed response: the victim completes\n"
+                 "a flawless-looking download of a profile from an order they never\n"
+                 "placed."),
     AttackScript("f", "activation codes exposed at the compromised server",
                  _applies({2}, "ac"), _script_8,
-                 frozenset({"Bp", "G", "K"})),
+                 frozenset({"Bp", "G", "K"}),
+                 "A fully compromised server exposes every activation code it\n"
+                 "issued; each such code is a ready-made profile theft, tunnel or\n"
+                 "no tunnel."),
 )
 
 
@@ -574,66 +630,3 @@ def audit_trace(trace) -> list[str]:
               and not k.deduce(entry.term)):
             failures.append(f"entry {i}: sent term not derivable at send time")
     return failures
-
-
-# ---------------------------------------------------------------------------
-# Narratives for the CLI's explain command
-# ---------------------------------------------------------------------------
-
-EXPLANATIONS = {
-    "1": "Without the transport tunnel, the activation code crosses the open\n"
-         "network inside the signed client response. The adversary reads it,\n"
-         "types it into its own device, and downloads the victim's profile\n"
-         "there. The order chain behind the server's acceptance (owner,\n"
-         "intent, order) no longer exists, so Bp, G and K fail.",
-    "2": "With every private key of the intended server, the adversary\n"
-         "answers the victim's download itself (breaking all client-side\n"
-         "goals and delivering a fake profile), or relays to the real\n"
-         "server and swaps the final delivery, leaving the two ends with\n"
-         "different beliefs about the installed profile (breaking G).",
-    "3": "A compromised server elsewhere answers for the intended one: with\n"
-         "the tunnel off, nothing pins the dialed name to the signer, the\n"
-         "client only requires some authorized certificate. Every\n"
-         "client-side goal fails and a fake profile is accepted.",
-    "4": "Holding the victim eUICC's private key, the adversary runs the\n"
-         "client handshake itself: the server authenticates 'the victim',\n"
-         "derives keys with the adversary, and hands over the profile.",
-    "5": "The adversary captures the victim's activation code in flight and\n"
-         "re-signs the client response with its own compromised eUICC key;\n"
-         "the server serves the victim's profile to a session whose key the\n"
-         "adversary knows, so the profile leaks.",
-    "6": "The adversary orders a profile for itself, then downloads it while\n"
-         "presenting the victim's forged identity: the server's records now\n"
-         "bind the victim's eUICC to an order the victim never made.",
-    "7": "The adversary passes as the victim when ordering; the resulting\n"
-         "profile (or code) lands in the adversary's device. The server's\n"
-         "view traces back to no real user intent.",
-    "8": "An activation code leaked anywhere along its path lets anyone\n"
-         "download the associated profile onto any device; mobile service\n"
-         "is then charged to the victim's account.",
-    "9": "A subverted LPA both leaks the code it is given (same effect as a\n"
-         "leak anywhere else) and can feed the secure element a different\n"
-         "code, installing a profile tied to someone else's subscription.",
-    "a": "The adversary orders a profile for the victim's eUICC under its\n"
-         "own customer identity. When the victim's device next fetches from\n"
-         "the default server, it may receive the adversary's profile: same\n"
-         "operator name on the confirmation screen, wrong subscription.",
-    "b": "The code handed to the victim is replaced with one the adversary\n"
-         "ordered for itself; the victim installs a profile billed to and\n"
-         "controlled by the adversary's subscription.",
-    "c": "In-flight re-signing swaps which authorized server the client\n"
-         "authenticates, while the real server still believes it owns the\n"
-         "session: classic misbinding, prevented by naming the server oid\n"
-         "inside the signed handshake.",
-    "d": "The mirror image on the client side: the signed client response is\n"
-         "re-signed under a different eUICC identity, leaving client and\n"
-         "server with different beliefs about who is enrolled. Detected at\n"
-         "the key exchange, prevented by naming the eUICC in the binding.",
-    "e": "With the victim's signing key, the adversary rewrites the\n"
-         "activation code inside the signed response: the victim completes\n"
-         "a flawless-looking download of a profile from an order they never\n"
-         "placed.",
-    "f": "A fully compromised server exposes every activation code it\n"
-         "issued; each such code is a ready-made profile theft, tunnel or\n"
-         "no tunnel.",
-}

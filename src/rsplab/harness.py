@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from .attacks import (ATTACKS_BY_ID, EXPLANATIONS, attack_registry,
-                      audit_trace, honest_script, negative_controls)
+from .attacks import (ATTACKS_BY_ID, attack_registry, audit_trace,
+                      honest_script, negative_controls)
 from .fixture import GOALS, expected_matrix, scenario_rows
 from .goals import check_all, goal_catalog
 from .scenarios import (ConfigError, ScenarioConfig, build_world, expand_recs,
@@ -396,15 +396,14 @@ def _cmd_goals(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    text = EXPLANATIONS.get(args.marker)
-    if text is None:
+    script = ATTACKS_BY_ID.get(args.marker)
+    if script is None:
         print(f"unknown attack marker {args.marker!r}", file=sys.stderr)
         return 2
-    script = ATTACKS_BY_ID[args.marker]
     print(f"attack {script.id}: {script.title}")
     print(f"typically violates: {', '.join(sorted(script.claims))}")
     print()
-    print(text)
+    print(script.explanation)
     return 0
 
 

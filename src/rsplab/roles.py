@@ -12,7 +12,11 @@ server share plus the encrypted profile and MAC-protected operator id,
 
 Every verification clause is one explicit abort site.  A failed check
 raises ProtocolAbort; the transport layer records the abort in the trace
-and the session dies without emitting its next progress event.
+and the session dies without emitting its next progress event.  Every
+receiver of a signed message, the eUICC, the server and the strict LPA,
+verifies it through one schema method, ``Message.open``: both tags and
+shapes, the certificate where the message carries one, and the signature.
+Like ``Message.decode`` it is memoized per interned term.
 """
 
 from __future__ import annotations
@@ -55,14 +59,17 @@ class Message:
     """A tagged tuple: the tag atom, then the fields in wire order.  At most
     one optional field, always last, is on the wire exactly when
     recommendation `rec` is in force.  A signed message has a `body`: its
-    ``sig`` field is a signature over that message.  Compared and hashed by
-    identity, as part of the key of ``build``'s, ``sign``'s and
-    ``decode``'s memos."""
+    ``sig`` field is a signature over that message, which a bad signature
+    abort calls `what`.  One with a certificate `policy` is verified under
+    its own ``cert`` field.  Compared and hashed by identity, as part of
+    the key of ``build``'s, ``sign``'s, ``decode``'s and ``open``'s memos."""
     tag: Atom
     fields: tuple
     optional: Optional[str] = None
     rec: Optional[str] = None
     body: Optional[Message] = None
+    what: Optional[str] = None
+    policy: Optional[Atom] = None
 
     def names(self, recs=frozenset()) -> tuple:
         if self.optional is not None and self.rec in recs:
@@ -91,11 +98,41 @@ class Message:
 
     def read(self, term: Term, recs=frozenset()) -> dict:
         """The fields of a signed message and of its body as one dict, the
-        signature and the tags unchecked; SealError if short.  Re-sign with a
-        change: ``M.sign(key, recs, **{**M.read(term, recs), name: value})``."""
+        signature and the tags unchecked; SealError if short or unsigned.
+        Re-sign with a change:
+        ``M.sign(key, recs, **{**M.read(term, recs), name: value})``."""
         _, fields = self.decode(term)
-        _, body = self.body.decode(fields.pop("sig").body, recs)
+        sig = fields.pop("sig")
+        if not isinstance(sig, Sign):
+            raise SealError("not a signature")
+        _, body = self.body.decode(sig.body, recs)
         return {**fields, **body}
+
+    def open(self, term: Term, who: str, trust, recs=frozenset()) -> dict:
+        """What ``read`` returns, with both tags and shapes checked and the
+        signature verified, or ProtocolAbort for `who`.  With a `policy`,
+        `trust` is the CI root, which must certify the ``cert`` field under
+        that policy; the dict holds it as a ``Certificate``, and the
+        signature is verified under its key.  Otherwise `trust` is the
+        signer's public key.  Each call returns a new dict."""
+        return self._open(term, who, trust, recs).copy()
+
+    @functools.cache
+    def _open(self, term: Term, who: str, trust, recs: frozenset) -> dict:
+        """``open``, memoized by the message and every argument."""
+        fields = self.parse(term, who)
+        key = trust
+        if self.policy is not None:
+            try:
+                fields["cert"] = verify_cert(fields["cert"], trust, self.policy)
+            except CertError as exc:
+                raise ProtocolAbort(who, str(exc)) from exc
+            key = fields["cert"].subject_key
+        try:
+            body = unseal("sign", key, fields.pop("sig"))
+        except SealError as exc:
+            raise ProtocolAbort(who, f"bad signature on {self.what}: {exc}") from exc
+        return {**fields, **self.body.parse(body, who, recs)}
 
     def decode(self, term: Term, recs=frozenset()) -> tuple[Term, dict]:
         """(tag, fields by name) without checking the tag; SealError if short.
@@ -124,30 +161,29 @@ class Message:
 M2 = Message(Atom("m2-challenge"), ("n_u", "ski"))
 M3 = Message(Atom("m3-init"), ("n_u", "ski"))
 SIG4 = Message(Atom("sig4"), ("n_u", "n_s", "it", "s"), "oid", "R7")
-M4 = Message(Atom("m4-server-auth"), ("sig", "cert"), body=SIG4)
+M4 = Message(Atom("m4-server-auth"), ("sig", "cert"), body=SIG4,
+             what="server auth", policy=POLICY_SERVER_AUTH)
 M5 = Message(Atom("m5-code-to-euicc"), ("iac",))
 SIG7 = Message(Atom("sig7"), ("n_s", "it", "s", "iac"), "oid", "R7")
-M7 = Message(Atom("m7-client-auth"), ("sig", "cert"), body=SIG7)
+M7 = Message(Atom("m7-client-auth"), ("sig", "cert"), body=SIG7,
+             what="client auth", policy=POLICY_EUICC)
 SIG8 = Message(Atom("sig8"), ("it",), "eid", "R9")
-M8 = Message(Atom("m8-profile-binding"), ("sig", "cert"), body=SIG8)
+M8 = Message(Atom("m8-profile-binding"), ("sig", "cert"), body=SIG8,
+             what="profile binding", policy=POLICY_PROFILE_BINDING)
 SIG11 = Message(Atom("sig11"), ("it", "q_u"))
-M11 = Message(Atom("m11-client-share"), ("sig",), body=SIG11)
+M11 = Message(Atom("m11-client-share"), ("sig",), body=SIG11,
+              what="key exchange")
 SIG12 = Message(Atom("sig12"), ("it", "q_s", "q_u"))
 M12 = Message(Atom("m12-profile-delivery"),
-              ("sig", "enc", "mac_enc", "mno", "mac_mno"), body=SIG12)
+              ("sig", "enc", "mac_enc", "mno", "mac_mno"), body=SIG12,
+              what="key exchange")
 SIG15 = Message(Atom("sig15"), ("s", "oid", "it"))
-M15 = Message(Atom("m15-notification"), ("sig",), body=SIG15)
+M15 = Message(Atom("m15-notification"), ("sig",), body=SIG15,
+              what="notification")
 PROFILE_REQUEST = Message(Atom("profile-request"), ("user", "eid"))
 ORDER_REQUEST = Message(Atom("order-request"), ("user", "mno", "eid"))
 ORDER_REPLY = Message(Atom("order-reply"), ("iac", "s"), "oid", "R1")
 CODE_DELIVERY = Message(Atom("code-delivery"), ("iac", "s"), "oid", "R1")
-
-
-def signed_body(sig: Term, key: PubKey, who: str, what: str) -> Term:
-    try:
-        return unseal("sign", key, sig)
-    except SealError as exc:
-        raise ProtocolAbort(who, f"bad signature on {what}: {exc}") from exc
 
 
 def delivery(ident, eid: Term, it: Term, d_s: Term, q_u: Term, profile: Term,
@@ -305,14 +341,8 @@ class ServerProcess:
     def _handle_auth_client(self, term: Term) -> Term:
         world = self.world
         recs = self._recs()
-        m7 = M7.parse(term, "server")
-        try:
-            cert = verify_cert(m7["cert"], world.ci, POLICY_EUICC)
-        except CertError as exc:
-            raise ProtocolAbort("server", str(exc)) from exc
-        body = SIG7.parse(
-            signed_body(m7["sig"], cert.subject_key, "server", "client auth"),
-            "server", recs)
+        body = M7.open(term, "server", world.ci, recs)
+        cert = body["cert"]
         session = self._session_for(body["it"], "await7")
         if body["n_s"] != session.n_s:
             raise ProtocolAbort("server", "challenge mismatch")
@@ -331,20 +361,21 @@ class ServerProcess:
         return M8.sign(self.identity.sk_sp, recs, it=session.it,
                        eid=cert.subject, cert=self.identity.cert_sp)
 
+    def _open_from_peer(self, msg: Message, term: Term,
+                        phase: str) -> tuple[ServerSession, dict]:
+        """The session in `phase` that the signed `msg`'s unverified
+        transaction id names, and `msg` opened under that session peer's
+        key."""
+        try:
+            it = msg.read(term)["it"]
+        except SealError as exc:
+            raise ProtocolAbort("server", f"malformed {msg.what} body: {exc}") from exc
+        session = self._session_for(it, phase)
+        return session, msg.open(term, "server", session.peer_key)
+
     def _handle_key_exchange(self, term: Term) -> Term:
         world = self.world
-        sig = M11.parse(term, "server")["sig"]
-        if not isinstance(sig, Sign):
-            raise ProtocolAbort("server", "malformed key-exchange message")
-        # locate the session first, then insist the signer is the session peer
-        try:
-            _, peek = SIG11.decode(sig.body)
-        except SealError as exc:
-            raise ProtocolAbort(
-                "server", f"malformed key-exchange body: {exc}") from exc
-        session = self._session_for(peek["it"], "await11")
-        body = SIG11.parse(
-            signed_body(sig, session.peer_key, "server", "key exchange"), "server")
+        session, body = self._open_from_peer(M11, term, "await11")
         q_u = body["q_u"]
         if not isinstance(q_u, DhPub):
             raise ProtocolAbort("server", "client share is not a DH point")
@@ -362,17 +393,7 @@ class ServerProcess:
 
     def _handle_notification(self, term: Term) -> Term:
         world = self.world
-        sig = M15.parse(term, "server")["sig"]
-        if not isinstance(sig, Sign):
-            raise ProtocolAbort("server", "malformed notification")
-        try:
-            _, peek = SIG15.decode(sig.body)
-        except SealError as exc:
-            raise ProtocolAbort(
-                "server", f"malformed notification body: {exc}") from exc
-        session = self._session_for(peek["it"], "await15")
-        body = SIG15.parse(
-            signed_body(sig, session.peer_key, "server", "notification"), "server")
+        session, body = self._open_from_peer(M15, term, "await15")
         if body["oid"] != self.oid:
             raise ProtocolAbort("server", "notification names a different server oid")
         order = session.order
@@ -441,14 +462,8 @@ class EuiccDevice:
         world = self.world
         recs = self._recs()
         session = self._session_in("await4")
-        m4 = M4.parse(term, "euicc")
-        try:
-            cert = verify_cert(m4["cert"], world.ci, POLICY_SERVER_AUTH)
-        except CertError as exc:
-            raise ProtocolAbort("euicc", str(exc)) from exc
-        body = SIG4.parse(
-            signed_body(m4["sig"], cert.subject_key, "euicc", "server auth"),
-            "euicc", recs)
+        body = M4.open(term, "euicc", world.ci, recs)
+        cert = body["cert"]
         n_s, it, s = body["n_s"], body["it"], body["s"]
         if body["n_u"] != session.n_u:
             raise ProtocolAbort("euicc", "challenge mismatch")
@@ -468,14 +483,8 @@ class EuiccDevice:
         world = self.world
         recs = self._recs()
         session = self._session_in("await8")
-        m8 = M8.parse(term, "euicc")
-        try:
-            cert = verify_cert(m8["cert"], world.ci, POLICY_PROFILE_BINDING)
-        except CertError as exc:
-            raise ProtocolAbort("euicc", str(exc)) from exc
-        body = SIG8.parse(
-            signed_body(m8["sig"], cert.subject_key, "euicc", "profile binding"),
-            "euicc", recs)
+        body = M8.open(term, "euicc", world.ci, recs)
+        cert = body["cert"]
         if body["it"] != session.it:
             raise ProtocolAbort("euicc", "transaction id mismatch")
         if cert.oid != session.sa_cert.oid:
@@ -493,14 +502,11 @@ class EuiccDevice:
     def process_msg12(self, term: Term) -> Term:
         world = self.world
         session = self._session_in("await12")
-        m12 = M12.parse(term, "euicc")
-        enc, mno = m12["enc"], m12["mno"]
-        body = SIG12.parse(signed_body(m12["sig"], session.sp_cert.subject_key,
-                                       "euicc", "key exchange"), "euicc")
-        q_s = body["q_s"]
-        if body["it"] != session.it:
+        m12 = M12.open(term, "euicc", session.sp_cert.subject_key)
+        enc, mno, q_s = m12["enc"], m12["mno"], m12["q_s"]
+        if m12["it"] != session.it:
             raise ProtocolAbort("euicc", "transaction id mismatch")
-        if body["q_u"] != session.q_u:
+        if m12["q_u"] != session.q_u:
             raise ProtocolAbort("euicc", "own key share missing from signature")
         if not isinstance(q_s, DhPub):
             raise ProtocolAbort("euicc", "server share is not a DH point")
@@ -543,18 +549,15 @@ def lpa_check_msg4(ctx: LpaContext, world, term: Term) -> Optional[str]:
     it is the LPA doing its job."""
     recs = world.cfg.recs
     try:
-        m4 = M4.parse(term, "lpa")
-        cert = verify_cert(m4["cert"], world.ci, POLICY_SERVER_AUTH)
-        body = SIG4.parse(unseal("sign", cert.subject_key, m4["sig"]), "lpa", recs)
-    except (ProtocolAbort, CertError, SealError) as exc:
+        body = M4.open(term, "lpa", world.ci, recs)
+        cert = body["cert"]
+    except ProtocolAbort as exc:
         if ctx.strict:
-            return f"unverifiable server message: {exc}"
-        # relaxed LPA still needs the embedded server name, tag unchecked
+            return f"unverifiable server message: {exc.reason}"
+        # relaxed LPA still needs the embedded server name, body tag unchecked
         try:
-            sig = M4.parse(term, "lpa")["sig"]
-            if not isinstance(sig, Sign):
-                return "unreadable server message"
-            _, body = SIG4.decode(sig.body, recs)
+            M4.parse(term, "lpa")
+            body = M4.read(term, recs)
         except (ProtocolAbort, SealError) as exc2:
             return f"unreadable server message: {exc2}"
         cert = None
@@ -573,13 +576,11 @@ def lpa_check_msg8(ctx: LpaContext, world, term: Term) -> Optional[str]:
     if not ctx.strict:
         return None
     try:
-        m8 = M8.parse(term, "lpa")
-        cert = verify_cert(m8["cert"], world.ci, POLICY_PROFILE_BINDING)
-        unseal("sign", cert.subject_key, m8["sig"])
-        if ctx.sa_cert is not None and cert.oid != ctx.sa_cert.oid:
-            return "profile-binding oid mismatch"
-    except (ProtocolAbort, CertError, SealError) as exc:
-        return f"unverifiable binding message: {exc}"
+        cert = M8.open(term, "lpa", world.ci, world.cfg.recs)["cert"]
+    except ProtocolAbort as exc:
+        return f"unverifiable binding message: {exc.reason}"
+    if ctx.sa_cert is not None and cert.oid != ctx.sa_cert.oid:
+        return "profile-binding oid mismatch"
     return None
 
 

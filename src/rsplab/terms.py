@@ -20,15 +20,16 @@ Four design points matter for everything downstream:
   * So a pure function of a term can be computed once per distinct term,
     the payoff of hash-consing that paper names.  The keyless parts a
     closure takes out of a term (``_open_parts``) here, ``Message.build``,
-    ``Message.sign`` and ``Message.decode`` in ``roles.py`` and
-    ``verify_cert`` in ``pki.py`` are memoized with ``functools.cache``,
-    keyed by the interned objects.  A term never changes and the table
-    never frees it, so a key never goes stale.  The cache stores only
-    return values: a call that raises stores nothing and raises again on
-    the next call.  Message decoding hands each caller a new dict that it
-    may change.  ``unpairs`` is not memoized: its callers are ``decode``
-    and certificate parsing, and both sit behind a memo.  Worlds are
-    deterministic, so the memos stop growing when the table does.
+    ``Message.sign``, ``Message.decode`` and ``Message.open`` in
+    ``roles.py`` and ``verify_cert`` in ``pki.py`` are memoized with
+    ``functools.cache``, keyed by the interned objects.  A term never
+    changes and the table never frees it, so a key never goes stale.  The
+    cache stores only return values: a call that raises stores nothing and
+    raises again on the next call.  Message decoding and opening hand each
+    caller a new dict that it may change.  ``unpairs`` is not memoized: its
+    callers are ``decode`` and certificate parsing, and both sit behind a
+    memo.  Worlds are deterministic, so the memos stop growing when the
+    table does.
 
   * DH shared secrets are stored in a canonical form (the two private
     components sorted by id), so the client-side and server-side

@@ -55,6 +55,7 @@ class TestReports:
                     "build": roles.Message.build.cache_info().currsize,
                     "sign": roles.Message.sign.cache_info().currsize,
                     "decode": roles.Message._decode.cache_info().currsize,
+                    "open": roles.Message._open.cache_info().currsize,
                     "verify_cert": pki.verify_cert.cache_info().currsize}
 
         def one_pass():

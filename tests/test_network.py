@@ -91,7 +91,7 @@ class TestTunnel:
         assert notes[-1].render() == "note abort server: unknown request"
 
     @pytest.mark.parametrize("msg, body, reason", [
-        (M11, SIG11, "malformed key-exchange body: expected 3-tuple, ran out at 1"),
+        (M11, SIG11, "malformed key exchange body: expected 3-tuple, ran out at 1"),
         (M15, SIG15, "malformed notification body: expected 4-tuple, ran out at 1"),
     ], ids=["m11", "m15"])
     def test_server_aborts_a_signed_body_that_is_too_short(self, msg, body, reason):
@@ -105,6 +105,16 @@ class TestTunnel:
             notes = [e for e in w.trace.entries if isinstance(e, Note)]
             assert notes[-1].render() == f"note abort server: {reason}"
         assert len(notes) == 2
+
+    @pytest.mark.parametrize("msg, what", [(M11, "key exchange"),
+                                           (M15, "notification")],
+                             ids=["m11", "m15"])
+    def test_server_aborts_a_request_that_is_not_signed(self, msg, what):
+        w = build_world(ScenarioConfig("ds", 1, False))
+        request = msg.build(sig=Atom("unsigned"))
+        assert adversary_request(w, Atom(SERVER1), request) == MSG_ERROR
+        assert abort_notes(w) == [
+            f"note abort server: malformed {what} body: not a signature"]
 
     def test_server_aborts_a_foreign_root_key_identifier(self):
         w = build_world(ScenarioConfig("ds", 1, False))

@@ -86,6 +86,41 @@ def sample(msg, recs):
     return {name: Atom(f"v-{name}") for name in msg.names(recs)}
 
 
+CERT_ERROR_AND_BASES = {"CertError", "ValueError", "Exception", "BaseException"}
+
+
+def calls(name, first=None):
+    """Matches a call of `name`, as a name or an attribute, whose first
+    argument is the constant `first` where given."""
+    def match(node):
+        func = getattr(node, "func", None)
+        return (isinstance(node, ast.Call)
+                and getattr(func, "id", getattr(func, "attr", None)) == name
+                and (first is None or bool(
+                    node.args and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value == first)))
+    return match
+
+
+def functions_with(match) -> set:
+    """(file, function) for each function in `src/rsplab` that holds a node
+    `match` accepts, nested functions and their enclosing ones alike;
+    (file, "<module>") for a match outside every function."""
+    found = set()
+    for path in sorted(Path(roles.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        outside = {n for n in ast.walk(tree) if match(n)}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside = [n for n in ast.walk(fn) if match(n)]
+                if inside:
+                    found.add((path.name, fn.name))
+                    outside -= set(inside)
+        if outside:
+            found.add((path.name, "<module>"))
+    return found
+
+
 class TestSchema:
     @pytest.mark.parametrize("msg", MESSAGES, ids=lambda m: m.tag.label)
     def test_parse_inverts_build_with_and_without_the_optional_field(self, msg):
@@ -218,29 +253,25 @@ class TestSchema:
     def test_only_message_sign_signs_a_message(self):
         # besides the schema, only the CI root signs (certificates), and one
         # negative control tries a forgery that the gate must refuse
-        allowed = {("roles.py", "sign"), ("pki.py", "issue"),
-                   ("attacks.py", "_ctl_forgery_rejected")}
+        assert functions_with(calls("seal", "sign")) == {
+            ("roles.py", "sign"), ("pki.py", "issue"),
+            ("attacks.py", "_ctl_forgery_rejected")}
 
-        def signs(node):
-            func = getattr(node, "func", None)
-            return (isinstance(node, ast.Call)
-                    and getattr(func, "id", getattr(func, "attr", None)) == "seal"
-                    and node.args and isinstance(node.args[0], ast.Constant)
-                    and node.args[0].value == "sign")
+    def test_only_message_open_verifies_a_received_message(self):
+        # a signature is checked only by the schema and by certificate
+        # verification, a certificate only by the schema, and only the
+        # schema turns a failed certificate into a receiver's abort
+        def turns_cert_error_into_abort(node):
+            return (isinstance(node, ast.ExceptHandler)
+                    and (node.type is None or any(
+                        getattr(n, "id", None) in CERT_ERROR_AND_BASES
+                        for n in ast.walk(node.type)))
+                    and any(calls("ProtocolAbort")(n) for n in ast.walk(node)))
 
-        found = set()
-        for path in sorted(Path(roles.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text())
-            outside = {n for n in ast.walk(tree) if signs(n)}
-            for fn in ast.walk(tree):
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    inside = [n for n in ast.walk(fn) if signs(n)]
-                    if inside:
-                        found.add((path.name, fn.name))
-                        outside -= set(inside)
-            if outside:
-                found.add((path.name, "<module>"))
-        assert found == allowed
+        assert functions_with(calls("unseal", "sign")) == {
+            ("roles.py", "_open"), ("pki.py", "verify_cert")}
+        assert functions_with(calls("verify_cert")) == {("roles.py", "_open")}
+        assert functions_with(turns_cert_error_into_abort) == {("roles.py", "_open")}
 
     def test_only_roles_spells_a_message_tag(self):
         tags = {m.tag.label for m in MESSAGES}
@@ -522,15 +553,15 @@ def rogue_signed(stage):
     return rewrite
 
 
-def cert_swapped(stage, policy_of):
+def cert_swapped(stage, cert_name):
     """A rewrite that keeps `stage`'s signature but swaps in the intended
-    server's certificate held in the `policy_of` attribute."""
+    server's certificate `cert_name`, such as "cert_sa"."""
     msg = SIGNED[stage][0]
 
     def rewrite(world, at, term):
         if at != stage:
             return term
-        cert = getattr(world.servers[SERVER1].identity, policy_of)
+        cert = getattr(world.servers[SERVER1].identity, cert_name)
         return msg.build(**{**msg.parse(term, "adv"), "cert": cert})
     return rewrite
 
@@ -552,8 +583,10 @@ class TestReceivers:
         ("m11", True, "abort server: bad signature on key exchange"),
         ("m12", True, "abort euicc: bad signature on key exchange"),
         ("m15", True, "abort server: bad signature on notification"),
-        ("m4", True, f"blocked lpa-{VICTIM}: m4: unverifiable server message"),
-        ("m8", True, f"blocked lpa-{VICTIM}: m8: unverifiable binding message"),
+        ("m4", True, f"blocked lpa-{VICTIM}: m4: unverifiable server message: "
+         "bad signature on server auth"),
+        ("m8", True, f"blocked lpa-{VICTIM}: m8: unverifiable binding message: "
+         "bad signature on profile binding"),
     ], ids=["m4-euicc", "m7-server", "m8-euicc", "m11-server", "m12-euicc",
             "m15-server", "m4-lpa", "m8-lpa"])
     def test_a_rogue_signature_stops_at_its_receiver(self, stage, lpa_strict, note):
@@ -579,9 +612,10 @@ class TestReceivers:
 
     def test_another_servers_signature_stops_at_the_expected_oid(self):
         # scenario 5: the second server's leaked key signs m4 over the dialed
-        # name and its own oid; under R2 the LPA knows which oid to expect.
-        # The relaxed LPA verifies what it can too, so the eUICC's own
-        # expected-oid check under R7 is never reached behind it
+        # name, under a certificate for its own oid; under R2 the LPA knows
+        # which oid to expect.  The relaxed LPA verifies what it can too, so
+        # the eUICC's own expected-oid check under R7 is never reached
+        # behind it
         def rewrite(world, stage, term):
             if stage != "m4":
                 return term
@@ -591,3 +625,30 @@ class TestReceivers:
         assert notes_of_one_download(rewrite, scenario=5, recs=frozenset({"R2"})) \
             == [f"note blocked lpa-{VICTIM}: m4: server oid does not match the "
                 "expected oid"]
+
+    @pytest.mark.parametrize("lpa_strict, note", [
+        (True, f"blocked lpa-{VICTIM}: m8: profile-binding oid mismatch"),
+        (False, "abort euicc: profile-binding oid differs from server oid"),
+    ], ids=["strict-lpa", "relaxed-lpa"])
+    def test_another_servers_binding_stops_at_the_server_oid(self, lpa_strict,
+                                                             note):
+        # the second server's leaked binding key signs m8 for the session the
+        # intended server authenticated at m4
+        def rewrite(world, stage, term):
+            if stage != "m8":
+                return term
+            other = world.servers[SERVER2].identity
+            return M8.sign(other.sk_sp, **{**M8.read(term), "cert": other.cert_sp})
+
+        assert notes_of_one_download(rewrite, scenario=5, lpa_strict=lpa_strict) \
+            == [f"note {note}"]
+
+    def test_the_relaxed_lpa_blocks_an_unsigned_server_message(self):
+        def rewrite(world, stage, term):
+            if stage != "m4":
+                return term
+            return M4.build(**{**M4.parse(term, "adv"), "sig": Atom("unsigned")})
+
+        assert notes_of_one_download(rewrite, lpa_strict=False) == [
+            f"note blocked lpa-{VICTIM}: m4: unreadable server message: "
+            "not a signature"]
