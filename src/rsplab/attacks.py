@@ -52,7 +52,7 @@ def honest_script(world: World) -> None:
     """Order, download, notify: the baseline every world must support."""
     code = world.request_profile(VICTIM)
     result = world.start_download(VICTIM, code=code)
-    world.note("info", "harness", f"honest download completed={result.completed}")
+    world.trace.note("info", "harness", f"honest download completed={result.completed}")
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def _script_4(world: World) -> None:
     lpa = world.download(VICTIM, code, intercepted=True)
     tun, stage, m3 = next(lpa)
     lpa.send(server_reply(world, tun, stage, m3))  # the victim sends m7
-    world.note("blocked", "adversary", "dropped m7")
+    world.trace.note("blocked", "adversary", "dropped m7")
     with contextlib.suppress(StopIteration):
         lpa.throw(ProtocolAbort("lpa", "no response to m7"))
     world.adversary.require(code.iac, "captured code")
@@ -482,7 +482,7 @@ def _ctl_tls_pins(world: World) -> None:
                            world.mnos[MNO1].atom)
         raise AssertionError("tunnel failed to pin the dialed endpoint")
     except GateViolation:
-        world.note("info", "control", "tunnel interception refused as expected")
+        world.trace.note("info", "control", "tunnel interception refused as expected")
     world.start_download(VICTIM, code=code)
 
 
@@ -493,7 +493,7 @@ def _ctl_tunnel_hides_code(world: World) -> None:
         world.adversary_code(code.iac, code.s)
         raise AssertionError("activation code should be out of reach")
     except GateViolation:
-        world.note("info", "control", "code underivable through the tunnel")
+        world.trace.note("info", "control", "code underivable through the tunnel")
 
 
 def _ctl_forgery_rejected(world: World) -> None:
@@ -505,7 +505,7 @@ def _ctl_forgery_rejected(world: World) -> None:
                                   seal("sign", victim.sk_u, Atom("anything")))
         raise AssertionError("honest-key signature should be unforgeable")
     except GateViolation:
-        world.note("info", "control", "signature forgery refused by the gate")
+        world.trace.note("info", "control", "signature forgery refused by the gate")
 
 
 def _ctl_oid_check_blocks_resign(world: World) -> None:
@@ -555,7 +555,7 @@ def _ctl_replayed_server_share(world: World) -> None:
         # component ever leaves its owner, so the delivery must stay sealed
         assert not world.adversary.knows(second.body), \
             "replayed server share must not open the delivery"
-    world.note("info", "control", "replayed key share gained nothing")
+    world.trace.note("info", "control", "replayed key share gained nothing")
 
 
 def _ctl_notification_replay(world: World) -> None:
@@ -579,7 +579,7 @@ def _ctl_mno_proxy_contained(world: World) -> None:
     eid = ADV_EID if world.cfg.approach == "ds" else None
     code = world.proxy_order(MNO2, Atom(ADVERSARY_USER), eid)
     world.start_download(ADVERSARY_USER, code=code)
-    world.note("info", "control", "proxied order affects only the rogue operator")
+    world.trace.note("info", "control", "proxied order affects only the rogue operator")
 
 
 _CONTROLS = (
@@ -620,10 +620,11 @@ def negative_controls(cfg: ScenarioConfig) -> list[ControlScript]:
 # ---------------------------------------------------------------------------
 
 def audit_trace(trace) -> list[str]:
-    """Re-derive every adversary send from the learns that preceded it."""
+    """Re-derive every adversary send from the learns that preceded it, up
+    to the last send: a later learn makes no earlier send derivable."""
     failures = []
     k = Knowledge()
-    for i, entry in enumerate(trace.entries):
+    for i, entry in enumerate(trace.entries[:trace.last_send + 1]):
         if isinstance(entry, LearnOp):
             k.learn(entry.term)
         elif (isinstance(entry, MessageOp) and entry.by_adversary

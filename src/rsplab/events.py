@@ -16,9 +16,13 @@ checker's compiled patterns go by position.
 Worlds append thousands of entries, so each kind is a ``NamedTuple``:
 immutable, read by field name, and built without the per-field
 ``object.__setattr__`` a frozen dataclass pays.  ``isinstance`` tells the
-kinds apart, and ``Trace.append`` files events by exact type.  An entry
-equals a bare tuple of its values; no two kinds have as many fields, and
-nothing compares entries by value.
+kinds apart.  An entry equals a bare tuple of its values; no two kinds have
+as many fields, and nothing compares entries by value.
+
+Each kind has one ``Trace`` writer that builds the tuple with
+``tuple.__new__``, as ``Event.<tag>`` does, and appends it: ``append``,
+``message``, ``learn`` and ``note``.  ``message`` also keeps
+``Trace.last_send``, where the capability audit stops.
 """
 
 from __future__ import annotations
@@ -73,10 +77,13 @@ class Event(NamedTuple):
         return f"{self.tag}({', '.join(encode(p) for p in self.params)})"
 
 
+_new = tuple.__new__
+
+
 def _constructor(tag: str, fields: tuple) -> staticmethod:
     """``Event.<tag>``, which takes each field as a required keyword and
     builds the tuple itself, without the NamedTuple's ``__new__``."""
-    env, args = {"Event": Event, "new": tuple.__new__}, ", ".join(fields)
+    env, args = {"Event": Event, "new": _new}, ", ".join(fields)
     exec(compile(f"def {tag}(*, {args}):\n"
                  f"    return new(Event, ({tag!r}, ({args},)))",
                  f"<event {tag}>", "exec"), env)
@@ -118,30 +125,40 @@ class Note(NamedTuple):
 class Trace:
     """Append-only log and the one index of its events.
 
-    ``append`` is the only writer.  It files each event under its tag and,
-    for every (tag, position) that ``with_value`` has bucketed so far, under
-    the event's value at that position.  A lookup by tag, or by tag and one
-    parameter value, therefore costs the number of events it returns, not a
-    scan of the log, and no lookup is rebuilt when the trace grows.  Both
-    lookups hand out the live index lists, in trace order: read them, never
-    change them.
+    Its four writers are the only way in.  ``append`` files each event
+    under its tag and, for every (tag, position) that ``with_value`` has
+    bucketed so far, under the event's value at that position.  A lookup by
+    tag, or by tag and one parameter value, therefore costs the number of
+    events it returns, not a scan of the log, and no lookup is rebuilt when
+    the trace grows.  Both lookups hand out the live index lists, in trace
+    order: read them, never change them.
     """
 
     def __init__(self) -> None:
         self.entries: list = []
+        self.last_send = -1   # index of the last adversary send, if any
         self._tagged: dict[str, list[tuple[int, Event]]] = {tag: [] for tag in EVENT_FIELDS}
         # tag -> position -> value -> events, a position filled on first use
         self._by_value: dict[str, dict[int, dict]] = {tag: {} for tag in EVENT_FIELDS}
 
-    def append(self, entry) -> int:
-        i = len(self.entries)
-        self.entries.append(entry)
-        if type(entry) is Event:
-            item = (i, entry)
-            self._tagged[entry.tag].append(item)
-            for pos, buckets in self._by_value[entry.tag].items():
-                buckets.setdefault(entry.params[pos], []).append(item)
-        return i
+    def append(self, event: Event) -> None:
+        item = (len(self.entries), event)
+        self.entries.append(event)
+        self._tagged[event.tag].append(item)
+        for pos, buckets in self._by_value[event.tag].items():
+            buckets.setdefault(event.params[pos], []).append(item)
+
+    def message(self, channel: str, direction: str, term: Term,
+                by_adversary: bool = False) -> None:
+        if by_adversary:
+            self.last_send = len(self.entries)
+        self.entries.append(_new(MessageOp, (channel, direction, term, by_adversary)))
+
+    def learn(self, term: Term) -> None:
+        self.entries.append(_new(LearnOp, (term,)))
+
+    def note(self, kind: str, who: str, detail: str) -> None:
+        self.entries.append(_new(Note, (kind, who, detail)))
 
     def events(self) -> list[tuple[int, Event]]:
         return [(i, e) for i, e in enumerate(self.entries) if isinstance(e, Event)]

@@ -40,6 +40,10 @@ claimed witnesses per injective slot, each choice added and then taken
 back, so it copies nothing.  ``check_all`` asks the exclusions once per
 trigger event and hands the answer to every goal; they read the same
 buckets.  A check stores nothing that grows with the number of checks.
+A goal knows from the catalog whether it has an injective conjunct, where
+its secret sits in the trigger and its one frozen pass verdict.  The
+harness asks each run only for the open goals, those no earlier run of its
+cell group violated: a cell reads nothing else.
 
 Secrecy goals name a target field of the trigger and fail iff the
 end-of-run adversary knowledge derives it (knowledge only grows, so
@@ -130,15 +134,23 @@ class GoalSpec:
     trigger: EventPattern
     requires: tuple = ()
     secret: Optional[str] = None  # a secrecy goal's target field
-    # the goal's matcher, compiled once per distinct goal (see _compile)
+    # worked out once: the matcher (see _compile), the verdict of every
+    # pass, whether a conjunct is injective, the trigger position of `secret`
     kernel: Callable = field(init=False, repr=False, compare=False)
+    passed: GoalVerdict = field(init=False, repr=False, compare=False)
+    injective: bool = field(init=False, repr=False, compare=False)
+    secret_pos: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kernel",
-                           _compile(self.trigger, self.requires))
+        fields = EVENT_FIELDS[self.trigger.tag]
+        for name, value in (("kernel", _compile(self.trigger, self.requires)),
+                            ("passed", GoalVerdict(self.name, "pass")),
+                            ("injective", any(r.injective for r in self.requires)),
+                            ("secret_pos", self.secret and fields.index(self.secret))):
+            object.__setattr__(self, name, value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GoalVerdict:
     goal: str
     status: str                   # "pass" | "violated"
@@ -462,11 +474,10 @@ def _exclusions(trace: Trace, tags) -> set:
 def _assign_injectively(trigger_options: list, requires: tuple) -> bool:
     """Pick one witness tuple per trigger so injective slots never share:
     first fit, backtracking over one set of claimed witnesses per injective
-    slot, each choice added before the next trigger and taken back after."""
-    inj_slots = [i for i, r in enumerate(requires) if r.injective]
-    if not inj_slots or len(trigger_options) <= 1:
-        return True  # every trigger has an option, and none can clash
-    claimed = [(slot, set()) for slot in inj_slots]
+    slot, each choice added before the next trigger and taken back after.
+    Its caller skips a goal with no injective conjunct or a single trigger:
+    every trigger has an option, and none can clash."""
+    claimed = [(slot, set()) for slot, r in enumerate(requires) if r.injective]
 
     def backtrack(t: int) -> bool:
         if t == len(trigger_options):
@@ -509,12 +520,13 @@ def check_correspondence(trace: Trace, goal: GoalSpec,
         trigger_options.append(options)
         last = (i, e)
 
-    if not _assign_injectively(trigger_options, goal.requires):
+    if (goal.injective and len(trigger_options) > 1
+            and not _assign_injectively(trigger_options, goal.requires)):
         return GoalVerdict(goal.name, "violated",
                            _witness_text(*last, "injective witness exhausted: "
                                          "one matching event claimed by "
                                          "several triggers"))
-    return GoalVerdict(goal.name, "pass")
+    return goal.passed
 
 
 def _first_unmatchable(goal: GoalSpec, depth: int, event: Event) -> str:
@@ -560,16 +572,16 @@ def check_secrecy(trace: Trace, knowledge: Knowledge, goal: GoalSpec,
         raise ValueError(f"goal {goal.name} is not a secrecy goal")
     if excluded is None:
         excluded = _exclusions(trace, (goal.trigger.tag,))
-    kernel = goal.kernel
+    kernel, pos = goal.kernel, goal.secret_pos
     for i, e in trace.events_tagged(goal.trigger.tag):
         if i in excluded or kernel(trace, i, e.params) is None:
             continue
-        target = e[goal.secret]
+        target = e.params[pos]
         if knowledge.deduce(target):
             return GoalVerdict(goal.name, "violated",
                                f"trigger #{i} {e.render()}; adversary derives "
                                f"{encode(target)}")
-    return GoalVerdict(goal.name, "pass")
+    return goal.passed
 
 
 def check_goal(trace: Trace, knowledge: Knowledge, goal: GoalSpec,

@@ -24,18 +24,34 @@ from typing import Optional
 from .attacks import (ATTACKS_BY_ID, attack_registry, audit_trace,
                       honest_script, negative_controls)
 from .fixture import GOALS, expected_matrix, scenario_rows
-from .goals import check_all, goal_catalog
+from .events import Trace
+from .goals import CATALOG, GoalVerdict, check_all, check_goal, goal_catalog
 from .scenarios import (ConfigError, ScenarioConfig, build_world, expand_recs,
                         parse_config)
+from .terms import Knowledge
+
+_SPECS = {g.name: g for g in CATALOG}
 
 
 @dataclass
 class RunOutcome:
-    """One world execution: which script ran it and what the goals said."""
+    """One world execution: which script ran it, its trace and the
+    adversary's end-of-run knowledge, its audit, and the verdicts of the
+    goals checked so far.  ``verdict`` answers any goal, checking it on
+    first ask, with the text an eager check gives."""
     script: str
-    verdicts: dict
+    trace: Trace
+    knowledge: Knowledge
     audit_failures: list
-    aborted: Optional[str] = None
+    aborted: Optional[str]
+    checked: dict         # goal name -> GoalVerdict
+
+    def verdict(self, goal: str) -> GoalVerdict:
+        v = self.checked.get(goal)
+        if v is None:
+            v = self.checked[goal] = check_goal(self.trace, self.knowledge,
+                                                _SPECS[goal])
+        return v
 
 
 @dataclass
@@ -69,9 +85,10 @@ class MatrixReport:
         return {(c.approach, c.scenario, c.tls, c.goal): c for c in self.cells}
 
 
-def run_world(cfg: ScenarioConfig, name: str, script) -> RunOutcome:
-    """One script in a freshly built world, with its goal verdicts and
-    capability audit."""
+def run_world(cfg: ScenarioConfig, name: str, script,
+              catalog=CATALOG) -> RunOutcome:
+    """One script in a freshly built world, with the verdicts of the goals
+    of `catalog` and its capability audit."""
     world = build_world(cfg)
     aborted = None
     try:
@@ -80,17 +97,24 @@ def run_world(cfg: ScenarioConfig, name: str, script) -> RunOutcome:
         raise
     except Exception as exc:  # a script bug, not a verdict
         aborted = f"{type(exc).__name__}: {exc}"
-    verdicts = check_all(world.trace, world.adversary.knowledge)
-    return RunOutcome(name, verdicts, audit_trace(world.trace), aborted)
+    trace, knowledge = world.trace, world.adversary.knowledge
+    return RunOutcome(name, trace, knowledge, audit_trace(trace), aborted,
+                      check_all(trace, knowledge, catalog))
 
 
 def run_world_suite(cfg: ScenarioConfig) -> list[RunOutcome]:
     """Honest script, then every applicable attack and negative control,
-    each in a freshly built world."""
+    each in a freshly built world.  A run is checked for the goals that no
+    earlier run violated, the only ones its cells read."""
     runs = [("honest", honest_script)]
     runs += [(s.id, s.run) for s in attack_registry() if s.applicable(cfg)]
     runs += [(c.id, c.run) for c in negative_controls(cfg)]
-    return [run_world(cfg, name, fn) for name, fn in runs]
+    outcomes = []
+    open_goals = CATALOG
+    for name, fn in runs:
+        outcomes.append(run_world(cfg, name, fn, open_goals))
+        open_goals = [g for g in open_goals if outcomes[-1].checked[g.name].ok]
+    return outcomes
 
 
 def evaluate_cell_group(cfg: ScenarioConfig, outcomes: list[RunOutcome],
@@ -110,7 +134,7 @@ def evaluate_cell_group(cfg: ScenarioConfig, outcomes: list[RunOutcome],
         via = witness = None
         actual = "pass"
         for o in outcomes:
-            v = o.verdicts[goal]
+            v = o.verdict(goal)
             if not v.ok:
                 actual, via, witness = "violated", o.script, v.witness
                 break
@@ -363,11 +387,11 @@ def _cmd_run(args) -> int:
                     run_world(cfg, script.id, script.run)]
     print(cfg.describe())
     for o in outcomes:
-        bad = [g for g in GOALS if not o.verdicts[g].ok]
+        bad = [g for g in GOALS if not o.verdict(g).ok]
         print(f"  run {o.script}: " +
               ("all goals hold" if not bad else "violated " + ", ".join(bad)))
         for g in bad:
-            print(f"    {g}: {o.verdicts[g].witness}")
+            print(f"    {g}: {o.verdict(g).witness}")
     cells, audit_failures = evaluate_cell_group(
         cfg, outcomes, compare=not cfg.recs and script is None)
     mismatches = [c for c in cells if c.agree is False]

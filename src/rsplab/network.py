@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .events import MessageOp, Note
 from .roles import MSG_ERROR, ProtocolAbort
 from .terms import Atom, Term
 
@@ -75,7 +74,7 @@ def tls_connect(world, dial: Atom, intercepted: bool = False,
 def put_request(world, tun: Tunnel, stage: str, request: Term) -> tuple:
     """The LPA puts `request` on the channel; a session yields what this
     returns and is sent the response."""
-    world.trace.append(MessageOp(CH_LPA_SERVER, f"lpa->server:{stage}", request))
+    world.trace.message(CH_LPA_SERVER, f"lpa->server:{stage}", request)
     if tun.visible:
         world.adversary.learn(request)
     return tun, stage, request
@@ -87,9 +86,9 @@ def _answer(world, server, direction: str, request: Term) -> Term:
     try:
         response = server.handle(request)
     except ProtocolAbort as exc:
-        world.trace.append(Note("abort", exc.who, exc.reason))
+        world.trace.note("abort", exc.who, exc.reason)
         response = MSG_ERROR
-    world.trace.append(MessageOp(CH_LPA_SERVER, direction, response))
+    world.trace.message(CH_LPA_SERVER, direction, response)
     return response
 
 

@@ -589,7 +589,7 @@ def lpa_check_msg12(ctx: LpaContext, world, term: Term) -> Optional[str]:
     try:
         mno = M12.parse(term, "lpa")["mno"]
     except ProtocolAbort as exc:
-        return str(exc)
+        return f"unreadable operator message: {exc.reason}"
     if ctx.careless:
         return None
     if ctx.expected_mno is not None and mno != ctx.expected_mno:

@@ -19,9 +19,10 @@ Four design points matter for everything downstream:
 
   * So a pure function of a term can be computed once per distinct term,
     the payoff of hash-consing that paper names.  The keyless parts a
-    closure takes out of a term (``_open_parts``) here, ``Message.build``,
-    ``Message.sign``, ``Message.decode`` and ``Message.open`` in
-    ``roles.py`` and ``verify_cert`` in ``pki.py`` are memoized with
+    closure takes out of a term (``_open_parts``) and its text
+    (``encode``) here, ``Message.build``, ``Message.sign``,
+    ``Message.decode`` and ``Message.open`` in ``roles.py`` and
+    ``verify_cert`` in ``pki.py`` are memoized with
     ``functools.cache``, keyed by the interned objects.  A term never
     changes and the table never frees it, so a key never goes stale.  The
     cache stores only return values: a call that raises stores nothing and
@@ -353,8 +354,10 @@ def subterms(t: Term) -> Iterator[Term]:
 # Canonical textual encoding (trace dumps, counterexample slices)
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def encode(t: Term) -> str:
-    """Injective s-expression encoding; stable across runs with one seed."""
+    """Injective s-expression encoding; stable across runs with one seed.
+    Memoized by the interned term."""
     if isinstance(t, Atom):
         return t.label
     if isinstance(t, Nonce):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .events import ADVERSARY_USER, Event, LearnOp, MessageOp, Note, Trace
+from .events import ADVERSARY_USER, Event, Trace
 from .network import (CH_LPA_EUICC, CH_MNO_SERVER, CH_USER_MNO, GateViolation,
                       put_request, relay, tls_connect)
 from .pki import Pki
@@ -35,7 +35,7 @@ class Adversary:
     def learn(self, *terms: Term) -> None:
         for t in terms:
             if t not in self.knowledge.base:
-                self.trace.append(LearnOp(t))
+                self.trace.learn(t)
                 self.knowledge.learn(t)
 
     def knows(self, t: Term) -> bool:
@@ -57,7 +57,7 @@ class Adversary:
 
     def gate_send(self, channel: str, direction: str, term: Term) -> None:
         self.require(term, f"message for {direction}")
-        self.trace.append(MessageOp(channel, direction, term, by_adversary=True))
+        self.trace.message(channel, direction, term, by_adversary=True)
 
 
 @dataclass
@@ -108,9 +108,6 @@ class World:
     def emit(self, event: Event) -> None:
         self.trace.append(event)
 
-    def note(self, kind: str, who: str, detail: str) -> None:
-        self.trace.append(Note(kind, who, detail))
-
     def long_term_private_keys(self) -> list:
         keys: list[Term] = [self.ci.sk]
         for srv in self.servers.values():
@@ -141,7 +138,7 @@ class World:
         if injected:
             self.adversary.gate_send(CH_MNO_SERVER, "adv-as-" + sent, request)
         else:
-            self.trace.append(MessageOp(CH_MNO_SERVER, sent, request))
+            self.trace.message(CH_MNO_SERVER, sent, request)
             if proxied:
                 self.adversary.learn(request)
         order = server.create_order(user_atom, mno.atom, eid)
@@ -149,7 +146,7 @@ class World:
             return None
         code = self._code_for(server, order)
         reply = code.message(ORDER_REPLY)
-        self.trace.append(MessageOp(CH_MNO_SERVER, f"server->{mno.label}", reply))
+        self.trace.message(CH_MNO_SERVER, f"server->{mno.label}", reply)
         if proxied:
             self.adversary.learn(reply)
         return code
@@ -167,7 +164,7 @@ class World:
         mno = self.mnos[user.mno]
         eid_atom = self.euiccs[user.euicc].eid
         request = PROFILE_REQUEST.build(user=user.atom, eid=eid_atom)
-        self.trace.append(MessageOp(CH_USER_MNO, f"{user_label}->{mno.label}", request))
+        self.trace.message(CH_USER_MNO, f"{user_label}->{mno.label}", request)
         if self.cfg.approach == "ds":
             self.emit(Event.INTENT(uid=user.atom, mno=mno.atom, U=eid_atom, iac=NULL))
             self._mno_book_order(mno, user.atom, eid_atom)
@@ -175,7 +172,7 @@ class World:
         code = self._mno_book_order(mno, user.atom, eid_atom)
         code.for_user = user_label
         delivery = code.message(CODE_DELIVERY)
-        self.trace.append(MessageOp(CH_USER_MNO, f"{mno.label}->{user_label}", delivery))
+        self.trace.message(CH_USER_MNO, f"{mno.label}->{user_label}", delivery)
         if ("channel", "read-code") in self.grants:
             self.adversary.learn(delivery)
         if user_label == ADVERSARY_USER or ("lpa", user_label) in self.grants:
@@ -292,12 +289,12 @@ class World:
 
         # challenge from the secure element, relayed to the server in m3
         m2 = device.begin_session()
-        self.trace.append(MessageOp(CH_LPA_EUICC, "euicc->lpa:m2", m2))
+        self.trace.message(CH_LPA_EUICC, "euicc->lpa:m2", m2)
         challenge = M2.parse(m2, "lpa")
         ctx.n_u = challenge["n_u"]
 
         def blocked(stage: str, reason: str) -> DownloadResult:
-            self.note("blocked", f"lpa-{user_label}", f"{stage}: {reason}")
+            self.trace.note("blocked", f"lpa-{user_label}", f"{stage}: {reason}")
             return DownloadResult(False, stage, reason)
 
         try:
@@ -308,10 +305,10 @@ class World:
             if reason:
                 return blocked("m4", reason)
             ctx5 = M5.build(iac=iac)
-            self.trace.append(MessageOp(CH_LPA_EUICC, "lpa->euicc:m5", ctx5))
+            self.trace.message(CH_LPA_EUICC, "lpa->euicc:m5", ctx5)
             device.set_context(iac, expected_oid)
             m7 = device.process_msg4(m4)
-            self.trace.append(MessageOp(CH_LPA_EUICC, "euicc->lpa:m7", m7))
+            self.trace.message(CH_LPA_EUICC, "euicc->lpa:m7", m7)
 
             m8 = yield put_request(self, tun, "m7", m7)
             if m8 == MSG_ERROR:
@@ -320,7 +317,7 @@ class World:
             if reason:
                 return blocked("m8", reason)
             m11 = device.process_msg8(m8)
-            self.trace.append(MessageOp(CH_LPA_EUICC, "euicc->lpa:m11", m11))
+            self.trace.message(CH_LPA_EUICC, "euicc->lpa:m11", m11)
 
             m12 = yield put_request(self, tun, "m11", m11)
             if m12 == MSG_ERROR:
@@ -329,13 +326,13 @@ class World:
             if reason:
                 return blocked("m12", reason)
             m15 = device.process_msg12(m12)
-            self.trace.append(MessageOp(CH_LPA_EUICC, "euicc->lpa:m15", m15))
+            self.trace.message(CH_LPA_EUICC, "euicc->lpa:m15", m15)
 
             m16 = yield put_request(self, tun, "m15", m15)
-            self.trace.append(MessageOp(CH_LPA_EUICC, "lpa->euicc:m17",
-                                        Atom("notification-delete-ack")))
+            self.trace.message(CH_LPA_EUICC, "lpa->euicc:m17",
+                               Atom("notification-delete-ack"))
             return DownloadResult(m16 != MSG_ERROR, "done",
                                   None if m16 != MSG_ERROR else "notification rejected")
         except ProtocolAbort as exc:
-            self.note("abort", exc.who, exc.reason)
+            self.trace.note("abort", exc.who, exc.reason)
             return DownloadResult(False, exc.who, exc.reason)

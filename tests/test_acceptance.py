@@ -73,9 +73,9 @@ def test_criterion_3_named_reproductions():
         outcomes = run_world_suite(ScenarioConfig(approach, scenario, tls))
         actual = {}
         for g in GOALS:
-            hit = next((o for o in outcomes if not o.verdicts[g].ok), None)
+            hit = next((o for o in outcomes if not o.verdict(g).ok), None)
             actual[g] = (hit is not None,
-                         hit.verdicts[g].witness if hit else None)
+                         hit.verdict(g).witness if hit else None)
         return actual
 
     # (a) redirect against the honest intended server, tunnel off
@@ -191,4 +191,4 @@ def test_documented_fixture_divergence_is_single_and_reasoned():
                    strict=True)
 def test_divergent_cell_as_published():
     outcomes = run_world_suite(ScenarioConfig("ac", 3, False))
-    assert any(not o.verdicts["I"].ok for o in outcomes)
+    assert any(not o.verdict("I").ok for o in outcomes)

@@ -56,7 +56,8 @@ class TestReports:
                     "sign": roles.Message.sign.cache_info().currsize,
                     "decode": roles.Message._decode.cache_info().currsize,
                     "open": roles.Message._open.cache_info().currsize,
-                    "verify_cert": pki.verify_cert.cache_info().currsize}
+                    "verify_cert": pki.verify_cert.cache_info().currsize,
+                    "encode": terms.encode.cache_info().currsize}
 
         def one_pass():
             run_matrix()
@@ -111,6 +112,21 @@ class TestBehaviourCounts:
                    for e in entries) == 157
         assert sum(isinstance(e, Note) and e.kind == "abort"
                    for e in entries) == 50
+
+    def test_the_three_matrices_check_only_the_goals_their_cells_read(
+            self, monkeypatch):
+        # a run is checked only for the goals no earlier run of its cell
+        # group violated: 2,045 + 762 verdicts, where checking every goal of
+        # every run computes 2,233 + 812
+        from rsplab import goals
+        calls = {"check_correspondence": 0, "check_secrecy": 0}
+        for name in calls:
+            def counting(*args, _check=getattr(goals, name), _name=name):
+                calls[_name] += 1
+                return _check(*args)
+            monkeypatch.setattr(goals, name, counting)
+        assert len(worlds_of_three_matrices(monkeypatch)) == 203
+        assert calls == {"check_correspondence": 2045, "check_secrecy": 762}
 
     def test_no_run_compares_trace_entries_by_value(self, monkeypatch):
         # entries are NamedTuples, so one equals a bare tuple of its values;

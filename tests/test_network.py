@@ -4,7 +4,7 @@ private-channel isolation, and the post-hoc capability audit."""
 import pytest
 
 from rsplab.attacks import audit_trace, fake_client_download, honest_script
-from rsplab.events import LearnOp, MessageOp, Note
+from rsplab.events import MessageOp, Note
 from rsplab.fixture import GOALS
 from rsplab.goals import check_all
 from rsplab.network import (CH_LPA_SERVER, GateViolation, adversary_request,
@@ -297,8 +297,7 @@ class TestAudit:
         w = build_world(ScenarioConfig("ds", 1, True))
         honest_script(w)
         secret = w.servers[SERVER1].orders[0].profile
-        w.trace.append(MessageOp(CH_LPA_SERVER, "adv->server", secret,
-                                 by_adversary=True))
+        w.trace.message(CH_LPA_SERVER, "adv->server", secret, by_adversary=True)
         failures = audit_trace(w.trace)
         assert failures and "not derivable" in failures[0]
 
@@ -308,10 +307,10 @@ class TestAudit:
         w = build_world(ScenarioConfig("ds", 1, True))
         honest_script(w)
         secret = w.servers[SERVER1].orders[0].profile
-        send = MessageOp(CH_LPA_SERVER, "adv->server", secret, by_adversary=True)
         early = len(w.trace.entries)
-        for entry in (send, LearnOp(secret), send):
-            w.trace.append(entry)
+        w.trace.message(CH_LPA_SERVER, "adv->server", secret, by_adversary=True)
+        w.trace.learn(secret)
+        w.trace.message(CH_LPA_SERVER, "adv->server", secret, by_adversary=True)
         assert audit_trace(w.trace) == [
             f"entry {early}: sent term not derivable at send time"]
 

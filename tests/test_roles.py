@@ -652,3 +652,15 @@ class TestReceivers:
         assert notes_of_one_download(rewrite, lpa_strict=False) == [
             f"note blocked lpa-{VICTIM}: m4: unreadable server message: "
             "not a signature"]
+
+    def test_the_lpa_blocks_an_m12_under_another_tag(self):
+        # the block quotes the abort's reason, not its receiver prefix
+        def rewrite(world, stage, term):
+            if stage != "m12":
+                return term
+            _, fields = M12.decode(term)
+            return pairs([Atom("m12-retagged"), *fields.values()])
+
+        assert notes_of_one_download(rewrite) == [
+            f"note blocked lpa-{VICTIM}: m12: unreadable operator message: "
+            "unexpected message tag"]
