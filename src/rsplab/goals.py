@@ -17,29 +17,35 @@ index (``Trace.events_tagged`` and ``Trace.with_value``), which lists the
 events of each tag and buckets them by the value at a position from the
 first lookup on, growing as the trace grows.  Each goal's patterns are
 expanded to positions and compiled when the catalog is built, once per
-process and distinct goal, into its kernel, the checker's only matcher:
-one generated function that matches the trigger and then, in nested loops,
-one per conjunct, each candidate slot by slot, in locals, with no binding
-dict and no recursion.  The compiler reads what it needs of a conjunct off
-the slots before it: the ``Var`` slots that the trigger or an earlier
-conjunct always binds (the only slots worth narrowing on), the slots to
-compare and to bind, the names it newly binds, and whether an injective
-conjunct is still to come.  A secrecy goal's kernel has no conjunct and
-only matches its trigger.  A conjunct's candidates are the smallest bucket
-over its always-bound slots, so a witness lookup costs about the number of
-events that agree on their values; a tag with only a few events is handed
-over whole, since bucketing it would cost more than the candidates it
-saves.  The kernel keeps only what the injective assignment can tell
-apart: an injective conjunct keeps every witness, a non-injective one
-keeps one witness (the earliest) per distinct set of names it newly binds,
-and once no injective conjunct is left the first consistent completion is
-enough.  When it finds no witness it says how many leading conjuncts it
-could satisfy, which names the conjunct in the diagnosis without a second
-search.  The assignment is first fit with backtracking over one set of
-claimed witnesses per injective slot, each choice added and then taken
-back, so it copies nothing.  ``check_all`` asks the exclusions once per
-trigger event and hands the answer to every goal; they read the same
-buckets.  A check stores nothing that grows with the number of checks.
+process and distinct goal, into its kernel, the checker's only matcher: one
+generated function that matches the trigger and then, in nested loops, one
+per conjunct, each candidate slot by slot, in locals, with no binding dict
+and no recursion.  The compiler reads what it needs of a conjunct off the
+slots before it: the ``Var`` slots that the trigger or an earlier conjunct
+always binds (the only slots worth narrowing on), the slots to compare and
+to bind, the names it newly binds, and whether an injective conjunct is
+still to come.  A secrecy goal's kernel has no conjunct and only matches
+its trigger.  A conjunct's candidates are the bucket of its first
+always-bound slot, read inline, and a fresh slot (transaction, key,
+profile, DH share, code) comes first, so on a long trace a witness lookup
+costs about one bucket read; only when that bucket holds several events
+does ``_narrow`` look for a smaller one among the other slots, as for a ds
+INTENT, whose code is null.  A tag with only a few events is handed over
+whole, since bucketing it would cost more than the candidates it saves.
+Every bucket holds all the true witnesses in trace order, so the order
+decides the cost and never the witnesses.  The kernel keeps only what the
+injective assignment can tell apart: an injective conjunct keeps every
+witness, a non-injective one keeps one witness (the earliest) per distinct
+set of names it newly binds, and once no injective conjunct is left the
+first consistent completion is enough.  When it finds no witness it says
+how many leading conjuncts it could satisfy, which names the conjunct in
+the diagnosis without a second search.  The assignment is first fit with
+backtracking over one set of claimed witnesses per injective slot, each
+choice added and then taken back, so it copies nothing; it recurses through
+a module function, not a closure, so a check leaves no reference cycle and
+reference counting frees all it built.  ``check_all`` asks the exclusions
+once per trigger event and hands the answer to every goal; they read the
+same buckets.  A check stores nothing that grows with the number of checks.
 A goal knows from the catalog whether it has an injective conjunct, where
 its secret sits in the trigger and its one frozen pass verdict.  The
 harness asks each run only for the open goals, those no earlier run of its
@@ -168,6 +174,9 @@ class GoalVerdict:
 # A tag list this short is scanned whole: a value bucket would cost a pass
 # over the list per bound position to save at most a few candidates.
 _SHORT_LIST = 4
+# Fields fresh per session: a conjunct narrows on these first, since their
+# bucket holds about one event.
+_FRESH = ("It", "k", "P", "q_s", "q_u", "iac")
 
 
 def _narrow(trace: Trace, tag: str, candidates: list, positions: tuple,
@@ -268,14 +277,22 @@ def _compile(trigger: EventPattern, requires: tuple) -> Callable:
             else tuple(dict.fromkeys(name for _, name, _ in binds))
         news.append(names)
         emit(k + 1, f"c{k} = tagged({tag})")
-        # candidates narrowed on the Var slots bound whatever the events
-        narrow = [(pos, local[name]) for pos, name, optional in checks
-                  if not optional]
+        # candidates narrowed on the Var slots bound whatever the events,
+        # a fresh one's bucket read first and the rest only if it holds more
+        # than one event
+        fields = EVENT_FIELDS[r.pattern.tag]
+        narrow = sorted(((pos, local[name]) for pos, name, optional in checks
+                         if not optional),
+                        key=lambda slot: fields[slot[0]] not in _FRESH)
         if narrow:
-            positions = tuple(pos for pos, _ in narrow)
-            values = "".join(f"{value}, " for _, value in narrow)
-            emit(k + 1, f"if len(c{k}) > {_SHORT_LIST}: c{k} = narrow("
-                        f"trace, {tag}, c{k}, {positions}, ({values}))")
+            (pos, value), *rest = narrow
+            emit(k + 1, f"if len(c{k}) > {_SHORT_LIST}:")
+            emit(k + 2, f"c{k} = trace.with_value({tag}, {pos}, {value})")
+            if rest:
+                positions = tuple(pos for pos, _ in rest)
+                values = "".join(f"{value}, " for _, value in rest)
+                emit(k + 2, f"if len(c{k}) > 1: c{k} = narrow("
+                            f"trace, {tag}, c{k}, {positions}, ({values}))")
         if names:
             emit(k + 1, f"s{k} = set()")
         if 0 < k == first < n - 1:
@@ -478,24 +495,26 @@ def _assign_injectively(trigger_options: list, requires: tuple) -> bool:
     Its caller skips a goal with no injective conjunct or a single trigger:
     every trigger has an option, and none can clash."""
     claimed = [(slot, set()) for slot, r in enumerate(requires) if r.injective]
+    return _assign_from(trigger_options, 0, claimed)
 
-    def backtrack(t: int) -> bool:
-        if t == len(trigger_options):
-            return True
-        for indices in trigger_options[t]:
+
+def _assign_from(trigger_options: list, t: int, claimed: list) -> bool:
+    """Can triggers `t` onwards each get a witness tuple clear of `claimed`?
+    Not a closure, so a call leaves no reference cycle behind."""
+    if t == len(trigger_options):
+        return True
+    for indices in trigger_options[t]:
+        for slot, used in claimed:
+            if indices[slot] in used:
+                break  # a witness already spoken for
+        else:
             for slot, used in claimed:
-                if indices[slot] in used:
-                    break  # a witness already spoken for
-            else:
-                for slot, used in claimed:
-                    used.add(indices[slot])
-                if backtrack(t + 1):
-                    return True
-                for slot, used in claimed:
-                    used.remove(indices[slot])
-        return False
-
-    return backtrack(0)
+                used.add(indices[slot])
+            if _assign_from(trigger_options, t + 1, claimed):
+                return True
+            for slot, used in claimed:
+                used.remove(indices[slot])
+    return False
 
 
 def check_correspondence(trace: Trace, goal: GoalSpec,

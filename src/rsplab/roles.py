@@ -455,7 +455,7 @@ class EuiccDevice:
 
     def _session_in(self, phase: str) -> EuiccSession:
         if self.session is None or self.session.phase != phase:
-            raise ProtocolAbort("euicc", f"message out of phase")
+            raise ProtocolAbort("euicc", "message out of phase")
         return self.session
 
     def process_msg4(self, term: Term) -> Term:

@@ -664,3 +664,20 @@ class TestReceivers:
         assert notes_of_one_download(rewrite) == [
             f"note blocked lpa-{VICTIM}: m12: unreadable operator message: "
             "unexpected message tag"]
+
+    def test_the_euicc_refuses_a_binding_before_the_server_auth(self):
+        w = build_world(ScenarioConfig("ds", 1, False))
+        euicc = w.euiccs[VICTIM_EID]
+        euicc.begin_session()
+        m8 = M8.build(sig=Atom("sig"), cert=Atom("cert"))
+        with pytest.raises(ProtocolAbort) as exc:
+            euicc.process_msg8(m8)
+        assert (exc.value.who, exc.value.reason) == ("euicc", "message out of phase")
+
+    def test_a_careful_user_blocks_an_m12_of_another_operator(self):
+        w = build_world(ScenarioConfig("ds", 1, False))
+        ctx = roles.LpaContext(dial=Atom("dl"), expected_mno=Atom("mno1"))
+        m12 = M12.build(sig=Atom("sig"), enc=Atom("enc"), mac_enc=Atom("mac"),
+                        mno=Atom("mno2"), mac_mno=Atom("mac"))
+        assert roles.lpa_check_msg12(ctx, w, m12) == \
+            "operator id mno2 does not match the expected mno1"

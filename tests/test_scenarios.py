@@ -4,9 +4,9 @@ import weakref
 import pytest
 
 from rsplab.fixture import GOALS, expected_matrix, scenario_rows
-from rsplab.scenarios import (AC_SCENARIOS, DS_SCENARIOS, VICTIM, VICTIM_EID,
-                              ConfigError, ScenarioConfig, build_world,
-                              expand_recs, parse_config)
+from rsplab.scenarios import (AC_SCENARIOS, BYSTANDER, DS_SCENARIOS, VICTIM,
+                              VICTIM_EID, ConfigError, ScenarioConfig,
+                              build_world, expand_recs, parse_config)
 from rsplab.terms import Atom
 
 
@@ -128,6 +128,28 @@ class TestWorldBuilding:
             assert trace() is None
         finally:
             gc.enable()
+
+    def test_goal_checks_leave_nothing_for_the_cycle_collector(self):
+        # the injective assignment is a search over the triggers of a goal:
+        # ac/4 without the tunnel has runs whose injective goals have
+        # several triggers, and so has a world of several downloads per user
+        from rsplab.goals import check_all
+        from rsplab.harness import run_world_suite
+        from rsplab.world import ADVERSARY_USER
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_world_suite(ScenarioConfig("ac", 4, False))
+            w = build_world(ScenarioConfig("ds", 1, False))
+            for user in (VICTIM, BYSTANDER, ADVERSARY_USER) * 2:
+                assert w.start_download(user, code=w.request_profile(user)).completed
+            check_all(w.trace, w.adversary.knowledge)
+            del w
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestSharedPki:
