@@ -24,8 +24,8 @@ and no recursion.  The compiler reads what it needs of a conjunct off the
 slots before it: the ``Var`` slots that the trigger or an earlier conjunct
 always binds (the only slots worth narrowing on), the slots to compare and
 to bind, the names it newly binds, and whether an injective conjunct is
-still to come.  A secrecy goal's kernel has no conjunct and only matches
-its trigger.  A conjunct's candidates are the bucket of its first
+still to come.  A secrecy goal whose trigger matches every event of its
+tag gets no kernel.  A conjunct's candidates are the bucket of its first
 always-bound slot, read inline, and a fresh slot (transaction, key,
 profile, DH share, code) comes first, so on a long trace a witness lookup
 costs about one bucket read; only when that bucket holds several events
@@ -142,14 +142,19 @@ class GoalSpec:
     secret: Optional[str] = None  # a secrecy goal's target field
     # worked out once: the matcher (see _compile), the verdict of every
     # pass, whether a conjunct is injective, the trigger position of `secret`
-    kernel: Callable = field(init=False, repr=False, compare=False)
+    kernel: Optional[Callable] = field(init=False, repr=False, compare=False)
     passed: GoalVerdict = field(init=False, repr=False, compare=False)
     injective: bool = field(init=False, repr=False, compare=False)
     secret_pos: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        fields = EVENT_FIELDS[self.trigger.tag]
-        for name, value in (("kernel", _compile(self.trigger, self.requires)),
+        t = self.trigger
+        fields = EVENT_FIELDS[t.tag]
+        # a secrecy goal asks its kernel only whether the trigger matches;
+        # with no literal and no name in two slots every event of the tag does
+        free = not t.literals and len({b[1] for b in t.binders}) == len(t.binders)
+        kernel = None if free and self.kind == "secrecy" else _compile(t, self.requires)
+        for name, value in (("kernel", kernel),
                             ("passed", GoalVerdict(self.name, "pass")),
                             ("injective", any(r.injective for r in self.requires)),
                             ("secret_pos", self.secret and fields.index(self.secret))):
@@ -593,7 +598,7 @@ def check_secrecy(trace: Trace, knowledge: Knowledge, goal: GoalSpec,
         excluded = _exclusions(trace, (goal.trigger.tag,))
     kernel, pos = goal.kernel, goal.secret_pos
     for i, e in trace.events_tagged(goal.trigger.tag):
-        if i in excluded or kernel(trace, i, e.params) is None:
+        if i in excluded or kernel and kernel(trace, i, e.params) is None:
             continue
         target = e.params[pos]
         if knowledge.deduce(target):

@@ -305,16 +305,6 @@ def _add_world_flags(p: argparse.ArgumentParser) -> None:
                           "adversary reads and rewrites it")
     p.add_argument("--recs",
                    help="comma-separated hardening set, e.g. R2,R7,R9 or R10")
-    strict = p.add_mutually_exclusive_group()
-    strict.add_argument("--strict-lpa", dest="lpa_strict", action="store_true",
-                        default=None,
-                        help="the LPA verifies m4 and m8 and compares the "
-                             "challenge before it forwards them (the default)")
-    strict.add_argument("--relaxed-lpa", dest="lpa_strict", action="store_false",
-                        default=None,
-                        help="the LPA skips the challenge and m8 checks and "
-                             "forwards an unverifiable m4 that names the "
-                             "dialed server")
     p.add_argument("--careless-user", action="store_true", default=None,
                    help="the user confirms the operator name shown at m12 "
                         "without comparing it")
@@ -332,7 +322,7 @@ def _cfg_from_args(args) -> ScenarioConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read --config: {exc}")
     given = {"approach": args.approach, "scenario": args.scenario,
-             "tls": args.tls, "recs": args.recs, "lpa_strict": args.lpa_strict,
+             "tls": args.tls, "recs": args.recs,
              "careless_user": args.careless_user}
     text += "".join(f"\n{key}={value}" for key, value in given.items()
                     if value is not None)

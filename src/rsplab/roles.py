@@ -13,10 +13,11 @@ server share plus the encrypted profile and MAC-protected operator id,
 Every verification clause is one explicit abort site.  A failed check
 raises ProtocolAbort; the transport layer records the abort in the trace
 and the session dies without emitting its next progress event.  Every
-receiver of a signed message, the eUICC, the server and the strict LPA,
-verifies it through one schema method, ``Message.open``: both tags and
-shapes, the certificate where the message carries one, and the signature.
-Like ``Message.decode`` it is memoized per interned term.
+receiver of a signed message, the eUICC and the server, verifies it
+through one schema method, ``Message.open``: both tags and shapes, the
+certificate where the message carries one, and the signature, memoized per
+interned term.  The LPA, which scenario 4 compromises, verifies nothing; it
+checks only the server name it dialed and the operator the user sees.
 """
 
 from __future__ import annotations
@@ -467,12 +468,10 @@ class EuiccDevice:
         n_s, it, s = body["n_s"], body["it"], body["s"]
         if body["n_u"] != session.n_u:
             raise ProtocolAbort("euicc", "challenge mismatch")
-        if "R7" in recs:
-            oid_emb = body["oid"]
-            if oid_emb != cert.oid:
-                raise ProtocolAbort("euicc", "signed oid differs from certificate oid")
-            if session.expected_oid is not None and oid_emb != session.expected_oid:
-                raise ProtocolAbort("euicc", "server oid differs from expected oid")
+        if "R7" in recs and body["oid"] != cert.oid:
+            raise ProtocolAbort("euicc", "signed oid differs from certificate oid")
+        if session.expected_oid is not None and cert.oid != session.expected_oid:
+            raise ProtocolAbort("euicc", "server oid differs from expected oid")
         session.n_s, session.it, session.s, session.sa_cert = n_s, it, s, cert
         session.phase = "await8"
         world.emit(Event.U1(U=self.eid, Sa=cert.subject, It=it, S=s))
@@ -537,50 +536,21 @@ class EuiccDevice:
 class LpaContext:
     dial: Atom
     expected_mno: Optional[Atom]
-    expected_oid: Optional[Atom] = None
-    strict: bool = True
     careless: bool = False
-    n_u: Optional[Term] = None
-    sa_cert: Optional[Certificate] = None     # verified at m4 (strict LPA)
 
 
 def lpa_check_msg4(ctx: LpaContext, world, term: Term) -> Optional[str]:
-    """Return a block reason, or None to forward.  Blocking is not an abort:
-    it is the LPA doing its job."""
-    recs = world.cfg.recs
+    """The server name check: m4 must name the server the LPA dialed.  It
+    reads the name unverified; the eUICC verifies the message.  Return a
+    block reason, or None to forward.  Blocking is not an abort: it is the
+    LPA doing its job."""
     try:
-        body = M4.open(term, "lpa", world.ci, recs)
-        cert = body["cert"]
-    except ProtocolAbort as exc:
-        if ctx.strict:
-            return f"unverifiable server message: {exc.reason}"
-        # relaxed LPA still needs the embedded server name, body tag unchecked
-        try:
-            M4.parse(term, "lpa")
-            body = M4.read(term, recs)
-        except (ProtocolAbort, SealError) as exc2:
-            return f"unreadable server message: {exc2}"
-        cert = None
-    s = body["s"]
+        M4.parse(term, "lpa")
+        s = M4.read(term, world.cfg.recs)["s"]
+    except (ProtocolAbort, SealError) as exc:
+        return f"unreadable server message: {getattr(exc, 'reason', exc)}"
     if s != ctx.dial:
         return f"server name {getattr(s, 'label', s)} does not match dialed {ctx.dial.label}"
-    if cert is not None and ctx.expected_oid is not None and cert.oid != ctx.expected_oid:
-        return "server oid does not match the expected oid"
-    if ctx.strict and body["n_u"] != ctx.n_u:
-        return "challenge mismatch"
-    ctx.sa_cert = cert
-    return None
-
-
-def lpa_check_msg8(ctx: LpaContext, world, term: Term) -> Optional[str]:
-    if not ctx.strict:
-        return None
-    try:
-        cert = M8.open(term, "lpa", world.ci, world.cfg.recs)["cert"]
-    except ProtocolAbort as exc:
-        return f"unverifiable binding message: {exc.reason}"
-    if ctx.sa_cert is not None and cert.oid != ctx.sa_cert.oid:
-        return "profile-binding oid mismatch"
     return None
 
 

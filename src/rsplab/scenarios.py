@@ -2,8 +2,8 @@
 Scenario configurations and world building.
 
 A configuration is approach x scenario x transport-tunnel flag, plus the
-hardening-recommendation set and two behavioral switches (strict LPA,
-careless user).  Scenario numbering:
+hardening-recommendation set and one behavioral switch (careless user).
+Scenario numbering:
 
   1 honest baseline          7 second, compromised MNO exists
   2 the download server      8 ordering fraud: adversary passes as the user
@@ -86,7 +86,6 @@ class ScenarioConfig:
     scenario: int
     tls: bool
     recs: frozenset = frozenset()
-    lpa_strict: bool = True
     careless_user: bool = False
 
     def __post_init__(self) -> None:
@@ -118,6 +117,8 @@ def parse_config(text: str) -> ScenarioConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value")
         key, val = (x.strip() for x in line.split("=", 1))
+        if key not in ("approach", "scenario", "tls", "recs", "careless_user"):
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = val
     approach = values.get("approach", "ds").lower()
     approach = {"default_server": "ds", "default-server": "ds",
@@ -141,7 +142,6 @@ def parse_config(text: str) -> ScenarioConfig:
     return ScenarioConfig(
         approach=approach, scenario=scenario,
         tls=as_bool("tls", True), recs=recs,
-        lpa_strict=as_bool("lpa_strict", True),
         careless_user=as_bool("careless_user", False))
 
 

@@ -20,7 +20,7 @@ from .pki import Pki
 from .roles import (CODE_DELIVERY, M2, M3, M5, MSG_ERROR, ORDER_REPLY,
                     ORDER_REQUEST, PROFILE_REQUEST, EuiccDevice, LpaContext,
                     Message, MnoProcess, Order, ProtocolAbort, ServerProcess,
-                    lpa_check_msg12, lpa_check_msg4, lpa_check_msg8)
+                    lpa_check_msg12, lpa_check_msg4)
 from .terms import Atom, FreshSource, Knowledge, NULL, Term
 
 
@@ -281,7 +281,6 @@ class World:
         ctx = LpaContext(
             dial=dial_to,
             expected_mno=None if adversary_client else self.mnos[user.mno].atom,
-            expected_oid=expected_oid, strict=cfg.lpa_strict,
             careless=cfg.careless_user or adversary_client or lpa_compromised)
 
         tun = tls_connect(self, dial_to, intercepted,
@@ -291,7 +290,6 @@ class World:
         m2 = device.begin_session()
         self.trace.message(CH_LPA_EUICC, "euicc->lpa:m2", m2)
         challenge = M2.parse(m2, "lpa")
-        ctx.n_u = challenge["n_u"]
 
         def blocked(stage: str, reason: str) -> DownloadResult:
             self.trace.note("blocked", f"lpa-{user_label}", f"{stage}: {reason}")
@@ -313,9 +311,6 @@ class World:
             m8 = yield put_request(self, tun, "m7", m7)
             if m8 == MSG_ERROR:
                 return DownloadResult(False, "m7", "server abort")
-            reason = lpa_check_msg8(ctx, self, m8)
-            if reason:
-                return blocked("m8", reason)
             m11 = device.process_msg8(m8)
             self.trace.message(CH_LPA_EUICC, "euicc->lpa:m11", m11)
 

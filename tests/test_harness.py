@@ -107,11 +107,14 @@ class TestBehaviourCounts:
         worlds = worlds_of_three_matrices(monkeypatch)
         entries = [e for w in worlds for e in w.trace.entries]
         assert len(worlds) == 203
-        assert len(entries) == 9411
+        assert len(entries) == 9421
         assert sum(isinstance(e, MessageOp) and e.by_adversary
                    for e in entries) == 157
         assert sum(isinstance(e, Note) and e.kind == "abort"
-                   for e in entries) == 50
+                   for e in entries) == 60
+        # no block is the LPA's: both are the adversary's "dropped m7"
+        assert sum(isinstance(e, Note) and e.kind == "blocked"
+                   for e in entries) == 2
 
     def test_the_three_matrices_check_only_the_goals_their_cells_read(
             self, monkeypatch):
@@ -265,13 +268,16 @@ class TestCli:
         ["run", "--config", "{missing}/x.cfg"],
         ["trace", "--config", "{missing}/x.cfg"],
         ["run", "--config", "{not_utf8}"],
+        ["run", "--config", "{unknown_key}"],
         ["matrix", "--approach", "ds", "--scenario", "1",
          "--out", "{missing}/x.json"],
     ], ids=" ".join)
     def test_input_errors_exit_2_with_one_line(self, argv, tmp_path, capsys):
         (tmp_path / "latin1.cfg").write_bytes(b"scenario = \xe9\n")
+        (tmp_path / "typo.cfg").write_text("scenaro = 3\n")
         argv = [a.format(missing=tmp_path / "missing",
-                         not_utf8=tmp_path / "latin1.cfg") for a in argv]
+                         not_utf8=tmp_path / "latin1.cfg",
+                         unknown_key=tmp_path / "typo.cfg") for a in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -508,15 +508,10 @@ class TestFaultInjection:
         result = relay(w, w.download(VICTIM, intercepted=True), wrong_key)
         assert not result.completed
 
-    @pytest.mark.parametrize("lpa_strict, note", [
-        (True, f"note blocked lpa-{VICTIM}: m4: challenge mismatch"),
-        (False, "note abort euicc: challenge mismatch"),
-    ], ids=["strict-lpa", "relaxed-lpa"])
-    def test_a_challenge_the_euicc_did_not_issue_stops_at_m4(self, lpa_strict, note):
-        # the leaked sk_sa re-signs m4 around an adversary nonce; the strict
-        # LPA compares the challenge first, the relaxed one leaves it to the
-        # eUICC
-        w = build_world(ScenarioConfig("ds", 2, False, lpa_strict=lpa_strict))
+    def test_a_challenge_the_euicc_did_not_issue_stops_at_m4(self):
+        # the leaked sk_sa re-signs m4 around an adversary nonce; the LPA
+        # forwards it, and the eUICC compares the challenge
+        w = build_world(ScenarioConfig("ds", 2, False))
         forged = w.adversary.fresh_nonce("adv-nu")
         sk_sa = w.servers[SERVER1].identity.sk_sa
 
@@ -528,14 +523,15 @@ class TestFaultInjection:
         w.request_profile(VICTIM)
         result = relay(w, w.download(VICTIM), rewrite)
         assert not result.completed
-        assert [e.render() for e in w.trace.entries if isinstance(e, Note)] == [note]
+        assert [e.render() for e in w.trace.entries if isinstance(e, Note)] == [
+            "note abort euicc: challenge mismatch"]
         assert w.trace.events_tagged("U1") == []
 
 
 # ---------------------------------------------------------------------------
 # Receive-side verification: one download, one rewrite, the exact note.  The
-# relaxed LPA forwards m4 and m8 unverified, so it lets a rewrite reach the
-# eUICC's own checks behind the strict LPA's.
+# LPA forwards m4 and m8 unverified, so every signature, certificate and oid
+# check a rewrite meets is the eUICC's or the server's.
 # ---------------------------------------------------------------------------
 
 def rogue_signed(stage):
@@ -566,9 +562,8 @@ def cert_swapped(stage, cert_name):
     return rewrite
 
 
-def notes_of_one_download(rewrite, scenario=1, lpa_strict=True,
-                          recs=frozenset()):
-    w = build_world(ScenarioConfig("ds", scenario, False, recs, lpa_strict))
+def notes_of_one_download(rewrite, scenario=1, recs=frozenset()):
+    w = build_world(ScenarioConfig("ds", scenario, False, recs))
     w.request_profile(VICTIM)
     result = relay(w, w.download(VICTIM, intercepted=True), rewrite)
     assert not result.completed
@@ -576,46 +571,38 @@ def notes_of_one_download(rewrite, scenario=1, lpa_strict=True,
 
 
 class TestReceivers:
-    @pytest.mark.parametrize("stage, lpa_strict, note", [
-        ("m4", False, "abort euicc: bad signature on server auth"),
-        ("m7", True, "abort server: bad signature on client auth"),
-        ("m8", False, "abort euicc: bad signature on profile binding"),
-        ("m11", True, "abort server: bad signature on key exchange"),
-        ("m12", True, "abort euicc: bad signature on key exchange"),
-        ("m15", True, "abort server: bad signature on notification"),
-        ("m4", True, f"blocked lpa-{VICTIM}: m4: unverifiable server message: "
-         "bad signature on server auth"),
-        ("m8", True, f"blocked lpa-{VICTIM}: m8: unverifiable binding message: "
-         "bad signature on profile binding"),
+    @pytest.mark.parametrize("stage, note", [
+        ("m4", "abort euicc: bad signature on server auth"),
+        ("m7", "abort server: bad signature on client auth"),
+        ("m8", "abort euicc: bad signature on profile binding"),
+        ("m11", "abort server: bad signature on key exchange"),
+        ("m12", "abort euicc: bad signature on key exchange"),
+        ("m15", "abort server: bad signature on notification"),
     ], ids=["m4-euicc", "m7-server", "m8-euicc", "m11-server", "m12-euicc",
-            "m15-server", "m4-lpa", "m8-lpa"])
-    def test_a_rogue_signature_stops_at_its_receiver(self, stage, lpa_strict, note):
-        assert notes_of_one_download(rogue_signed(stage), lpa_strict=lpa_strict) \
+            "m15-server"])
+    def test_a_rogue_signature_stops_at_its_receiver(self, stage, note):
+        assert notes_of_one_download(rogue_signed(stage)) \
             == [f"note {note}: signature key mismatch"]
 
-    @pytest.mark.parametrize("stage, cert, lpa_strict, note", [
-        ("m4", "cert_sp", False, "abort euicc: certificate policy "
+    @pytest.mark.parametrize("stage, cert, note", [
+        ("m4", "cert_sp", "abort euicc: certificate policy "
          "policy-profile-binding unfit for context policy-server-auth"),
-        ("m7", "cert_sa", True, "abort server: certificate policy "
+        ("m7", "cert_sa", "abort server: certificate policy "
          "policy-server-auth unfit for context policy-euicc"),
-        ("m8", "cert_sa", False, "abort euicc: certificate policy "
+        ("m8", "cert_sa", "abort euicc: certificate policy "
          "policy-server-auth unfit for context policy-profile-binding"),
-        ("m8", "cert_sa", True, f"blocked lpa-{VICTIM}: m8: unverifiable "
-         "binding message: certificate policy policy-server-auth unfit for "
-         "context policy-profile-binding"),
-    ], ids=["m4-euicc", "m7-server", "m8-euicc", "m8-lpa"])
+    ], ids=["m4-euicc", "m7-server", "m8-euicc"])
     def test_a_certificate_of_the_wrong_policy_stops_at_its_receiver(
-            self, stage, cert, lpa_strict, note):
+            self, stage, cert, note):
         # scenario 2: the adversary holds the intended server's certificates
-        assert notes_of_one_download(cert_swapped(stage, cert), scenario=2,
-                                     lpa_strict=lpa_strict) == [f"note {note}"]
+        assert notes_of_one_download(cert_swapped(stage, cert),
+                                     scenario=2) == [f"note {note}"]
 
     def test_another_servers_signature_stops_at_the_expected_oid(self):
         # scenario 5: the second server's leaked key signs m4 over the dialed
-        # name, under a certificate for its own oid; under R2 the LPA knows
-        # which oid to expect.  The relaxed LPA verifies what it can too, so
-        # the eUICC's own expected-oid check under R7 is never reached
-        # behind it
+        # name, under a certificate for its own oid.  Under R2 the eUICC is
+        # told which oid to expect, and it compares the certificate's with
+        # it whether or not R7 puts the oid inside the signature
         def rewrite(world, stage, term):
             if stage != "m4":
                 return term
@@ -623,15 +610,9 @@ class TestReceivers:
             return M4.sign(other.sk_sa, **{**M4.read(term), "cert": other.cert_sa})
 
         assert notes_of_one_download(rewrite, scenario=5, recs=frozenset({"R2"})) \
-            == [f"note blocked lpa-{VICTIM}: m4: server oid does not match the "
-                "expected oid"]
+            == ["note abort euicc: server oid differs from expected oid"]
 
-    @pytest.mark.parametrize("lpa_strict, note", [
-        (True, f"blocked lpa-{VICTIM}: m8: profile-binding oid mismatch"),
-        (False, "abort euicc: profile-binding oid differs from server oid"),
-    ], ids=["strict-lpa", "relaxed-lpa"])
-    def test_another_servers_binding_stops_at_the_server_oid(self, lpa_strict,
-                                                             note):
+    def test_another_servers_binding_stops_at_the_server_oid(self):
         # the second server's leaked binding key signs m8 for the session the
         # intended server authenticated at m4
         def rewrite(world, stage, term):
@@ -640,18 +621,22 @@ class TestReceivers:
             other = world.servers[SERVER2].identity
             return M8.sign(other.sk_sp, **{**M8.read(term), "cert": other.cert_sp})
 
-        assert notes_of_one_download(rewrite, scenario=5, lpa_strict=lpa_strict) \
-            == [f"note {note}"]
+        assert notes_of_one_download(rewrite, scenario=5) \
+            == ["note abort euicc: profile-binding oid differs from server oid"]
 
-    def test_the_relaxed_lpa_blocks_an_unsigned_server_message(self):
+    @pytest.mark.parametrize("garble, reason", [
+        (lambda term: M4.build(**{**M4.parse(term, "adv"), "sig": Atom("unsigned")}),
+         "not a signature"),
+        # as at m12, the block quotes the abort's reason only
+        (lambda term: pairs([Atom("m4-retagged"), *M4.decode(term)[1].values()]),
+         "unexpected message tag"),
+    ], ids=["unsigned", "retagged"])
+    def test_the_lpa_blocks_an_unreadable_server_message(self, garble, reason):
         def rewrite(world, stage, term):
-            if stage != "m4":
-                return term
-            return M4.build(**{**M4.parse(term, "adv"), "sig": Atom("unsigned")})
+            return garble(term) if stage == "m4" else term
 
-        assert notes_of_one_download(rewrite, lpa_strict=False) == [
-            f"note blocked lpa-{VICTIM}: m4: unreadable server message: "
-            "not a signature"]
+        assert notes_of_one_download(rewrite) == [
+            f"note blocked lpa-{VICTIM}: m4: unreadable server message: {reason}"]
 
     def test_the_lpa_blocks_an_m12_under_another_tag(self):
         # the block quotes the abort's reason, not its receiver prefix

@@ -41,12 +41,12 @@ class TestConfig:
         scenario = 6
         tls = off
         recs = R1, R3
-        lpa_strict = no
+        careless_user = yes
         """
         cfg = parse_config(text)
         assert cfg == ScenarioConfig("ac", 6, False,
                                      recs=frozenset({"R1", "R3"}),
-                                     lpa_strict=False)
+                                     careless_user=True)
 
     def test_parse_config_rejects_garbage(self):
         with pytest.raises(ConfigError):
@@ -55,6 +55,9 @@ class TestConfig:
             parse_config("tls = sometimes")
         with pytest.raises(ConfigError, match="got 'six'"):
             parse_config("scenario = six")
+        # a misspelt key would otherwise leave its default in force
+        with pytest.raises(ConfigError, match="line 1: unknown key 'scenaro'"):
+            parse_config("scenaro=3\ncareles_user=yes")
 
 
 class TestWorldBuilding:
