@@ -2,7 +2,9 @@
 Deterministic adversary scripts, one per attack marker, negative controls,
 and the capability audit.  A script holds each download session it attacks
 (``World.download``): it relays the session with a rewrite of the traffic,
-answers it as a server, or withholds a response.
+answers it as a server, or withholds a response.  A negative control that
+guards an attack runs that attack's script and requires that it be stopped:
+refused at the gate, or its download blocked.
 
 Script ids match the superscripts in the expected-verdict fixture:
 
@@ -41,7 +43,7 @@ from .roles import (M3, M4, M7, M8, M11, M12, M15, MSG_ERROR, ProtocolAbort,
 from .scenarios import (AC_SCENARIOS, ADV_EID, BYSTANDER, MNO1, MNO2, SERVER1,
                         SERVER2, VICTIM, VICTIM_EID, ScenarioConfig)
 from .terms import Atom, Knowledge, NULL, Pair, Term, dh_pub, seal
-from .world import ADVERSARY_USER, Code, World
+from .world import ADVERSARY_USER, Code, DownloadResult, World
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +71,10 @@ def fake_m12(world: World, ident, eid, it, q_u, mno, label: str) -> Term:
     return delivery(ident, eid, it, d, q_u, fake, mno)[1]
 
 
-def impersonate_server(world: World, lpa, ident, claim_domain, mno_claim):
+def impersonate_server(world: World, lpa, ident):
     """Answer a whole download session with a leaked server identity,
-    presenting whatever domain name the victim dialed.  Returns the
-    session's DownloadResult."""
+    presenting the domain name the victim dialed and the victim's operator.
+    Returns the session's DownloadResult."""
     adv = world.adversary
     recs = world.cfg.recs
 
@@ -81,16 +83,18 @@ def impersonate_server(world: World, lpa, ident, claim_domain, mno_claim):
         return lpa.send(response)[2]
 
     try:
-        n_u = M3.parse(next(lpa)[2], "adv")["n_u"]
+        tun, _, m3 = next(lpa)
+        n_u = M3.parse(m3, "adv")["n_u"]
         n_s, it = adv.fresh_nonce("fake-ns"), adv.fresh_nonce("fake-it")
         m7 = answer("m3", M4.sign(ident.sk_sa, recs, n_u=n_u, n_s=n_s, it=it,
-                                  s=claim_domain, oid=ident.oid,
+                                  s=tun.server.domain, oid=ident.oid,
                                   cert=ident.cert_sa))
         eid = parse_certificate(M7.parse(m7, "adv")["cert"])[0].subject
         m11 = answer("m7", M8.sign(ident.sk_sp, recs, it=it, eid=eid,
                                    cert=ident.cert_sp))
         q_u = M11.read(m11)["q_u"]
-        answer("m11", fake_m12(world, ident, eid, it, q_u, mno_claim, "fake-ds"))
+        answer("m11", fake_m12(world, ident, eid, it, q_u,
+                               world.mnos[MNO1].atom, "fake-ds"))
         answer("m15", Atom("ok"))
     except StopIteration as done:
         return done.value
@@ -198,18 +202,20 @@ def fake_client_download(world: World, domain: str, cert_u, sk_u,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AttackScript:
+class Script:
+    """An attack or a negative control: its id, the configurations it runs
+    in and what it runs.  Only an attack claims goals and explains itself."""
     id: str
     title: str
     applicable: Callable
     run: Callable
-    claims: frozenset
-    explanation: str          # the narrative `rsp-lab explain` prints
+    claims: frozenset = frozenset()
+    explanation: str = ""     # the narrative `rsp-lab explain` prints
 
 
-def _use_stolen_code(world: World, code: Code) -> None:
+def _use_stolen_code(world: World, code: Code) -> DownloadResult:
     stolen = world.adversary_code(code.iac, code.s, code.oid)
-    world.start_download(ADVERSARY_USER, code=stolen)
+    return world.start_download(ADVERSARY_USER, code=stolen)
 
 
 def _script_1(world: World) -> Code:
@@ -222,8 +228,7 @@ def _script_1(world: World) -> Code:
 def _script_2(world: World) -> None:
     code = world.request_profile(VICTIM)
     s1 = world.servers[SERVER1].identity
-    impersonate_server(world, world.download(VICTIM, code, intercepted=True),
-                       s1, s1.domain, world.mnos[MNO1].atom)
+    impersonate_server(world, world.download(VICTIM, code, intercepted=True), s1)
     relay(world, world.download(VICTIM, code, intercepted=True),
           diverge_delivery(s1, world.euiccs[VICTIM_EID].eid))
 
@@ -231,9 +236,7 @@ def _script_2(world: World) -> None:
 def _script_3(world: World) -> None:
     code = world.request_profile(VICTIM)
     impersonate_server(world, world.download(VICTIM, code, intercepted=True),
-                       world.servers[SERVER2].identity,
-                       world.servers[SERVER1].identity.domain,
-                       world.mnos[MNO1].atom)
+                       world.servers[SERVER2].identity)
 
 
 def _script_4(world: World) -> None:
@@ -283,10 +286,10 @@ def _script_7(world: World) -> None:
     world.start_download(ADVERSARY_USER, code=code)
 
 
-def _script_8(world: World) -> None:
+def _script_8(world: World) -> DownloadResult:
     # the code leaks on its way to the victim: a read delivery (8) or a
     # proxied ordering interface (f)
-    _use_stolen_code(world, world.request_profile(VICTIM))
+    return _use_stolen_code(world, world.request_profile(VICTIM))
 
 
 def _script_9(world: World) -> None:
@@ -308,27 +311,26 @@ def _script_b(world: World) -> None:
     world.start_download(VICTIM, code=code)
 
 
-def _script_c(world: World) -> None:
+def _script_c(world: World) -> DownloadResult:
     code = world.request_profile(VICTIM)
-    relay(world, world.download(VICTIM, code, intercepted=True),
-          resign_as(world.servers[SERVER2].identity))
+    return relay(world, world.download(VICTIM, code, intercepted=True),
+                 resign_as(world.servers[SERVER2].identity))
 
 
-def _script_d(world: World) -> None:
-    if world.cfg.scenario == 6:
+def _script_d(world: World) -> DownloadResult:
+    if ("euicc", ADV_EID) in world.grants:
         # adversary's own key: rewrite the victim's identity to its own
         own = world.euiccs[ADV_EID].identity
         world.request_profile(ADVERSARY_USER)  # gives the server a matching order
         code = world.request_profile(VICTIM)
-        relay(world, world.download(VICTIM, code, intercepted=True),
-              swap_client_identity(own.sk_u, own.cert_u))
-        return
+        return relay(world, world.download(VICTIM, code, intercepted=True),
+                     swap_client_identity(own.sk_u, own.cert_u))
     # victim's key leaked: rewrite an honest bystander's identity to the victim's
     victim = world.euiccs[VICTIM_EID].identity
     world.request_profile(VICTIM)
     code = world.request_profile(BYSTANDER)
-    relay(world, world.download(BYSTANDER, code, intercepted=True),
-          swap_client_identity(victim.sk_u, victim.cert_u))
+    return relay(world, world.download(BYSTANDER, code, intercepted=True),
+                 swap_client_identity(victim.sk_u, victim.cert_u))
 
 
 def _script_e(world: World) -> None:
@@ -349,111 +351,111 @@ def _applies(scenarios, approach=None, tls=None):
 
 # built once: the scripts are plain functions and their filters pure
 _ATTACKS = (
-    AttackScript("1", "stolen activation code replay",
-                 _applies(AC_SCENARIOS, "ac", tls=False), _script_1,
-                 frozenset({"Bp", "G", "K"}),
-                 "Without the transport tunnel, the activation code crosses the open\n"
-                 "network inside the signed client response. The adversary reads it,\n"
-                 "types it into its own device, and downloads the victim's profile\n"
-                 "there. The order chain behind the server's acceptance (owner,\n"
-                 "intent, order) no longer exists, so Bp, G and K fail."),
-    AttackScript("2", "compromised server impersonation and diverted delivery",
-                 _applies({2}), _script_2,
-                 frozenset({"A", "C", "E", "F", "G", "I", "J", "X", "Z"}),
-                 "With every private key of the intended server, the adversary\n"
-                 "answers the victim's download itself (breaking all client-side\n"
-                 "goals and delivering a fake profile), or relays to the real\n"
-                 "server and swaps the final delivery, leaving the two ends with\n"
-                 "different beliefs about the installed profile (breaking G)."),
-    AttackScript("3", "redirection to a compromised second server",
-                 _applies({5}, tls=False), _script_3,
-                 frozenset({"A", "C", "E", "F", "I", "J", "X", "Z"}),
-                 "A compromised server elsewhere answers for the intended one: with\n"
-                 "the tunnel off, nothing pins the dialed name to the signer, the\n"
-                 "client only requires some authorized certificate. Every\n"
-                 "client-side goal fails and a fake profile is accepted."),
-    AttackScript("4", "client impersonation with the victim's eUICC key",
-                 _applies({3}), _script_4,
-                 frozenset({"B", "D", "G", "W", "Y"}),
-                 "Holding the victim eUICC's private key, the adversary runs the\n"
-                 "client handshake itself: the server authenticates 'the victim',\n"
-                 "derives keys with the adversary, and hands over the profile."),
-    AttackScript("5", "captured code under a forged client identity",
-                 _applies({6}, "ac", tls=False), _script_5,
-                 frozenset({"B", "D", "W", "Y"}),
-                 "The adversary captures the victim's activation code in flight and\n"
-                 "re-signs the client response with its own compromised eUICC key;\n"
-                 "the server serves the victim's profile to a session whose key the\n"
-                 "adversary knows, so the profile leaks."),
-    AttackScript("6", "self-ordered code under the victim's identity",
-                 _applies({3}, "ac"), _script_6,
-                 frozenset({"Bp", "G", "K"}),
-                 "The adversary orders a profile for itself, then downloads it while\n"
-                 "presenting the victim's forged identity: the server's records now\n"
-                 "bind the victim's eUICC to an order the victim never made."),
-    AttackScript("7", "profile ordered in the victim's name",
-                 _applies({8}), _script_7,
-                 frozenset({"Bp", "G", "K"}),
-                 "The adversary passes as the victim when ordering; the resulting\n"
-                 "profile (or code) lands in the adversary's device. The server's\n"
-                 "view traces back to no real user intent."),
-    AttackScript("8", "leaked activation code used directly",
-                 _applies({10}, "ac"), _script_8,
-                 frozenset({"Bp", "G", "K"}),
-                 "An activation code leaked anywhere along its path lets anyone\n"
-                 "download the associated profile onto any device; mobile service\n"
-                 "is then charged to the victim's account."),
-    AttackScript("9", "compromised LPA leaks and swaps the code",
-                 _applies({4}, "ac"), _script_9,
-                 frozenset({"Bp", "G", "J", "K"}),
-                 "A subverted LPA both leaks the code it is given (same effect as a\n"
-                 "leak anywhere else) and can feed the secure element a different\n"
-                 "code, installing a profile tied to someone else's subscription."),
-    AttackScript("a", "second profile ordered for the victim's eUICC",
-                 _applies({9}, "ds"), _script_a,
-                 frozenset({"Bp", "G", "J", "K"}),
-                 "The adversary orders a profile for the victim's eUICC under its\n"
-                 "own customer identity. When the victim's device next fetches from\n"
-                 "the default server, it may receive the adversary's profile: same\n"
-                 "operator name on the confirmation screen, wrong subscription."),
-    AttackScript("b", "activation code spoofed on delivery",
-                 _applies({11}, "ac"), _script_b,
-                 frozenset({"Bp", "G", "J", "K"}),
-                 "The code handed to the victim is replaced with one the adversary\n"
-                 "ordered for itself; the victim installs a profile billed to and\n"
-                 "controlled by the adversary's subscription."),
-    AttackScript("c", "server-side misbinding by signature replacement",
-                 lambda cfg: cfg.scenario == 2 or (cfg.scenario == 5 and not cfg.tls),
-                 _script_c,
-                 frozenset({"A", "B", "C", "D"}),
-                 "In-flight re-signing swaps which authorized server the client\n"
-                 "authenticates, while the real server still believes it owns the\n"
-                 "session: classic misbinding, prevented by naming the server oid\n"
-                 "inside the signed handshake."),
-    AttackScript("d", "client-side misbinding by signature replacement",
-                 _applies({3, 6}, tls=False), _script_d,
-                 frozenset({"C"}),
-                 "The mirror image on the client side: the signed client response is\n"
-                 "re-signed under a different eUICC identity, leaving client and\n"
-                 "server with different beliefs about who is enrolled. Detected at\n"
-                 "the key exchange, prevented by naming the eUICC in the binding."),
-    AttackScript("e", "activation code replaced inside the signed response",
-                 _applies({3}, "ac", tls=False), _script_e,
-                 frozenset({"E", "F", "J"}),
-                 "With the victim's signing key, the adversary rewrites the\n"
-                 "activation code inside the signed response: the victim completes\n"
-                 "a flawless-looking download of a profile from an order they never\n"
-                 "placed."),
-    AttackScript("f", "activation codes exposed at the compromised server",
-                 _applies({2}, "ac"), _script_8,
-                 frozenset({"Bp", "G", "K"}),
-                 "A fully compromised server exposes every activation code it\n"
-                 "issued; each such code is a ready-made profile theft, tunnel or\n"
-                 "no tunnel."),
+    Script("1", "stolen activation code replay",
+           _applies(AC_SCENARIOS, "ac", tls=False), _script_1,
+           frozenset({"Bp", "G", "K"}),
+           "Without the transport tunnel, the activation code crosses the open\n"
+           "network inside the signed client response. The adversary reads it,\n"
+           "types it into its own device, and downloads the victim's profile\n"
+           "there. The order chain behind the server's acceptance (owner,\n"
+           "intent, order) no longer exists, so Bp, G and K fail."),
+    Script("2", "compromised server impersonation and diverted delivery",
+           _applies({2}), _script_2,
+           frozenset({"A", "C", "E", "F", "G", "I", "J", "X", "Z"}),
+           "With every private key of the intended server, the adversary\n"
+           "answers the victim's download itself (breaking all client-side\n"
+           "goals and delivering a fake profile), or relays to the real\n"
+           "server and swaps the final delivery, leaving the two ends with\n"
+           "different beliefs about the installed profile (breaking G)."),
+    Script("3", "redirection to a compromised second server",
+           _applies({5}, tls=False), _script_3,
+           frozenset({"A", "C", "E", "F", "I", "J", "X", "Z"}),
+           "A compromised server elsewhere answers for the intended one: with\n"
+           "the tunnel off, nothing pins the dialed name to the signer, the\n"
+           "client only requires some authorized certificate. Every\n"
+           "client-side goal fails and a fake profile is accepted."),
+    Script("4", "client impersonation with the victim's eUICC key",
+           _applies({3}), _script_4,
+           frozenset({"B", "D", "G", "W", "Y"}),
+           "Holding the victim eUICC's private key, the adversary runs the\n"
+           "client handshake itself: the server authenticates 'the victim',\n"
+           "derives keys with the adversary, and hands over the profile."),
+    Script("5", "captured code under a forged client identity",
+           _applies({6}, "ac", tls=False), _script_5,
+           frozenset({"B", "D", "W", "Y"}),
+           "The adversary captures the victim's activation code in flight and\n"
+           "re-signs the client response with its own compromised eUICC key;\n"
+           "the server serves the victim's profile to a session whose key the\n"
+           "adversary knows, so the profile leaks."),
+    Script("6", "self-ordered code under the victim's identity",
+           _applies({3}, "ac"), _script_6,
+           frozenset({"Bp", "G", "K"}),
+           "The adversary orders a profile for itself, then downloads it while\n"
+           "presenting the victim's forged identity: the server's records now\n"
+           "bind the victim's eUICC to an order the victim never made."),
+    Script("7", "profile ordered in the victim's name",
+           _applies({8}), _script_7,
+           frozenset({"Bp", "G", "K"}),
+           "The adversary passes as the victim when ordering; the resulting\n"
+           "profile (or code) lands in the adversary's device. The server's\n"
+           "view traces back to no real user intent."),
+    Script("8", "leaked activation code used directly",
+           _applies({10}, "ac"), _script_8,
+           frozenset({"Bp", "G", "K"}),
+           "An activation code leaked anywhere along its path lets anyone\n"
+           "download the associated profile onto any device; mobile service\n"
+           "is then charged to the victim's account."),
+    Script("9", "compromised LPA leaks and swaps the code",
+           _applies({4}, "ac"), _script_9,
+           frozenset({"Bp", "G", "J", "K"}),
+           "A subverted LPA both leaks the code it is given (same effect as a\n"
+           "leak anywhere else) and can feed the secure element a different\n"
+           "code, installing a profile tied to someone else's subscription."),
+    Script("a", "second profile ordered for the victim's eUICC",
+           _applies({9}, "ds"), _script_a,
+           frozenset({"Bp", "G", "J", "K"}),
+           "The adversary orders a profile for the victim's eUICC under its\n"
+           "own customer identity. When the victim's device next fetches from\n"
+           "the default server, it may receive the adversary's profile: same\n"
+           "operator name on the confirmation screen, wrong subscription."),
+    Script("b", "activation code spoofed on delivery",
+           _applies({11}, "ac"), _script_b,
+           frozenset({"Bp", "G", "J", "K"}),
+           "The code handed to the victim is replaced with one the adversary\n"
+           "ordered for itself; the victim installs a profile billed to and\n"
+           "controlled by the adversary's subscription."),
+    Script("c", "server-side misbinding by signature replacement",
+           lambda cfg: cfg.scenario == 2 or (cfg.scenario == 5 and not cfg.tls),
+           _script_c,
+           frozenset({"A", "B", "C", "D"}),
+           "In-flight re-signing swaps which authorized server the client\n"
+           "authenticates, while the real server still believes it owns the\n"
+           "session: classic misbinding, prevented by naming the server oid\n"
+           "inside the signed handshake."),
+    Script("d", "client-side misbinding by signature replacement",
+           _applies({3, 6}, tls=False), _script_d,
+           frozenset({"C"}),
+           "The mirror image on the client side: the signed client response is\n"
+           "re-signed under a different eUICC identity, leaving client and\n"
+           "server with different beliefs about who is enrolled. Detected at\n"
+           "the key exchange, prevented by naming the eUICC in the binding."),
+    Script("e", "activation code replaced inside the signed response",
+           _applies({3}, "ac", tls=False), _script_e,
+           frozenset({"E", "F", "J"}),
+           "With the victim's signing key, the adversary rewrites the\n"
+           "activation code inside the signed response: the victim completes\n"
+           "a flawless-looking download of a profile from an order they never\n"
+           "placed."),
+    Script("f", "activation codes exposed at the compromised server",
+           _applies({2}, "ac"), _script_8,
+           frozenset({"Bp", "G", "K"}),
+           "A fully compromised server exposes every activation code it\n"
+           "issued; each such code is a ready-made profile theft, tunnel or\n"
+           "no tunnel."),
 )
 
 
-def attack_registry() -> list[AttackScript]:
+def attack_registry() -> list[Script]:
     return list(_ATTACKS)
 
 
@@ -462,38 +464,39 @@ ATTACKS_BY_ID = {s.id: s for s in _ATTACKS}
 
 # ---------------------------------------------------------------------------
 # Negative controls: attacks that must NOT work, run to prove the checker
-# and the protective checks are not trivially firing
+# and the protective checks are not trivially firing.  A control that guards
+# an attack runs its script: the gate must refuse it, or its download must
+# not complete.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ControlScript:
-    id: str
-    title: str
-    applicable: Callable
-    run: Callable
+def _refused(script, note: str) -> Callable:
+    """A control: the gate refuses `script`, and the refusal is noted."""
+    def control(world: World) -> None:
+        try:
+            script(world)
+        except GateViolation:
+            world.trace.note("info", "control", note)
+            return
+        raise AssertionError(f"not refused by the gate: {note}")
+    return control
+
+
+def _blocked(script, why: str) -> Callable:
+    """A control: the download `script` ends with does not complete."""
+    def control(world: World) -> None:
+        assert not script(world).completed, why
+    return control
 
 
 def _ctl_tls_pins(world: World) -> None:
     code = world.request_profile(VICTIM)
     try:
         impersonate_server(world, world.download(VICTIM, code, intercepted=True),
-                           world.servers[SERVER2].identity,
-                           world.servers[SERVER1].identity.domain,
-                           world.mnos[MNO1].atom)
+                           world.servers[SERVER2].identity)
         raise AssertionError("tunnel failed to pin the dialed endpoint")
     except GateViolation:
         world.trace.note("info", "control", "tunnel interception refused as expected")
     world.start_download(VICTIM, code=code)
-
-
-def _ctl_tunnel_hides_code(world: World) -> None:
-    code = world.request_profile(VICTIM)
-    world.start_download(VICTIM, code=code)
-    try:
-        world.adversary_code(code.iac, code.s)
-        raise AssertionError("activation code should be out of reach")
-    except GateViolation:
-        world.trace.note("info", "control", "code underivable through the tunnel")
 
 
 def _ctl_forgery_rejected(world: World) -> None:
@@ -506,29 +509,6 @@ def _ctl_forgery_rejected(world: World) -> None:
         raise AssertionError("honest-key signature should be unforgeable")
     except GateViolation:
         world.trace.note("info", "control", "signature forgery refused by the gate")
-
-
-def _ctl_oid_check_blocks_resign(world: World) -> None:
-    code = world.request_profile(VICTIM)
-    result = relay(world, world.download(VICTIM, code, intercepted=True),
-                   resign_as(world.servers[SERVER2].identity))
-    assert not result.completed, "oid pinning should have blocked the re-signed handshake"
-
-
-def _ctl_binding_names_euicc(world: World) -> None:
-    own = world.euiccs[ADV_EID].identity
-    world.request_profile(ADVERSARY_USER)
-    code = world.request_profile(VICTIM)
-    result = relay(world, world.download(VICTIM, code, intercepted=True),
-                   swap_client_identity(own.sk_u, own.cert_u))
-    assert not result.completed, "named profile binding should stop the swap"
-
-
-def _ctl_registration_blocks_stolen_code(world: World) -> None:
-    code = world.request_profile(VICTIM)
-    stolen = world.adversary_code(code.iac, code.s, code.oid)
-    result = world.start_download(ADVERSARY_USER, code=stolen)
-    assert not result.completed, "registered eUICC id should stop a foreign device"
 
 
 def _ctl_replayed_server_share(world: World) -> None:
@@ -583,35 +563,37 @@ def _ctl_mno_proxy_contained(world: World) -> None:
 
 
 _CONTROLS = (
-    ControlScript("ctl-tls-pins", "tunnel pins the dialed endpoint",
-                  lambda c: c.scenario == 5 and c.tls, _ctl_tls_pins),
-    ControlScript("ctl-code-hidden", "tunnel hides the activation code",
-                  lambda c: c.approach == "ac" and c.scenario == 1 and c.tls,
-                  _ctl_tunnel_hides_code),
-    ControlScript("ctl-no-forgery", "gate refuses honest-key forgeries",
-                  lambda c: c.scenario == 1, _ctl_forgery_rejected),
-    ControlScript("ctl-oid-pinning", "expected-oid check stops re-signing",
-                  lambda c: c.scenario == 5 and not c.tls
-                  and ("R2" in c.recs or "R1" in c.recs),
-                  _ctl_oid_check_blocks_resign),
-    ControlScript("ctl-named-binding", "named binding stops identity swap",
-                  lambda c: c.scenario == 6 and not c.tls and "R9" in c.recs,
-                  _ctl_binding_names_euicc),
-    ControlScript("ctl-registered-eid", "registration stops stolen codes",
-                  lambda c: c.approach == "ac" and c.scenario == 10
-                  and "R3" in c.recs, _ctl_registration_blocks_stolen_code),
-    ControlScript("ctl-share-replay", "replaying the server share is useless",
-                  lambda c: c.approach == "ac" and c.scenario == 6 and not c.tls
-                  and not c.recs, _ctl_replayed_server_share),
-    ControlScript("ctl-notify-replay", "notification replay is refused",
-                  lambda c: c.scenario == 1 and not c.tls and c.approach == "ac",
-                  _ctl_notification_replay),
-    ControlScript("ctl-proxy-contained", "rogue operator is contained",
-                  lambda c: c.scenario == 7, _ctl_mno_proxy_contained),
+    Script("ctl-tls-pins", "tunnel pins the dialed endpoint",
+           lambda c: c.scenario == 5 and c.tls, _ctl_tls_pins),
+    Script("ctl-code-hidden", "tunnel hides the activation code",
+           lambda c: c.approach == "ac" and c.scenario == 1 and c.tls,
+           _refused(_script_1, "code underivable through the tunnel")),
+    Script("ctl-no-forgery", "gate refuses honest-key forgeries",
+           lambda c: c.scenario == 1, _ctl_forgery_rejected),
+    Script("ctl-oid-pinning", "expected-oid check stops re-signing",
+           lambda c: c.scenario == 5 and not c.tls
+           and ("R2" in c.recs or "R1" in c.recs),
+           _blocked(_script_c, "oid pinning should have blocked the re-signed "
+                    "handshake")),
+    Script("ctl-named-binding", "named binding stops identity swap",
+           lambda c: c.scenario == 6 and not c.tls and "R9" in c.recs,
+           _blocked(_script_d, "named profile binding should stop the swap")),
+    Script("ctl-registered-eid", "registration stops stolen codes",
+           lambda c: c.approach == "ac" and c.scenario == 10 and "R3" in c.recs,
+           _blocked(_script_8, "registered eUICC id should stop a foreign "
+                    "device")),
+    Script("ctl-share-replay", "replaying the server share is useless",
+           lambda c: c.approach == "ac" and c.scenario == 6 and not c.tls
+           and not c.recs, _ctl_replayed_server_share),
+    Script("ctl-notify-replay", "notification replay is refused",
+           lambda c: c.scenario == 1 and not c.tls and c.approach == "ac",
+           _ctl_notification_replay),
+    Script("ctl-proxy-contained", "rogue operator is contained",
+           lambda c: c.scenario == 7, _ctl_mno_proxy_contained),
 )
 
 
-def negative_controls(cfg: ScenarioConfig) -> list[ControlScript]:
+def negative_controls(cfg: ScenarioConfig) -> list[Script]:
     return [c for c in _CONTROLS if c.applicable(cfg)]
 
 

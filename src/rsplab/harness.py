@@ -102,16 +102,22 @@ def run_world(cfg: ScenarioConfig, name: str, script,
                       check_all(trace, knowledge, catalog))
 
 
+def world_runs(cfg: ScenarioConfig) -> list[tuple]:
+    """(id, script) for each run of `cfg`'s cell group, in order: the honest
+    run, the applicable attacks, the applicable controls.  The registries
+    are looked up here at each call, where a tracer may have wrapped them."""
+    return ([("honest", honest_script)]
+            + [(s.id, s.run) for s in attack_registry() if s.applicable(cfg)]
+            + [(c.id, c.run) for c in negative_controls(cfg)])
+
+
 def run_world_suite(cfg: ScenarioConfig) -> list[RunOutcome]:
-    """Honest script, then every applicable attack and negative control,
-    each in a freshly built world.  A run is checked for the goals that no
-    earlier run violated, the only ones its cells read."""
-    runs = [("honest", honest_script)]
-    runs += [(s.id, s.run) for s in attack_registry() if s.applicable(cfg)]
-    runs += [(c.id, c.run) for c in negative_controls(cfg)]
+    """Every run of ``world_runs``, each in a freshly built world.  A run is
+    checked for the goals that no earlier run violated, the only ones its
+    cells read."""
     outcomes = []
     open_goals = CATALOG
-    for name, fn in runs:
+    for name, fn in world_runs(cfg):
         outcomes.append(run_world(cfg, name, fn, open_goals))
         open_goals = [g for g in open_goals if outcomes[-1].checked[g.name].ok]
     return outcomes

@@ -1,5 +1,6 @@
 """
-Principal state machines: download server, eUICC, user/LPA, MNO.
+Principal state machines: download server, eUICC, MNO.  The LPA is the
+download session itself, ``World.download``.
 
 The wire format is a small tagged-tuple grammar over terms.  Only the
 security-relevant content is modeled; transport framing, capability lists
@@ -16,8 +17,7 @@ and the session dies without emitting its next progress event.  Every
 receiver of a signed message, the eUICC and the server, verifies it
 through one schema method, ``Message.open``: both tags and shapes, the
 certificate where the message carries one, and the signature, memoized per
-interned term.  The LPA, which scenario 4 compromises, verifies nothing; it
-checks only the server name it dialed and the operator the user sees.
+interned term.  The LPA, which scenario 4 compromises, verifies nothing.
 """
 
 from __future__ import annotations
@@ -526,46 +526,6 @@ class EuiccDevice:
                             Sp=session.sp_cert.subject, It=session.it, k=k,
                             P=profile, mno=mno, iac=session.iac))
         return M15.sign(self.identity.sk_u, s=session.s, oid=oid, it=session.it)
-
-
-# ---------------------------------------------------------------------------
-# User / LPA (one process: the device software acting on the user's behalf)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LpaContext:
-    dial: Atom
-    expected_mno: Optional[Atom]
-    careless: bool = False
-
-
-def lpa_check_msg4(ctx: LpaContext, world, term: Term) -> Optional[str]:
-    """The server name check: m4 must name the server the LPA dialed.  It
-    reads the name unverified; the eUICC verifies the message.  Return a
-    block reason, or None to forward.  Blocking is not an abort: it is the
-    LPA doing its job."""
-    try:
-        M4.parse(term, "lpa")
-        s = M4.read(term, world.cfg.recs)["s"]
-    except (ProtocolAbort, SealError) as exc:
-        return f"unreadable server message: {getattr(exc, 'reason', exc)}"
-    if s != ctx.dial:
-        return f"server name {getattr(s, 'label', s)} does not match dialed {ctx.dial.label}"
-    return None
-
-
-def lpa_check_msg12(ctx: LpaContext, world, term: Term) -> Optional[str]:
-    """The operator-confirmation step: user compares the displayed MNO id."""
-    try:
-        mno = M12.parse(term, "lpa")["mno"]
-    except ProtocolAbort as exc:
-        return f"unreadable operator message: {exc.reason}"
-    if ctx.careless:
-        return None
-    if ctx.expected_mno is not None and mno != ctx.expected_mno:
-        return (f"operator id {getattr(mno, 'label', mno)} does not match "
-                f"the expected {ctx.expected_mno.label}")
-    return None
 
 
 # ---------------------------------------------------------------------------

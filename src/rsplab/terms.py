@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 
 class SealError(ValueError):
@@ -323,31 +323,6 @@ def unseal(kind: str, key: Term, sealed: Term) -> Term:
             raise SealError("mac key mismatch")
         return sealed.body
     raise ValueError(f"unknown seal kind {kind!r}")
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    """All subterms including t itself (pre-order)."""
-    yield t
-    if isinstance(t, Pair):
-        yield from subterms(t.left)
-        yield from subterms(t.right)
-    elif isinstance(t, Sign):
-        yield from subterms(t.key)
-        yield from subterms(t.body)
-    elif isinstance(t, (SEnc, Mac)):
-        yield from subterms(t.key)
-        yield from subterms(t.body)
-    elif isinstance(t, PubKey):
-        yield from subterms(t.of)
-    elif isinstance(t, DhPub):
-        yield from subterms(t.of)
-    elif isinstance(t, DhShared):
-        yield from subterms(t.lo)
-        yield from subterms(t.hi)
-    elif isinstance(t, Kdf):
-        yield from subterms(t.shared)
-        yield from subterms(t.oid)
-        yield from subterms(t.eid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """
 The world: identities, channels, the adversary, and the two end-to-end
-flows (profile ordering, profile download) that scripts drive.
+flows (profile ordering, profile download) that scripts drive.  The LPA is
+the download session, ``World.download``, and checks only what needs the
+device software or its user: the dialed server name and the operator shown.
 
 A world is built once per run from a scenario configuration and then driven
 deterministically by a script: the honest script, an attack script, or a
@@ -17,11 +19,10 @@ from .events import ADVERSARY_USER, Event, Trace
 from .network import (CH_LPA_EUICC, CH_MNO_SERVER, CH_USER_MNO, GateViolation,
                       put_request, relay, tls_connect)
 from .pki import Pki
-from .roles import (CODE_DELIVERY, M2, M3, M5, MSG_ERROR, ORDER_REPLY,
-                    ORDER_REQUEST, PROFILE_REQUEST, EuiccDevice, LpaContext,
-                    Message, MnoProcess, Order, ProtocolAbort, ServerProcess,
-                    lpa_check_msg12, lpa_check_msg4)
-from .terms import Atom, FreshSource, Knowledge, NULL, Term
+from .roles import (CODE_DELIVERY, M2, M3, M4, M5, M12, MSG_ERROR,
+                    ORDER_REPLY, ORDER_REQUEST, PROFILE_REQUEST, EuiccDevice,
+                    Message, MnoProcess, Order, ProtocolAbort, ServerProcess)
+from .terms import Atom, FreshSource, Knowledge, NULL, SealError, Term
 
 
 class Adversary:
@@ -278,11 +279,7 @@ class World:
         elif inject_code is not None:
             raise GateViolation("only a compromised LPA can swap the code")
 
-        ctx = LpaContext(
-            dial=dial_to,
-            expected_mno=None if adversary_client else self.mnos[user.mno].atom,
-            careless=cfg.careless_user or adversary_client or lpa_compromised)
-
+        careless = cfg.careless_user or adversary_client or lpa_compromised
         tun = tls_connect(self, dial_to, intercepted,
                           client_is_adversary=adversary_client or lpa_compromised)
 
@@ -299,9 +296,16 @@ class World:
             m4 = yield put_request(self, tun, "m3", M3.build(**challenge))
             if m4 == MSG_ERROR:
                 return DownloadResult(False, "m3", "server abort")
-            reason = lpa_check_msg4(ctx, self, m4)
-            if reason:
-                return blocked("m4", reason)
+            # the server name, read unverified: the eUICC verifies m4
+            try:
+                M4.parse(m4, "lpa")
+                s = M4.read(m4, cfg.recs)["s"]
+            except (ProtocolAbort, SealError) as exc:
+                return blocked("m4", "unreadable server message: "
+                                     f"{getattr(exc, 'reason', exc)}")
+            if s != dial_to:
+                return blocked("m4", f"server name {getattr(s, 'label', s)} "
+                                     f"does not match dialed {dial_to.label}")
             ctx5 = M5.build(iac=iac)
             self.trace.message(CH_LPA_EUICC, "lpa->euicc:m5", ctx5)
             device.set_context(iac, expected_oid)
@@ -317,9 +321,15 @@ class World:
             m12 = yield put_request(self, tun, "m11", m11)
             if m12 == MSG_ERROR:
                 return DownloadResult(False, "m11", "server abort")
-            reason = lpa_check_msg12(ctx, self, m12)
-            if reason:
-                return blocked("m12", reason)
+            # the user confirms the operator the device shows, unless careless
+            try:
+                mno = M12.parse(m12, "lpa")["mno"]
+            except ProtocolAbort as exc:
+                return blocked("m12", f"unreadable operator message: {exc.reason}")
+            expected = self.mnos[user.mno].atom
+            if not careless and mno != expected:
+                return blocked("m12", f"operator id {getattr(mno, 'label', mno)} "
+                                      f"does not match the expected {expected.label}")
             m15 = device.process_msg12(m12)
             self.trace.message(CH_LPA_EUICC, "euicc->lpa:m15", m15)
 

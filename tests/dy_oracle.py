@@ -9,10 +9,35 @@ for any goal inside the universe, which is all the random tests generate.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from typing import Iterator
 
 from rsplab.terms import (Atom, DhPriv, DhPub, DhShared, Kdf, Mac, Nonce,
-                          Pair, PrivKey, PubKey, SEnc, Sign, Term, dh_shared,
-                          subterms)
+                          Pair, PrivKey, PubKey, SEnc, Sign, Term, dh_shared)
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """All subterms including t itself (pre-order)."""
+    yield t
+    if isinstance(t, Pair):
+        yield from subterms(t.left)
+        yield from subterms(t.right)
+    elif isinstance(t, Sign):
+        yield from subterms(t.key)
+        yield from subterms(t.body)
+    elif isinstance(t, (SEnc, Mac)):
+        yield from subterms(t.key)
+        yield from subterms(t.body)
+    elif isinstance(t, PubKey):
+        yield from subterms(t.of)
+    elif isinstance(t, DhPub):
+        yield from subterms(t.of)
+    elif isinstance(t, DhShared):
+        yield from subterms(t.lo)
+        yield from subterms(t.hi)
+    elif isinstance(t, Kdf):
+        yield from subterms(t.shared)
+        yield from subterms(t.oid)
+        yield from subterms(t.eid)
 
 
 def term_universe(roots) -> set:

@@ -9,6 +9,7 @@ from rsplab.attacks import (ATTACKS_BY_ID, attack_registry, audit_trace,
                             honest_script, negative_controls)
 from rsplab.fixture import GOALS, expected_matrix, scenario_rows
 from rsplab.goals import check_all
+from rsplab.network import GateViolation
 from rsplab.scenarios import ScenarioConfig, build_world
 
 # one representative world per script (approach, scenario, tls)
@@ -181,6 +182,32 @@ class TestControls:
                                 assert verdicts[g].ok, (control.id, g)
                         ran += 1
         assert ran >= 10
+
+    @pytest.mark.parametrize("control_id, script_id, world, recs, note", [
+        ("ctl-code-hidden", "1", ("ac", 1, True), (),
+         "note info control: code underivable through the tunnel"),
+        ("ctl-oid-pinning", "c", ("ds", 5, False), ("R2",), None),
+        ("ctl-oid-pinning", "c", ("ac", 5, False), ("R1",), None),
+        ("ctl-named-binding", "d", ("ds", 6, False), ("R9",), None),
+        ("ctl-registered-eid", "8", ("ac", 10, True), ("R3",), None),
+    ])
+    def test_a_guarding_control_is_its_attacks_run(self, control_id,
+                                                   script_id, world, recs,
+                                                   note):
+        cfg = ScenarioConfig(*world, recs=frozenset(recs))
+        control = {c.id: c for c in negative_controls(cfg)}[control_id]
+        attack = ATTACKS_BY_ID[script_id]
+        guarded, attacked = build_world(cfg), build_world(cfg)
+        control.run(guarded)
+        lines = guarded.trace.render().splitlines()
+        if note:  # the gate refuses the attack, and the control notes it
+            with pytest.raises(GateViolation):
+                attack.run(attacked)
+            assert lines.pop().endswith(note)
+        else:  # the attack's download is blocked
+            assert attack.applicable(cfg)
+            assert not attack.run(attacked).completed
+        assert lines == attacked.trace.render().splitlines()
 
     def test_injective_notification_variant_holds_on_honest_runs(self):
         world = build_world(ScenarioConfig("ac", 1, False))

@@ -10,12 +10,11 @@ be the ones the matrix reports.
 
 import pytest
 
-from rsplab.attacks import (attack_registry, audit_trace, honest_script,
-                            negative_controls)
+from rsplab.attacks import audit_trace, honest_script
 from rsplab.events import LearnOp, MessageOp
 from rsplab.fixture import GOALS, scenario_rows
 from rsplab.goals import check_all
-from rsplab.harness import run_matrix
+from rsplab.harness import run_matrix, world_runs
 from rsplab.network import CH_LPA_SERVER
 from rsplab.scenarios import SERVER1, ScenarioConfig, build_world, expand_recs
 from rsplab.terms import Knowledge
@@ -28,11 +27,8 @@ THREE_MATRICES = {"plain": (("ds", "ac"), frozenset()),
 def runs_of(cfg) -> list:
     """(script id, world) for every run of `cfg`'s cell group, in the
     harness's order: honest, the applicable attacks, the controls."""
-    scripts = [("honest", honest_script)]
-    scripts += [(s.id, s.run) for s in attack_registry() if s.applicable(cfg)]
-    scripts += [(c.id, c.run) for c in negative_controls(cfg)]
     runs = []
-    for name, script in scripts:
+    for name, script in world_runs(cfg):
         world = build_world(cfg)
         try:
             script(world)

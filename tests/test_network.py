@@ -3,6 +3,7 @@ private-channel isolation, and the post-hoc capability audit."""
 
 import pytest
 
+from dy_oracle import subterms
 from rsplab.attacks import audit_trace, fake_client_download, honest_script
 from rsplab.events import MessageOp, Note
 from rsplab.fixture import GOALS
@@ -13,7 +14,7 @@ from rsplab.roles import M3, M11, M15, MSG_ERROR, SIG11, SIG15, ProtocolAbort
 from rsplab.scenarios import (AC_SCENARIOS, ADV_EID, BYSTANDER, COMPROMISES,
                               DS_SCENARIOS, MNO1, MNO2, SERVER1, VICTIM,
                               VICTIM_EID, ScenarioConfig, build_world)
-from rsplab.terms import NULL, Atom, Knowledge, Pair, seal, subterms
+from rsplab.terms import NULL, Atom, Knowledge, Pair, seal
 from rsplab.world import ADVERSARY_USER, Code
 
 

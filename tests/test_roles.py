@@ -660,9 +660,11 @@ class TestReceivers:
         assert (exc.value.who, exc.value.reason) == ("euicc", "message out of phase")
 
     def test_a_careful_user_blocks_an_m12_of_another_operator(self):
-        w = build_world(ScenarioConfig("ds", 1, False))
-        ctx = roles.LpaContext(dial=Atom("dl"), expected_mno=Atom("mno1"))
-        m12 = M12.build(sig=Atom("sig"), enc=Atom("enc"), mac_enc=Atom("mac"),
-                        mno=Atom("mno2"), mac_mno=Atom("mac"))
-        assert roles.lpa_check_msg12(ctx, w, m12) == \
-            "operator id mno2 does not match the expected mno1"
+        def rewrite(world, stage, term):
+            if stage != "m12":
+                return term
+            return M12.build(**{**M12.parse(term, "adv"), "mno": Atom("mno2")})
+
+        assert notes_of_one_download(rewrite) == [
+            f"note blocked lpa-{VICTIM}: m12: operator id mno2 does not match "
+            "the expected mno1"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dy_oracle import oracle_deduce
+from dy_oracle import oracle_deduce, subterms
 from term_gen import TermGen
 from rsplab import terms
 from rsplab.attacks import honest_script
@@ -15,7 +15,7 @@ from rsplab.scenarios import ScenarioConfig, build_world
 from rsplab.terms import (Atom, DhPriv, DhShared, FreshSource, Kdf, Knowledge,
                           Mac, NULL, Nonce, Pair, PrivKey, SEnc, SealError,
                           Sign, dh_pub, dh_shared, encode, kdf, pairs, pub,
-                          seal, subterms, unpairs, unseal)
+                          seal, unpairs, unseal)
 
 
 @pytest.fixture

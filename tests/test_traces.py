@@ -10,8 +10,8 @@ change of behaviour, to be made on purpose and recorded.
 
 import hashlib
 
-from rsplab.attacks import attack_registry, honest_script, negative_controls
 from rsplab.fixture import scenario_rows
+from rsplab.harness import world_runs
 from rsplab.scenarios import (ConfigError, ScenarioConfig, build_world,
                               expand_recs)
 
@@ -36,18 +36,12 @@ def configs():
                     yield from cfgs
 
 
-def runs(cfg):
-    yield "honest", honest_script
-    yield from ((s.id, s.run) for s in attack_registry() if s.applicable(cfg))
-    yield from ((c.id, c.run) for c in negative_controls(cfg))
-
-
 def sweep():
     """(number of runs, sha256 over every run's header, trace and error)."""
     digest = hashlib.sha256()
     count = 0
     for cfg in configs():
-        for name, script in runs(cfg):
+        for name, script in world_runs(cfg):
             world = build_world(cfg)
             try:
                 script(world)
