@@ -10,23 +10,28 @@ trace itself.
 
 Each event tag is declared once, in ``EVENT_FIELDS``, with its field names.
 An event is built by name, ``Event.S0(Sa=…, It=…, S=…, mno=…, iac=…)``, and
-read by name, ``event["mno"]``; only the trace's index and the goal
-checker's compiled patterns go by position.
+read by name, ``event.mno``; only the trace's index and the goal checker's
+compiled kernels go by position.
 
-Worlds append thousands of entries, so each kind is a ``NamedTuple``:
-immutable, read by field name, and built without the per-field
-``object.__setattr__`` a frozen dataclass pays.  ``isinstance`` tells the
-kinds apart.  An entry equals a bare tuple of its values; no two kinds have
-as many fields, and nothing compares entries by value.
+Worlds append thousands of entries, and the cyclic collector walks every
+one a live trace holds, so each entry is one flat tuple, the only object it
+adds: immutable and read by field name.  Each event tag has its own tuple
+class, derived from ``Event``, with the tag as a class attribute; the other
+kinds are ``NamedTuple``s.  ``isinstance`` tells the kinds apart.  An entry
+equals a bare tuple of its values, so a one-field event such as ``SENT_QS``
+equals a ``LearnOp`` of the same term; nothing in the lab compares entries
+by value.
 
 Each kind has one ``Trace`` writer that builds the tuple with
-``tuple.__new__``, as ``Event.<tag>`` does, and appends it: ``append``,
+``tuple.__new__``, as ``Event.<tag>`` does, without the per-field
+``object.__setattr__`` a frozen dataclass pays, and appends it: ``append``,
 ``message``, ``learn`` and ``note``.  ``message`` also keeps
 ``Trace.last_send``, where the capability audit stops.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .terms import Term, encode
@@ -64,28 +69,29 @@ EVENT_FIELDS = {
 ADVERSARY_USER = "user-adv"
 
 
-class Event(NamedTuple):
-    """One protocol event.  The program builds it with ``Event.<tag>``,
-    whose required keywords are the tag's fields, never by position."""
-    tag: str
-    params: tuple
-
-    def __getitem__(self, field: str) -> Term:
-        return self.params[EVENT_FIELDS[self.tag].index(field)]
+class Event(tuple):
+    """One protocol event, a tuple of its tag's fields in ``EVENT_FIELDS``
+    order.  The program builds it with ``Event.<tag>``, whose required
+    keywords are the tag's fields, never by position."""
+    __slots__ = ()
+    tag: str              # set on each tag's class
 
     def render(self) -> str:
-        return f"{self.tag}({', '.join(encode(p) for p in self.params)})"
+        return f"{self.tag}({', '.join(encode(p) for p in self)})"
 
 
 _new = tuple.__new__
 
 
 def _constructor(tag: str, fields: tuple) -> staticmethod:
-    """``Event.<tag>``, which takes each field as a required keyword and
-    builds the tuple itself, without the NamedTuple's ``__new__``."""
-    env, args = {"Event": Event, "new": _new}, ", ".join(fields)
+    """``Event.<tag>``: the tag's own tuple class, each field read by name,
+    and the function that takes each field as a required keyword and
+    builds the tuple."""
+    attrs = {f: property(itemgetter(i)) for i, f in enumerate(fields)}
+    cls = type(tag, (Event,), {"__slots__": (), "tag": tag, **attrs})
+    env, args = {"cls": cls, "new": _new}, ", ".join(fields)
     exec(compile(f"def {tag}(*, {args}):\n"
-                 f"    return new(Event, ({tag!r}, ({args},)))",
+                 f"    return new(cls, ({args},))",
                  f"<event {tag}>", "exec"), env)
     return staticmethod(env[tag])
 
@@ -125,28 +131,30 @@ class Note(NamedTuple):
 class Trace:
     """Append-only log and the one index of its events.
 
-    Its four writers are the only way in.  ``append`` files each event
-    under its tag and, for every (tag, position) that ``with_value`` has
-    bucketed so far, under the event's value at that position.  A lookup by
-    tag, or by tag and one parameter value, therefore costs the number of
-    events it returns, not a scan of the log, and no lookup is rebuilt when
-    the trace grows.  Both lookups hand out the live index lists, in trace
-    order: read them, never change them.
+    Its four writers are the only way in.  ``append`` files the position of
+    each event under its tag and, for every (tag, field position) that
+    ``with_value`` has bucketed so far, under the event's value at that
+    position.  A lookup by tag, or by tag and one field value, therefore
+    costs the number of events it returns, not a scan of the log, and no
+    lookup is rebuilt when the trace grows.  Both lookups hand out the live
+    index lists of trace positions, in trace order; ``entries[i]`` is the
+    event.  Read them, never change them.
     """
 
     def __init__(self) -> None:
         self.entries: list = []
         self.last_send = -1   # index of the last adversary send, if any
-        self._tagged: dict[str, list[tuple[int, Event]]] = {tag: [] for tag in EVENT_FIELDS}
-        # tag -> position -> value -> events, a position filled on first use
+        self._tagged: dict[str, list[int]] = {tag: [] for tag in EVENT_FIELDS}
+        # tag -> field position -> value -> event positions, a field
+        # position filled on first use
         self._by_value: dict[str, dict[int, dict]] = {tag: {} for tag in EVENT_FIELDS}
 
     def append(self, event: Event) -> None:
-        item = (len(self.entries), event)
+        i = len(self.entries)
         self.entries.append(event)
-        self._tagged[event.tag].append(item)
+        self._tagged[event.tag].append(i)
         for pos, buckets in self._by_value[event.tag].items():
-            buckets.setdefault(event.params[pos], []).append(item)
+            buckets.setdefault(event[pos], []).append(i)
 
     def message(self, channel: str, direction: str, term: Term,
                 by_adversary: bool = False) -> None:
@@ -163,18 +171,19 @@ class Trace:
     def events(self) -> list[tuple[int, Event]]:
         return [(i, e) for i, e in enumerate(self.entries) if isinstance(e, Event)]
 
-    def events_tagged(self, tag: str) -> list[tuple[int, Event]]:
-        """The events of `tag` as (index, event)."""
+    def events_tagged(self, tag: str) -> list[int]:
+        """The positions of the events of `tag`."""
         return self._tagged[tag]
 
-    def with_value(self, tag: str, pos: int, value: Term) -> list[tuple[int, Event]]:
-        """The events of `tag` whose parameter at `pos` is `value`."""
+    def with_value(self, tag: str, pos: int, value: Term) -> list[int]:
+        """The positions of the events of `tag` whose field at `pos` is
+        `value`."""
         by_pos = self._by_value[tag]
         buckets = by_pos.get(pos)
         if buckets is None:
             buckets = by_pos[pos] = {}
-            for item in self._tagged[tag]:
-                buckets.setdefault(item[1].params[pos], []).append(item)
+            for i in self._tagged[tag]:
+                buckets.setdefault(self.entries[i][pos], []).append(i)
         return buckets.get(value, [])
 
     def render(self) -> str:

@@ -14,8 +14,10 @@ small traces is exact.
 
 Cost model: the checker never scans the trace.  It reads the trace's own
 index (``Trace.events_tagged`` and ``Trace.with_value``), which lists the
-events of each tag and buckets them by the value at a position from the
-first lookup on, growing as the trace grows.  Each goal's patterns are
+trace positions of each tag's events and buckets them by the value at a
+field position from the first lookup on, growing as the trace grows.  An
+event is one flat tuple, so the kernel reads a candidate as
+``entries[i]`` and its fields as ``q[pos]``.  Each goal's patterns are
 expanded to positions and compiled when the catalog is built, once per
 process and distinct goal, into its kernel, the checker's only matcher: one
 generated function that matches the trigger and then, in nested loops, one
@@ -201,10 +203,10 @@ def _narrow(trace: Trace, tag: str, candidates: list, positions: tuple,
 @functools.cache
 def _compile(trigger: EventPattern, requires: tuple) -> Callable:
     """The matcher of a goal with `trigger` and the conjuncts `requires`, as
-    one generated function, ``kernel(trace, upto, params)``, with one
-    nested loop per conjunct.
+    one generated function, ``kernel(trace, upto, p)``, with one nested
+    loop per conjunct.
 
-    Given the parameters of a `trigger`-tagged event at index `upto`, the
+    Given the `trigger`-tagged event `p` at index `upto`, the
     kernel returns None if they do not match `trigger`; else the witness
     index tuples, in trace order, that ``_assign_injectively`` can tell
     apart (see the cost model above), which is ``[()]`` for a goal with no
@@ -272,7 +274,7 @@ def _compile(trigger: EventPattern, requires: tuple) -> Callable:
         emit(1, " = ".join(reached) + " = 0")
     if first:
         emit(1, "out = []")
-    emit(1, "tagged = trace.events_tagged")
+    emit(1, "tagged, entries = trace.events_tagged, trace.entries")
     news = []  # per conjunct, the names it newly binds; None if injective
     for k, r in enumerate(requires):
         tag = const(r.pattern.tag)
@@ -302,9 +304,9 @@ def _compile(trigger: EventPattern, requires: tuple) -> Callable:
             emit(k + 1, f"s{k} = set()")
         if 0 < k == first < n - 1:
             emit(k + 1, "h = 0")  # set once a completion is found
-        emit(k + 1, f"for i{k}, e{k} in c{k}:")
+        emit(k + 1, f"for i{k} in c{k}:")
         emit(k + 2, f"if i{k} >= upto: break")
-        emit(k + 2, f"q = e{k}.params")
+        emit(k + 2, f"q = entries[i{k}]")
         match(k + 2, "q", r.pattern.literals, checks + binds, "continue")
         if names:
             key = ", ".join(local[name] for name in names)
@@ -446,36 +448,36 @@ _ADVERSARY = Atom(ADVERSARY_USER)
 
 
 def _having(trace: Trace, tag: str, field: str, value: Term) -> list:
-    """The events of `tag` whose `field` holds `value`."""
+    """The positions of the events of `tag` whose `field` holds `value`."""
     return trace.with_value(tag, EVENT_FIELDS[tag].index(field), value)
 
 
 def _excluded(trace: Trace, event: Event, adversary_eids: set,
               marked_mnos: set) -> bool:
     """Is this trigger occurrence outside the threat model's interest?"""
-    tag = event.tag
+    tag, entries = event.tag, trace.entries
     # operator compromised and bound into the run: no security expected
-    mno = event["mno"] if "mno" in EVENT_FIELDS[tag] else None
+    mno = getattr(event, "mno", None)
     if mno in marked_mnos:
         return True
     if tag in ("U0", "U1", "U2", "U3"):
         # client-side assurance protects the client; the adversary's own
         # device needs none
-        return event["U"] in adversary_eids
+        return event.U in adversary_eids
     if tag in ("S1", "S2", "S3"):
-        u = event["U"]
+        u = event.U
         if u not in adversary_eids:
             return False
         # adversary device AND the adversary's own (honestly placed) order:
         # nothing of anyone else's is at stake
         if tag == "S1":
-            iac = event["iac"]
+            iac = event.iac
             orders = (_having(trace, "ORDER", "iac", iac) if iac is not NULL
-                      else [(i, e) for i, e in _having(trace, "ORDER", "U", u)
-                            if e["mno"] == mno])
+                      else [i for i in _having(trace, "ORDER", "U", u)
+                            if entries[i].mno == mno])
         else:
-            orders = _having(trace, "ORDER", "P", event["P"])
-        return bool(orders) and all(e["uid"] == _ADVERSARY for _, e in orders)
+            orders = _having(trace, "ORDER", "P", event.P)
+        return bool(orders) and all(entries[i].uid == _ADVERSARY for i in orders)
     return False
 
 
@@ -483,10 +485,11 @@ def _exclusions(trace: Trace, tags) -> set:
     """The indices of the excluded events among the triggers of `tags`, asked
     once per event however many goals share its tag.  The adversary's
     devices and the compromised operators are read once per call."""
-    adversary_eids = {e["U"] for _, e in _having(trace, "OWNER", "uid", _ADVERSARY)}
-    marked_mnos = {e["mno"] for _, e in trace.events_tagged("CompromiseMno")}
-    return {i for tag in tags for i, e in trace.events_tagged(tag)
-            if _excluded(trace, e, adversary_eids, marked_mnos)}
+    entries = trace.entries
+    adversary_eids = {entries[i].U for i in _having(trace, "OWNER", "uid", _ADVERSARY)}
+    marked_mnos = {entries[i].mno for i in trace.events_tagged("CompromiseMno")}
+    return {i for tag in tags for i in trace.events_tagged(tag)
+            if _excluded(trace, entries[i], adversary_eids, marked_mnos)}
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +533,13 @@ def check_correspondence(trace: Trace, goal: GoalSpec,
         raise ValueError(f"goal {goal.name} is not a correspondence")
     if excluded is None:
         excluded = _exclusions(trace, (goal.trigger.tag,))
-    kernel = goal.kernel
+    kernel, entries = goal.kernel, trace.entries
     trigger_options = []
-    for i, e in trace.events_tagged(goal.trigger.tag):
+    for i in trace.events_tagged(goal.trigger.tag):
         if i in excluded:
             continue
-        options = kernel(trace, i, e.params)
+        e = entries[i]
+        options = kernel(trace, i, e)
         if options is None:
             continue
         if type(options) is int:
@@ -558,10 +562,9 @@ def _first_unmatchable(goal: GoalSpec, depth: int, event: Event) -> str:
     # consistent choice of witnesses for the conjuncts before it extends,
     # which is how deep the failed search got; the kernel has matched the
     # trigger, so its slots agree on each name they bind
-    params = event.params
-    bindings = {name: params[pos]
+    bindings = {name: event[pos]
                 for pos, name, optional in goal.trigger.binders
-                if not (optional and params[pos] is NULL)}
+                if not (optional and event[pos] is NULL)}
     pattern = goal.requires[depth].pattern
     return f"no earlier {pattern.tag} matches {_pattern_text(pattern, bindings)}"
 
@@ -596,11 +599,12 @@ def check_secrecy(trace: Trace, knowledge: Knowledge, goal: GoalSpec,
         raise ValueError(f"goal {goal.name} is not a secrecy goal")
     if excluded is None:
         excluded = _exclusions(trace, (goal.trigger.tag,))
-    kernel, pos = goal.kernel, goal.secret_pos
-    for i, e in trace.events_tagged(goal.trigger.tag):
-        if i in excluded or kernel and kernel(trace, i, e.params) is None:
+    kernel, pos, entries = goal.kernel, goal.secret_pos, trace.entries
+    for i in trace.events_tagged(goal.trigger.tag):
+        e = entries[i]
+        if i in excluded or kernel and kernel(trace, i, e) is None:
             continue
-        target = e.params[pos]
+        target = e[pos]
         if knowledge.deduce(target):
             return GoalVerdict(goal.name, "violated",
                                f"trigger #{i} {e.render()}; adversary derives "

@@ -274,8 +274,8 @@ class ServerProcess:
                 raise ValueError("default-server orders must name an eUICC")
             order = Order(user, mno, eid, profile, NULL)
         self.orders.append(order)
-        world.emit(Event.ORDER(uid=user, mno=mno, S=self.domain, U=order.eid,
-                               P=profile, iac=order.iac))
+        world.trace.append(Event.ORDER(uid=user, mno=mno, S=self.domain, U=order.eid,
+                                       P=profile, iac=order.iac))
         return order
 
     # -- request dispatch ----------------------------------------------------
@@ -303,9 +303,9 @@ class ServerProcess:
         session = ServerSession(it=it, n_s=n_s, n_u=n_u)
         self.sessions[it] = session
         announced = self._announced_order()
-        world.emit(Event.S0(Sa=self.subject, It=it, S=self.domain,
-                            mno=announced.mno if announced else NULL,
-                            iac=announced.iac if announced else NULL))
+        world.trace.append(Event.S0(Sa=self.subject, It=it, S=self.domain,
+                                    mno=announced.mno if announced else NULL,
+                                    iac=announced.iac if announced else NULL))
         return M4.sign(self.identity.sk_sa, self._recs(), n_u=n_u, n_s=n_s,
                        it=it, s=self.domain, oid=self.oid,
                        cert=self.identity.cert_sa)
@@ -357,8 +357,8 @@ class ServerProcess:
         session.peer_eid = cert.subject
         session.peer_key = cert.subject_key
         session.phase = "await11"
-        world.emit(Event.S1(U=cert.subject, Sa=self.subject, Sp=self.subject,
-                            It=session.it, mno=order.mno, iac=order.iac))
+        world.trace.append(Event.S1(U=cert.subject, Sa=self.subject, Sp=self.subject,
+                                    It=session.it, mno=order.mno, iac=order.iac))
         return M8.sign(self.identity.sk_sp, recs, it=session.it,
                        eid=cert.subject, cert=self.identity.cert_sp)
 
@@ -380,16 +380,16 @@ class ServerProcess:
         q_u = body["q_u"]
         if not isinstance(q_u, DhPub):
             raise ProtocolAbort("server", "client share is not a DH point")
-        world.emit(Event.RECV_QU(q_u=q_u))
+        world.trace.append(Event.RECV_QU(q_u=q_u))
         d_s = world.fresh.dhpriv("d-s")
-        world.emit(Event.SENT_QS(q_s=dh_pub(d_s)))
+        world.trace.append(Event.SENT_QS(q_s=dh_pub(d_s)))
         order = session.order
         k, m12 = delivery(self.identity, session.peer_eid, session.it, d_s, q_u,
                           order.profile, order.mno)
         session.phase = "await15"
-        world.emit(Event.S2(U=session.peer_eid, Sa=self.subject, Sp=self.subject,
-                            It=session.it, k=k, P=order.profile, mno=order.mno,
-                            iac=order.iac))
+        world.trace.append(Event.S2(U=session.peer_eid, Sa=self.subject,
+                                    Sp=self.subject, It=session.it, k=k,
+                                    P=order.profile, mno=order.mno, iac=order.iac))
         return m12
 
     def _handle_notification(self, term: Term) -> Term:
@@ -399,9 +399,9 @@ class ServerProcess:
             raise ProtocolAbort("server", "notification names a different server oid")
         order = session.order
         session.phase = "done"
-        world.emit(Event.S3(U=session.peer_eid, Sa=self.subject, Sp=self.subject,
-                            It=session.it, P=order.profile, S=body["s"],
-                            mno=order.mno))
+        world.trace.append(Event.S3(U=session.peer_eid, Sa=self.subject,
+                                    Sp=self.subject, It=session.it,
+                                    P=order.profile, S=body["s"], mno=order.mno))
         return MSG_OK
 
     _HANDLERS = {M3.tag: _handle_init, M7.tag: _handle_auth_client,
@@ -447,7 +447,7 @@ class EuiccDevice:
         n_u = world.fresh.nonce("n-u")
         self.session = EuiccSession(n_u=n_u)
         default_s = self.identity.default_server if world.cfg.approach == "ds" else None
-        world.emit(Event.U0(U=self.eid, S=default_s or NULL))
+        world.trace.append(Event.U0(U=self.eid, S=default_s or NULL))
         return M2.build(n_u=n_u, ski=world.ci.ski)
 
     def set_context(self, iac: Term, expected_oid: Optional[Atom]) -> None:
@@ -474,7 +474,7 @@ class EuiccDevice:
             raise ProtocolAbort("euicc", "server oid differs from expected oid")
         session.n_s, session.it, session.s, session.sa_cert = n_s, it, s, cert
         session.phase = "await8"
-        world.emit(Event.U1(U=self.eid, Sa=cert.subject, It=it, S=s))
+        world.trace.append(Event.U1(U=self.eid, Sa=cert.subject, It=it, S=s))
         return M7.sign(self.identity.sk_u, recs, n_s=n_s, it=it, s=s,
                        iac=session.iac, oid=cert.oid, cert=self.identity.cert_u)
 
@@ -492,8 +492,8 @@ class EuiccDevice:
             raise ProtocolAbort("euicc", "profile binding names a different eUICC")
         session.sp_cert = cert
         session.phase = "await12"
-        world.emit(Event.U2(U=self.eid, Sa=session.sa_cert.subject,
-                            Sp=cert.subject, It=session.it))
+        world.trace.append(Event.U2(U=self.eid, Sa=session.sa_cert.subject,
+                                    Sp=cert.subject, It=session.it))
         d_u = world.fresh.dhpriv("d-u")
         session.d_u, session.q_u = d_u, dh_pub(d_u)
         return M11.sign(self.identity.sk_u, it=session.it, q_u=session.q_u)
@@ -522,9 +522,9 @@ class EuiccDevice:
         except SealError as exc:
             raise ProtocolAbort("euicc", f"download integrity failure: {exc}") from exc
         session.phase = "done"
-        world.emit(Event.U3(U=self.eid, Sa=session.sa_cert.subject,
-                            Sp=session.sp_cert.subject, It=session.it, k=k,
-                            P=profile, mno=mno, iac=session.iac))
+        world.trace.append(Event.U3(U=self.eid, Sa=session.sa_cert.subject,
+                                    Sp=session.sp_cert.subject, It=session.it,
+                                    k=k, P=profile, mno=mno, iac=session.iac))
         return M15.sign(self.identity.sk_u, s=session.s, oid=oid, it=session.it)
 
 

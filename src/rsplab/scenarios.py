@@ -155,7 +155,7 @@ def build_world(cfg: ScenarioConfig) -> World:
     world = World(cfg, PKI)
     for ident in PKI.servers:
         world.servers[ident.domain.label] = ServerProcess(world, ident)
-        world.emit(Event.AUTHORIZE(Sp=ident.subject))
+        world.trace.append(Event.AUTHORIZE(Sp=ident.subject))
 
     world.mnos[MNO1] = MnoProcess(MNO1, Atom(MNO1), SERVER1)
     world.mnos[MNO2] = MnoProcess(MNO2, Atom(MNO2), SERVER1)
@@ -164,7 +164,7 @@ def build_world(cfg: ScenarioConfig) -> World:
     for ident, (eid, owner) in zip(PKI.euiccs, _OWNERS):
         world.euiccs[eid] = EuiccDevice(world, ident)
         world.users[owner] = UserAgent(Atom(owner), eid, MNO1, lpa_oid)
-        world.emit(Event.OWNER(uid=Atom(owner), U=ident.eid))
+        world.trace.append(Event.OWNER(uid=Atom(owner), U=ident.eid))
 
     for kind, name in COMPROMISES[cfg.scenario]:
         compromise(world, kind, name)
@@ -209,4 +209,4 @@ def compromise(world: World, kind: str, name: str) -> None:
         marker = (Event.CompromiseMno(mno=Atom(name)) if kind == "mno" else
                   Event.ChannelFraud(mode=Atom(kind if kind == "lpa" else name)))
     world.grants.add((kind, name))
-    world.emit(marker)
+    world.trace.append(marker)

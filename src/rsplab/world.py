@@ -106,9 +106,6 @@ class World:
 
     # -- plumbing ------------------------------------------------------------
 
-    def emit(self, event: Event) -> None:
-        self.trace.append(event)
-
     def long_term_private_keys(self) -> list:
         keys: list[Term] = [self.ci.sk]
         for srv in self.servers.values():
@@ -167,7 +164,7 @@ class World:
         request = PROFILE_REQUEST.build(user=user.atom, eid=eid_atom)
         self.trace.message(CH_USER_MNO, f"{user_label}->{mno.label}", request)
         if self.cfg.approach == "ds":
-            self.emit(Event.INTENT(uid=user.atom, mno=mno.atom, U=eid_atom, iac=NULL))
+            self.trace.append(Event.INTENT(uid=user.atom, mno=mno.atom, U=eid_atom, iac=NULL))
             self._mno_book_order(mno, user.atom, eid_atom)
             return None
         code = self._mno_book_order(mno, user.atom, eid_atom)
@@ -180,7 +177,7 @@ class World:
             # the adversary reads codes it legitimately receives, and a
             # subverted LPA leaks the ones passing through it
             self.adversary.learn(code.iac)
-        self.emit(Event.INTENT(uid=user.atom, mno=mno.atom, U=eid_atom, iac=code.iac))
+        self.trace.append(Event.INTENT(uid=user.atom, mno=mno.atom, U=eid_atom, iac=code.iac))
         return code
 
     def fraud_order(self, mode: str, claimed_user: str, mno_label: str,
@@ -200,7 +197,7 @@ class World:
             target_eid = self.euiccs[eid_label].eid if eid_label else NULL
         else:  # order-for-euicc
             target_eid = self.euiccs[eid_label].eid
-        self.emit(Event.FraudOrder(mode=Atom(mode), uid=claimed, U=target_eid))
+        self.trace.append(Event.FraudOrder(mode=Atom(mode), uid=claimed, U=target_eid))
         code = self._mno_book_order(mno, claimed, target_eid)
         if code is not None:
             # the code goes back to whoever placed the order: the adversary

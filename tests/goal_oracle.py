@@ -51,12 +51,19 @@ STRICT_IDENTITY = _variant("A", requires=(
     Requirement(ep("U0", "U", "S"), True), *_goal("A").requires[1:]))
 
 
+def event_of(tag: str, params: tuple) -> Event:
+    """The `tag` event with `params` in field order, as hand-built traces
+    spell them."""
+    return getattr(Event, tag)(**dict(zip(EVENT_FIELDS[tag], params,
+                                          strict=True)))
+
+
 def match(pattern: EventPattern, event: Event, bindings: dict):
     """The bindings extended by `event`, or None if it does not match."""
     if event.tag != pattern.tag:
         return None
     out = dict(bindings)
-    for pat, value in zip(pattern.params, event.params):
+    for pat, value in zip(pattern.params, event):
         if isinstance(pat, Wild) or (isinstance(pat, OptVar) and value == NULL):
             continue
         if isinstance(pat, (Var, OptVar)):
@@ -77,33 +84,33 @@ class _Exclusions:
     def __init__(self, trace: Trace) -> None:
         events = _events(trace)
         self.adv_atom = Atom(ADVERSARY_USER)
-        self.adv_eids = {e["U"] for _, e in events
-                         if e.tag == "OWNER" and e["uid"] == self.adv_atom}
-        self.mno_marks = {e["mno"] for _, e in events
+        self.adv_eids = {e.U for _, e in events
+                         if e.tag == "OWNER" and e.uid == self.adv_atom}
+        self.mno_marks = {e.mno for _, e in events
                           if e.tag == "CompromiseMno"}
         self.orders = [e for _, e in events if e.tag == "ORDER"]
 
     def order_users(self, **fields) -> list:
         """The users of the orders whose fields hold `fields`."""
-        return [e["uid"] for e in self.orders
-                if all(e[f] == value for f, value in fields.items())]
+        return [e.uid for e in self.orders
+                if all(getattr(e, f) == value for f, value in fields.items())]
 
     def excluded(self, event: Event) -> bool:
         tag = event.tag
-        if "mno" in EVENT_FIELDS[tag] and event["mno"] in self.mno_marks:
+        if "mno" in EVENT_FIELDS[tag] and event.mno in self.mno_marks:
             return True
         if tag in CLIENT_TAGS:
-            return event["U"] in self.adv_eids
+            return event.U in self.adv_eids
         if tag in ("S1", "S2", "S3"):
-            u = event["U"]
+            u = event.U
             if u not in self.adv_eids:
                 return False
             if tag == "S1":
-                iac = event["iac"]
+                iac = event.iac
                 users = (self.order_users(iac=iac) if iac != NULL
-                         else self.order_users(U=u, mno=event["mno"]))
+                         else self.order_users(U=u, mno=event.mno))
             else:
-                users = self.order_users(P=event["P"])
+                users = self.order_users(P=event.P)
             return bool(users) and all(x == self.adv_atom for x in users)
         return False
 
@@ -181,7 +188,7 @@ def check_secrecy(trace: Trace, knowledge: Knowledge, goal: GoalSpec) -> GoalVer
     for i, e in _events(trace):
         if match(goal.trigger, e, {}) is None or excl.excluded(e):
             continue
-        target = e[goal.secret]
+        target = getattr(e, goal.secret)
         if knowledge.deduce(target):
             return GoalVerdict(goal.name, "violated",
                                f"trigger #{i} {e.render()}; adversary derives "

@@ -129,8 +129,8 @@ def test_criterion_5_forward_secrecy():
     # the mutant: the server's ephemeral private share leaks after the run
     mutant = build_world(ScenarioConfig("ds", 1, False))
     honest_script(mutant)
-    (_, sent_qs), = mutant.trace.events_tagged("SENT_QS")
-    mutant.adversary.learn(sent_qs["q_s"].of)
+    i, = mutant.trace.events_tagged("SENT_QS")
+    mutant.adversary.learn(mutant.trace.entries[i].q_s.of)
     caught = not check_forward_secrecy(mutant).ok
     _verdict_line(5, caught, "long-term key leak after the run reveals "
                              "nothing; the ephemeral-leaking mutant is caught")

@@ -132,17 +132,19 @@ class TestNamedReproductions:
 
     def test_double_order_installs_the_wrong_profile(self):
         world, verdicts = run_script("a", "ds", 9, True)
-        (_, u3), = world.trace.events_tagged("U3")
-        (_, order), = world.trace.events_tagged("ORDER")
-        assert u3["P"] == order["P"]  # the fraud-ordered profile
+        entries = world.trace.entries
+        (u3,), (order,) = ([entries[i] for i in world.trace.events_tagged(tag)]
+                           for tag in ("U3", "ORDER"))
+        assert u3.P == order.P  # the fraud-ordered profile
         for g in ("Bp", "G", "J", "K"):
             assert not verdicts[g].ok
 
     def test_misbinding_splits_the_two_beliefs(self):
         world, verdicts = run_script("c", "ds", 5, False)
-        (_, u1), = world.trace.events_tagged("U1")
-        (_, s1), = world.trace.events_tagged("S1")
-        assert u1["Sa"] != s1["Sa"]  # different server identities
+        entries = world.trace.entries
+        (u1,), (s1,) = ([entries[i] for i in world.trace.events_tagged(tag)]
+                        for tag in ("U1", "S1"))
+        assert u1.Sa != s1.Sa  # different server identities
         assert not verdicts["B"].ok
 
 

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goal_oracle
+from goal_oracle import event_of
 from rsplab import goals
-from rsplab.events import EVENT_FIELDS, Event, Trace
+from rsplab.events import EVENT_FIELDS, Trace
 from rsplab.goals import (EventPattern, GoalSpec, OptVar, Requirement, Var,
                           W, check_goal, goal_catalog)
 from rsplab.scenarios import BYSTANDER, VICTIM, ScenarioConfig, build_world
@@ -155,7 +156,7 @@ def test_random_traces_match_the_oracle(monkeypatch):
             params = [valuations[run][v] for v in EVENT_FIELDS[tag]]
             if swap_pos < len(params):
                 params[swap_pos] = swap_term
-            events.append(Event(tag, tuple(params)))
+            events.append(event_of(tag, tuple(params)))
         knowledge = Knowledge(sorted(known, key=repr))
         trace = make_trace(*events[:cut])
         assert_same_verdicts(trace, knowledge)
@@ -181,12 +182,12 @@ def test_trigger_kernel_matches_slot_by_slot(params, values):
     # the kernel refuses exactly the events the oracle does not match, and
     # the diagnosis of a missing witness shows the oracle's bindings
     pattern = EventPattern("U1", tuple(params))
-    event = Event("U1", tuple(values))
+    event = event_of("U1", tuple(values))
     missing = EventPattern("U0", (Var("a"), Var("b")))
     g = GoalSpec("slots", "auth", "client", "the trigger alone binds a and b",
                  pattern, (Requirement(missing, False),))
     want = goal_oracle.match(pattern, event, {})
-    depth = g.kernel(make_trace(event), 0, event.params)
+    depth = g.kernel(make_trace(event), 0, event)
     assert (depth is None) == (want is None)
     if want is not None:
         assert goals._first_unmatchable(g, depth, event) == \
@@ -209,17 +210,17 @@ def goal(name, catalog="default"):
 class TestPaths:
     def test_no_witness_names_the_first_unmatchable_conjunct(self):
         t = make_trace(
-            Event("S0", (SA, it(1), S, MNO, NULL)),
-            Event("U1", (U, SA, it(1), Atom("evil"))),
-            Event("S1", (U, SA, SA, it(1), MNO, NULL)))
+            event_of("S0", (SA, it(1), S, MNO, NULL)),
+            event_of("U1", (U, SA, it(1), Atom("evil"))),
+            event_of("S1", (U, SA, SA, it(1), MNO, NULL)))
         v = check_goal(t, Knowledge(), goal("B"))
         assert "no earlier U1 matches" in v.witness
         assert_same_verdicts(t, Knowledge())
 
     def test_injective_witness_exhausted(self):
-        events = [Event("OWNER", (USER, U)), Event("INTENT", (USER, MNO, U, NULL)),
-                  Event("ORDER", (USER, MNO, S, U, P, NULL))]
-        events += [Event("S1", (U, SA, SA, it(n), MNO, NULL)) for n in (1, 2)]
+        events = [event_of("OWNER", (USER, U)), event_of("INTENT", (USER, MNO, U, NULL)),
+                  event_of("ORDER", (USER, MNO, S, U, P, NULL))]
+        events += [event_of("S1", (U, SA, SA, it(n), MNO, NULL)) for n in (1, 2)]
         t = make_trace(*events)
         v = check_goal(t, Knowledge(), goal("Bp"))
         assert v.witness.startswith("trigger #4 ")
@@ -231,10 +232,10 @@ class TestPaths:
         # operator was intended, so the first binding set leads nowhere and
         # the second must not be merged into it
         t = make_trace(
-            Event("ORDER", (USER, Atom("mno0"), S, U, P, NULL)),
-            Event("ORDER", (USER, MNO, S, U, P, NULL)),
-            Event("INTENT", (USER, MNO, U, NULL)),
-            Event("S1", (U, SA, SA, it(1), MNO, NULL)))
+            event_of("ORDER", (USER, Atom("mno0"), S, U, P, NULL)),
+            event_of("ORDER", (USER, MNO, S, U, P, NULL)),
+            event_of("INTENT", (USER, MNO, U, NULL)),
+            event_of("S1", (U, SA, SA, it(1), MNO, NULL)))
         assert check_goal(t, Knowledge(), TWO_NEW).ok
         assert_same_verdicts(t, Knowledge())
 
@@ -242,10 +243,10 @@ class TestPaths:
         # the adversary's own device accepts first (excluded), then the
         # victim's does without a session start: the witness names the second
         t = make_trace(
-            Event("OWNER", (ADV, ADV_EID)),
-            Event("OWNER", (USER, U)),
-            Event("U1", (ADV_EID, SA, it(1), S)),
-            Event("U1", (U, SA, it(2), S)))
+            event_of("OWNER", (ADV, ADV_EID)),
+            event_of("OWNER", (USER, U)),
+            event_of("U1", (ADV_EID, SA, it(1), S)),
+            event_of("U1", (U, SA, it(2), S)))
         v = check_goal(t, Knowledge(), goal("A"))
         assert v.witness.startswith("trigger #3 ")
         assert_same_verdicts(t, Knowledge())
@@ -255,14 +256,14 @@ class TestPaths:
         # only from the null one; first fit hands the first trigger that
         # earliest U0, so the goal holds only if the assignment takes it back
         s1, s2 = Atom("dl-1"), Atom("dl-2")
-        events = [Event("U0", (U, NULL)), Event("U0", (U, s1)),
-                  Event("S0", (SA, it(1), s1, MNO, NULL)),
-                  Event("S0", (SA, it(2), s2, MNO, NULL)),
-                  Event("U1", (U, SA, it(1), s1)),
-                  Event("U1", (U, SA, it(2), s2))]
+        events = [event_of("U0", (U, NULL)), event_of("U0", (U, s1)),
+                  event_of("S0", (SA, it(1), s1, MNO, NULL)),
+                  event_of("S0", (SA, it(2), s2, MNO, NULL)),
+                  event_of("U1", (U, SA, it(1), s1)),
+                  event_of("U1", (U, SA, it(2), s2))]
         t = make_trace(*events)
         g = goal("A")
-        first = [g.kernel(t, i, e.params) for i, e in t.events_tagged("U1")]
+        first = [g.kernel(t, i, t.entries[i]) for i in t.events_tagged("U1")]
         assert first == [[(0, 2), (1, 2)], [(0, 3)]]
         assert check_goal(t, Knowledge(), g).ok
         assert_same_verdicts(t, Knowledge())
@@ -277,9 +278,9 @@ class TestPaths:
         # the first is for another operator and the second names another
         # device in its optional slot: only the third triggers the goal
         key = SECRETS[0]
-        events = [Event("U3", (U, SA, SA, it(1), key, P, MNO, NULL)),
-                  Event("U3", (U, SA, SA, it(2), key, P, ADV, ADV_EID)),
-                  Event("U3", (U, SA, SA, it(3), key, P, ADV, U))]
+        events = [event_of("U3", (U, SA, SA, it(1), key, P, MNO, NULL)),
+                  event_of("U3", (U, SA, SA, it(2), key, P, ADV, ADV_EID)),
+                  event_of("U3", (U, SA, SA, it(3), key, P, ADV, U))]
         known = Knowledge([key])
         t = make_trace(*events)
         assert check_goal(t, known, LITERAL_SECRET).witness.startswith("trigger #2 ")
@@ -312,16 +313,16 @@ CODEGEN = GoalSpec(
 
 def test_kernel_source_holds_no_pattern_data():
     x, y = Atom("x"), Atom("y")
-    start, served = Event("U0", (U, NULL)), Event("S0", (SA, ODD, S, MNO, NULL))
-    intent = Event("INTENT", (x, MNO, U, x))
-    accept = Event("U1", (U, SA, ODD, NULL))
+    start, served = event_of("U0", (U, NULL)), event_of("S0", (SA, ODD, S, MNO, NULL))
+    intent = event_of("INTENT", (x, MNO, U, x))
+    accept = event_of("U1", (U, SA, ODD, NULL))
     traces = [
         (start, served, intent, accept),                        # pass
         (served, intent, accept),                               # no U0
-        (Event("U0", (U, Atom("dl-2"))), served, intent, accept),  # S differs
-        (start, served, Event("INTENT", (x, MNO, U, y)), accept),  # for != for
+        (event_of("U0", (U, Atom("dl-2"))), served, intent, accept),  # S differs
+        (start, served, event_of("INTENT", (x, MNO, U, y)), accept),  # for != for
         (start, served, intent, accept, accept),                # one U0, two U1
-        (start, served, intent, Event("U1", (U, SA, Atom("odd"), NULL))),
+        (start, served, intent, event_of("U1", (U, SA, Atom("odd"), NULL))),
     ]
     verdicts = []
     for events in traces:
@@ -362,23 +363,24 @@ def test_notification_goal_with_many_orders_per_user():
     # conjunct is left; the reference enumerates every one
     g = goal("G")
     victim_eid = w.euiccs[w.users[VICTIM].euicc].eid
-    i, s3 = [(i, e) for i, e in w.trace.events_tagged("S3")
-             if e["U"] == victim_eid][-1]
+    i = [i for i in w.trace.events_tagged("S3")
+         if w.trace.entries[i].U == victim_eid][-1]
+    s3 = w.trace.entries[i]
     bindings = goal_oracle.match(g.trigger, s3, {})
     events = goal_oracle._events(w.trace)
     assert len(goal_oracle.witness_tuples(events, i, g.requires, bindings)) == 14 * 14
-    assert len(g.kernel(w.trace, i, s3.params)) == 1
+    assert len(g.kernel(w.trace, i, s3)) == 1
 
 
 def ds_orders(k: int, triggers: int) -> Trace:
     """One owner, k orders placed the ds way (each logs the same
     INTENT(uid, mno, U, null) and its own ORDER), then `triggers`
     authenticated clients."""
-    events = [Event("OWNER", (USER, U))]
+    events = [event_of("OWNER", (USER, U))]
     for n in range(k):
-        events += [Event("INTENT", (USER, MNO, U, NULL)),
-                   Event("ORDER", (USER, MNO, S, U, Atom(f"p{n}"), NULL))]
-    events += [Event("S1", (U, SA, SA, it(n), MNO, NULL)) for n in range(triggers)]
+        events += [event_of("INTENT", (USER, MNO, U, NULL)),
+                   event_of("ORDER", (USER, MNO, S, U, Atom(f"p{n}"), NULL))]
+    events += [event_of("S1", (U, SA, SA, it(n), MNO, NULL)) for n in range(triggers)]
     return make_trace(*events)
 
 
@@ -388,10 +390,11 @@ def test_identical_intents_give_one_witness_tuple_per_order():
     k = 6
     t = ds_orders(k, k)
     g = goal("Bp")
-    i, s1 = t.events_tagged("S1")[-1]
+    i = t.events_tagged("S1")[-1]
+    s1 = t.entries[i]
     bindings = goal_oracle.match(g.trigger, s1, {})
-    tuples = g.kernel(t, i, s1.params)
-    orders = [j for j, _ in t.events_tagged("ORDER")]
+    tuples = g.kernel(t, i, s1)
+    orders = t.events_tagged("ORDER")
     assert [ix[2] for ix in tuples] == orders
     events = goal_oracle._events(t)
     assert len(goal_oracle.witness_tuples(events, i, g.requires, bindings)) == k * k

@@ -5,9 +5,10 @@ and wildcard slots, and apply the exclusion rules from trace markers."""
 import pytest
 
 import goal_oracle
+from goal_oracle import event_of
 from rsplab import goals
 from rsplab.attacks import ATTACKS_BY_ID, honest_script
-from rsplab.events import Event, Trace
+from rsplab.events import Trace
 from rsplab.goals import (check_correspondence, check_secrecy, goal_catalog,
                           check_all, check_forward_secrecy)
 from rsplab.scenarios import ScenarioConfig, build_world
@@ -38,45 +39,45 @@ def it(n):
 class TestCorrespondence:
     def test_s1_without_u1_violates_client_auth(self):
         t = make_trace(
-            Event("S0", (SA, it(1), S, MNO, NULL)),
-            Event("S1", (U1A, SA, SP, it(1), MNO, NULL)))
+            event_of("S0", (SA, it(1), S, MNO, NULL)),
+            event_of("S1", (U1A, SA, SP, it(1), MNO, NULL)))
         assert not check_correspondence(t, goal("B")).ok
 
     def test_prepending_the_missing_step_repairs_it(self):
         t = make_trace(
-            Event("S0", (SA, it(1), S, MNO, NULL)),
-            Event("U1", (U1A, SA, it(1), S)),
-            Event("S1", (U1A, SA, SP, it(1), MNO, NULL)))
+            event_of("S0", (SA, it(1), S, MNO, NULL)),
+            event_of("U1", (U1A, SA, it(1), S)),
+            event_of("S1", (U1A, SA, SP, it(1), MNO, NULL)))
         assert check_correspondence(t, goal("B")).ok
 
     def test_witness_must_be_strictly_earlier(self):
         t = make_trace(
-            Event("S0", (SA, it(1), S, MNO, NULL)),
-            Event("S1", (U1A, SA, SP, it(1), MNO, NULL)),
-            Event("U1", (U1A, SA, it(1), S)))
+            event_of("S0", (SA, it(1), S, MNO, NULL)),
+            event_of("S1", (U1A, SA, SP, it(1), MNO, NULL)),
+            event_of("U1", (U1A, SA, it(1), S)))
         assert not check_correspondence(t, goal("B")).ok
 
     def test_shared_variable_across_requirements(self):
         # U1 names a different server name than S0: no consistent S exists
         t = make_trace(
-            Event("S0", (SA, it(1), S, MNO, NULL)),
-            Event("U1", (U1A, SA, it(1), Atom("evil.example"))),
-            Event("S1", (U1A, SA, SP, it(1), MNO, NULL)))
+            event_of("S0", (SA, it(1), S, MNO, NULL)),
+            event_of("U1", (U1A, SA, it(1), Atom("evil.example"))),
+            event_of("S1", (U1A, SA, SP, it(1), MNO, NULL)))
         v = check_correspondence(t, goal("B"))
         assert not v.ok
         assert "U1" in v.witness
 
     def test_mismatched_identity_binding_violates(self):
         t = make_trace(
-            Event("S0", (SA, it(1), S, MNO, NULL)),
-            Event("U1", (U1A, Atom("srv-b"), it(1), S)),
-            Event("S1", (U1A, SA, SP, it(1), MNO, NULL)))
+            event_of("S0", (SA, it(1), S, MNO, NULL)),
+            event_of("U1", (U1A, Atom("srv-b"), it(1), S)),
+            event_of("S1", (U1A, SA, SP, it(1), MNO, NULL)))
         assert not check_correspondence(t, goal("B")).ok
 
     def test_verdicts_are_deterministic(self):
         t = make_trace(
-            Event("S0", (SA, it(1), S, MNO, NULL)),
-            Event("S1", (U1A, SA, SP, it(1), MNO, NULL)))
+            event_of("S0", (SA, it(1), S, MNO, NULL)),
+            event_of("S1", (U1A, SA, SP, it(1), MNO, NULL)))
         first = check_correspondence(t, goal("B"))
         second = check_correspondence(t, goal("B"))
         assert (first.ok, first.witness) == (second.ok, second.witness)
@@ -85,12 +86,12 @@ class TestCorrespondence:
 class TestInjectivity:
     def _bp_events(self, n_triggers, n_orders):
         p = Atom("profile-x")
-        events = [Event("OWNER", (USER, U1A)),
-                  Event("INTENT", (USER, MNO, U1A, NULL))]
+        events = [event_of("OWNER", (USER, U1A)),
+                  event_of("INTENT", (USER, MNO, U1A, NULL))]
         for i in range(n_orders):
-            events.append(Event("ORDER", (USER, MNO, S, U1A, p, NULL)))
+            events.append(event_of("ORDER", (USER, MNO, S, U1A, p, NULL)))
         for i in range(n_triggers):
-            events.append(Event("S1", (U1A, SA, SP, it(10 + i), MNO, NULL)))
+            events.append(event_of("S1", (U1A, SA, SP, it(10 + i), MNO, NULL)))
         return make_trace(*events)
 
     def test_one_order_covers_one_acceptance(self):
@@ -111,65 +112,65 @@ class TestOptionalSlot:
         iac = Nonce(7, "iac")
         p = Atom("profile-x")
         t = make_trace(
-            Event("OWNER", (USER, U1A)),
-            Event("INTENT", (USER, MNO, U1A, iac)),
-            Event("ORDER", (USER, MNO, S, NULL, p, iac)),
-            Event("S1", (U1A, SA, SP, it(1), MNO, iac)))
+            event_of("OWNER", (USER, U1A)),
+            event_of("INTENT", (USER, MNO, U1A, iac)),
+            event_of("ORDER", (USER, MNO, S, NULL, p, iac)),
+            event_of("S1", (U1A, SA, SP, it(1), MNO, iac)))
         assert check_correspondence(t, goal("Bp")).ok
 
     def test_bound_order_eid_must_match(self):
         p = Atom("profile-x")
         t = make_trace(
-            Event("OWNER", (USER, U1A)),
-            Event("INTENT", (USER, MNO, U1A, NULL)),
-            Event("ORDER", (USER, MNO, S, Atom("eid-other"), p, NULL)),
-            Event("S1", (U1A, SA, SP, it(1), MNO, NULL)))
+            event_of("OWNER", (USER, U1A)),
+            event_of("INTENT", (USER, MNO, U1A, NULL)),
+            event_of("ORDER", (USER, MNO, S, Atom("eid-other"), p, NULL)),
+            event_of("S1", (U1A, SA, SP, it(1), MNO, NULL)))
         assert not check_correspondence(t, goal("Bp")).ok
 
 
 class TestExclusions:
     def test_adversary_device_client_goals_do_not_fire(self):
         t = make_trace(
-            Event("OWNER", (ADV, ADV_EID)),
-            Event("U1", (ADV_EID, SA, it(1), S)))
+            event_of("OWNER", (ADV, ADV_EID)),
+            event_of("U1", (ADV_EID, SA, it(1), S)))
         assert check_correspondence(t, goal("A")).ok
 
     def test_honest_device_client_goals_do_fire(self):
         t = make_trace(
-            Event("OWNER", (USER, U1A)),
-            Event("U0", (U1A, NULL)),
-            Event("U1", (U1A, SA, it(1), S)))
+            event_of("OWNER", (USER, U1A)),
+            event_of("U0", (U1A, NULL)),
+            event_of("U1", (U1A, SA, it(1), S)))
         assert not check_correspondence(t, goal("A")).ok
 
     def test_compromised_cert_alone_does_not_exclude_the_victim(self):
         # key compromise of an honest user's device is not device ownership
         t = make_trace(
-            Event("OWNER", (USER, U1A)),
-            Event("CompromiseCert", (U1A,)),
-            Event("U0", (U1A, NULL)),
-            Event("U1", (U1A, SA, it(1), S)))
+            event_of("OWNER", (USER, U1A)),
+            event_of("CompromiseCert", (U1A,)),
+            event_of("U0", (U1A, NULL)),
+            event_of("U1", (U1A, SA, it(1), S)))
         assert not check_correspondence(t, goal("A")).ok
 
     def test_rogue_operator_binding_is_excluded(self):
         t = make_trace(
-            Event("CompromiseMno", (Atom("mno2"),)),
-            Event("S1", (U1A, SA, SP, it(1), Atom("mno2"), NULL)))
+            event_of("CompromiseMno", (Atom("mno2"),)),
+            event_of("S1", (U1A, SA, SP, it(1), Atom("mno2"), NULL)))
         assert check_correspondence(t, goal("Bp")).ok
 
     def test_adversary_self_order_on_own_device_is_excluded(self):
         p = Atom("profile-adv")
         t = make_trace(
-            Event("OWNER", (ADV, ADV_EID)),
-            Event("ORDER", (ADV, MNO, S, ADV_EID, p, NULL)),
-            Event("S3", (ADV_EID, SA, SP, it(1), p, S, MNO)))
+            event_of("OWNER", (ADV, ADV_EID)),
+            event_of("ORDER", (ADV, MNO, S, ADV_EID, p, NULL)),
+            event_of("S3", (ADV_EID, SA, SP, it(1), p, S, MNO)))
         assert check_correspondence(t, goal("G")).ok
 
     def test_victim_order_on_adversary_device_is_not_excluded(self):
         p = Atom("profile-victim")
         t = make_trace(
-            Event("OWNER", (ADV, ADV_EID)),
-            Event("ORDER", (USER, MNO, S, NULL, p, Nonce(7, "iac"))),
-            Event("S3", (ADV_EID, SA, SP, it(1), p, S, MNO)))
+            event_of("OWNER", (ADV, ADV_EID)),
+            event_of("ORDER", (USER, MNO, S, NULL, p, Nonce(7, "iac"))),
+            event_of("S3", (ADV_EID, SA, SP, it(1), p, S, MNO)))
         assert not check_correspondence(t, goal("G")).ok
 
 
@@ -177,21 +178,21 @@ class TestSecrecy:
     def test_derivable_target_violates(self):
         k = Nonce(3, "k")
         p = Atom("profile-x")
-        t = make_trace(Event("S2", (U1A, SA, SP, it(1), k, p, MNO, NULL)))
+        t = make_trace(event_of("S2", (U1A, SA, SP, it(1), k, p, MNO, NULL)))
         assert not check_secrecy(t, Knowledge([k]), goal("W")).ok
 
     def test_underivable_target_passes(self):
         k = Nonce(3, "k")
         p = Atom("profile-x")
-        t = make_trace(Event("S2", (U1A, SA, SP, it(1), k, p, MNO, NULL)))
+        t = make_trace(event_of("S2", (U1A, SA, SP, it(1), k, p, MNO, NULL)))
         assert check_secrecy(t, Knowledge([Atom("noise")]), goal("W")).ok
 
     def test_adversary_device_targets_are_excluded(self):
         k = Nonce(3, "k")
         p = Atom("profile-x")
         t = make_trace(
-            Event("OWNER", (ADV, ADV_EID)),
-            Event("U3", (ADV_EID, SA, SP, it(1), k, p, MNO, NULL)))
+            event_of("OWNER", (ADV, ADV_EID)),
+            event_of("U3", (ADV_EID, SA, SP, it(1), k, p, MNO, NULL)))
         assert check_secrecy(t, Knowledge([k]), goal("X")).ok
 
 

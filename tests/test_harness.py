@@ -132,16 +132,20 @@ class TestBehaviourCounts:
         assert calls == {"check_correspondence": 2045, "check_secrecy": 762}
 
     def test_no_run_compares_trace_entries_by_value(self, monkeypatch):
-        # entries are NamedTuples, so one equals a bare tuple of its values;
-        # the matrices must not depend on that, or on entry equality at all
-        from rsplab.events import Event, LearnOp, MessageOp, Note
+        # entries are plain tuples, so one equals a bare tuple of its values;
+        # the matrices must not depend on that, or on entry equality at all.
+        # Each event tag has its own class, and each one is patched: a patch
+        # on a shared base could sit behind tuple's own __eq__
+        from rsplab.events import EVENT_FIELDS, Event, LearnOp, MessageOp, Note
         compared = []
 
         def refuse(a, b):
             compared.append((a, b))
             raise AssertionError("a trace entry was compared by value")
 
-        for kind in (Event, LearnOp, MessageOp, Note):
+        event_kinds = Event.__subclasses__()
+        assert sorted(k.tag for k in event_kinds) == sorted(EVENT_FIELDS)
+        for kind in (*event_kinds, LearnOp, MessageOp, Note):
             monkeypatch.setattr(kind, "__eq__", refuse)
             monkeypatch.setattr(kind, "__ne__", refuse)
         worlds = worlds_of_three_matrices(monkeypatch)

@@ -98,8 +98,8 @@ class TestCompromise:
     def test_euicc_compromise_emits_marker_and_leaks_key(self):
         w = build_world(ScenarioConfig("ds", 3, True))
         assert w.adversary.knows(w.euiccs[VICTIM_EID].identity.sk_u)
-        (_, mark), = w.trace.events_tagged("CompromiseCert")
-        assert mark.params == (w.euiccs[VICTIM_EID].identity.eid,)
+        i, = w.trace.events_tagged("CompromiseCert")
+        assert w.trace.entries[i].U == w.euiccs[VICTIM_EID].identity.eid
 
     def test_second_euicc_scenario_leaves_victim_intact(self):
         w = build_world(ScenarioConfig("ac", 6, True))
@@ -119,7 +119,7 @@ class TestCompromise:
         w = build_world(ScenarioConfig("ds", 1, True))
         from rsplab.attacks import honest_script
         honest_script(w)
-        first_auth = min(i for i, _ in w.trace.events_tagged("AUTHORIZE"))
+        first_auth = min(w.trace.events_tagged("AUTHORIZE"))
         first_handshake = min(i for tag in ("S0", "U0")
-                              for i, _ in w.trace.events_tagged(tag))
+                              for i in w.trace.events_tagged(tag))
         assert first_auth < first_handshake

@@ -29,6 +29,10 @@ def tags(world):
     return [e.tag for e in world.trace.entries if isinstance(e, Event)]
 
 
+def tagged(world, tag):
+    return [world.trace.entries[i] for i in world.trace.events_tagged(tag)]
+
+
 class TestHonestRun:
     @pytest.mark.parametrize("approach", ["ds", "ac"])
     def test_progress_events_appear_in_lockstep(self, approach):
@@ -44,24 +48,22 @@ class TestHonestRun:
         w = run_honest(approach)
         seen = set()
         for tag in ("U0", "U1", "U2", "U3", "S0", "S1", "S2", "S3"):
-            for _, e in w.trace.events_tagged(tag):
-                key = (tag, e["It"] if "It" in EVENT_FIELDS[tag] else None)
+            for i in w.trace.events_tagged(tag):
+                key = (tag, getattr(w.trace.entries[i], "It", None))
                 assert key not in seen
                 seen.add(key)
 
     @pytest.mark.parametrize("approach", ["ds", "ac"])
     def test_both_sides_accept_identical_key_and_profile(self, approach):
         w = run_honest(approach)
-        (_, s2), = w.trace.events_tagged("S2")
-        (_, u3), = w.trace.events_tagged("U3")
-        assert s2["k"] == u3["k"]
-        assert s2["P"] == u3["P"]
+        (s2,), (u3,) = (tagged(w, tag) for tag in ("S2", "U3"))
+        assert s2.k == u3.k
+        assert s2.P == u3.P
 
     def test_activation_code_intent_binds_the_delivered_code(self):
         w = run_honest("ac")
-        (_, intent), = w.trace.events_tagged("INTENT")
-        (_, order), = w.trace.events_tagged("ORDER")
-        assert intent["iac"] == order["iac"]
+        (intent,), (order,) = (tagged(w, tag) for tag in ("INTENT", "ORDER"))
+        assert intent.iac == order.iac
 
     @pytest.mark.parametrize("recs", [frozenset(), frozenset({"R10"})])
     @pytest.mark.parametrize("approach", ["ds", "ac"])
@@ -295,16 +297,19 @@ class TestEventSchema:
         fields = EVENT_FIELDS[tag]
         values = {f: Atom(f"v-{f}") for f in fields}
         event = getattr(Event, tag)(**values)
-        assert event == Event(tag, tuple(values[f] for f in fields))
-        assert {f: event[f] for f in fields} == values
+        assert isinstance(event, Event) and event.tag == tag
+        assert event == tuple(values[f] for f in fields)
+        assert {f: getattr(event, f) for f in fields} == values
+        assert event.render() == \
+            f"{tag}({', '.join(f'v-{f}' for f in fields)})"
         with pytest.raises(TypeError):  # a field left out
             getattr(Event, tag)(**dict(list(values.items())[1:]))
         with pytest.raises(TypeError):  # a field the tag does not have
             getattr(Event, tag)(**values, other=Atom("x"))
         with pytest.raises(TypeError):  # a field passed by position
             getattr(Event, tag)(*values.values())
-        with pytest.raises(ValueError):  # a field the tag does not have
-            event["other"]
+        with pytest.raises(AttributeError):  # a field the tag does not have
+            event.other
 
     def test_a_pattern_names_only_fields_of_its_tag(self):
         assert ep("S0", "Sa", S=OptVar("S")) == \
@@ -337,36 +342,47 @@ class TestEventSchema:
 # ---------------------------------------------------------------------------
 
 ENTRY_FIELDS = {
-    Event: ("tag", "params"),
+    Event: None,  # each tag's own, in EVENT_FIELDS
     MessageOp: ("channel", "direction", "term", "by_adversary"),
     LearnOp: ("term",),
     Note: ("kind", "who", "detail"),
 }
 
 
+def shapes(kind):
+    """Each shape of `kind` as (its builder by field name, its fields): one
+    per event tag, or the kind's one."""
+    if kind is Event:
+        return [(getattr(Event, tag), fields) for tag, fields in EVENT_FIELDS.items()]
+    return [(kind, ENTRY_FIELDS[kind])]
+
+
 class TestTraceEntries:
     @pytest.mark.parametrize("kind", ENTRY_FIELDS, ids=lambda k: k.__name__)
     def test_each_kind_keeps_its_field_names(self, kind):
-        fields = ENTRY_FIELDS[kind]
-        values = {f: Atom(f"v-{f}") for f in fields}
-        entry = kind(**values)
-        assert kind._fields == fields
-        assert {f: getattr(entry, f) for f in fields} == values
+        for build, fields in shapes(kind):
+            values = {f: Atom(f"v-{f}") for f in fields}
+            entry = build(**values)
+            assert isinstance(entry, kind) and tuple(entry) == tuple(values.values())
+            assert {f: getattr(entry, f) for f in fields} == values
 
     def test_a_message_is_honest_unless_marked(self):
         assert MessageOp(CH_LPA_SERVER, "lpa->server:m3", Atom("t")).by_adversary is False
 
     @pytest.mark.parametrize("kind", ENTRY_FIELDS, ids=lambda k: k.__name__)
     def test_an_entry_cannot_be_changed(self, kind):
-        entry = kind(*(Atom("v") for _ in ENTRY_FIELDS[kind]))
-        for f in ENTRY_FIELDS[kind]:
+        for build, fields in shapes(kind):
+            entry = build(**dict.fromkeys(fields, Atom("v")))
+            for f in fields:
+                with pytest.raises(AttributeError):
+                    setattr(entry, f, Atom("changed"))
+                with pytest.raises(AttributeError):
+                    delattr(entry, f)
             with pytest.raises(AttributeError):
-                setattr(entry, f, Atom("changed"))
-            with pytest.raises(AttributeError):
-                delattr(entry, f)
-        with pytest.raises(AttributeError):
-            entry.extra = Atom("added")
-        assert all(getattr(entry, f) is Atom("v") for f in ENTRY_FIELDS[kind])
+                entry.extra = Atom("added")
+            with pytest.raises(TypeError):
+                entry[0] = Atom("changed")
+            assert all(getattr(entry, f) is Atom("v") for f in fields)
 
     def test_isinstance_tells_the_kinds_apart(self):
         # an honest run, then a stale replay the server aborts: every kind
@@ -378,24 +394,26 @@ class TestTraceEntries:
                  for e in w.trace.entries]
         assert all(len(k) == 1 for k in kinds)
         assert {k[0] for k in kinds} == set(ENTRY_FIELDS)
-        # the trace's index files exactly the events, in trace order
-        filed = sorted(item for tag in EVENT_FIELDS
-                       for item in w.trace.events_tagged(tag))
-        assert [i for i, _ in filed] == [
+        # the trace's index files exactly the events' positions, in trace
+        # order, each under its own tag
+        filed = [i for tag in EVENT_FIELDS for i in w.trace.events_tagged(tag)]
+        assert sorted(filed) == [
             i for i, e in enumerate(w.trace.entries) if isinstance(e, Event)]
+        assert all(w.trace.entries[i].tag == tag for tag in EVENT_FIELDS
+                   for i in w.trace.events_tagged(tag))
 
     def test_an_entry_equals_a_bare_tuple_of_its_values(self):
-        # NamedTuples compare as tuples; no two kinds have as many fields, so
-        # entries of two kinds never compare equal.  Nothing in the lab
-        # compares entries by value (see test_harness's
+        # entries are plain tuples, so one equals a bare tuple of its values,
+        # and entries of two kinds with as many fields compare equal: a
+        # one-field event equals a LearnOp of the same term.  Nothing in the
+        # lab compares entries by value (see test_harness's
         # test_no_run_compares_trace_entries_by_value)
         t = Atom("t")
         assert MessageOp(CH_LPA_SERVER, "adv->server", t, True) == \
             (CH_LPA_SERVER, "adv->server", t, True)
         assert LearnOp(t) == (t,)
         assert Note("abort", "server", "why") == ("abort", "server", "why")
-        assert Event.SENT_QS(q_s=t) == ("SENT_QS", (t,))
-        assert len({len(f) for f in ENTRY_FIELDS.values()}) == len(ENTRY_FIELDS)
+        assert Event.SENT_QS(q_s=t) == (t,) == LearnOp(t)
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,7 @@ class TestInterning:
         for event in world.trace.entries:
             if not isinstance(event, Event):
                 continue
-            for param in event.params:
+            for param in event:
                 for t in subterms(param):
                     by_encoding.setdefault(encode(t), set()).add(id(t))
         for t in world.adversary.knowledge.closure():
