@@ -38,8 +38,8 @@ from .events import LearnOp, MessageOp
 from .network import (CH_LPA_SERVER, GateViolation, adversary_request, relay,
                       server_reply)
 from .pki import parse_certificate
-from .roles import (M3, M4, M7, M8, M11, M12, M15, MSG_ERROR, ProtocolAbort,
-                    delivery)
+from .roles import (M3, M4, M7, M8, M11, M12, M15, MSG_ERROR, STAGE_MESSAGES,
+                    ProtocolAbort, delivery)
 from .scenarios import (AC_SCENARIOS, ADV_EID, BYSTANDER, MNO1, MNO2, SERVER1,
                         SERVER2, VICTIM, VICTIM_EID, ScenarioConfig)
 from .terms import Atom, Knowledge, NULL, Pair, Term, dh_pub, seal
@@ -114,52 +114,20 @@ def diverge_delivery(ident, eid):
     return rewrite
 
 
-def resign_as(other):
-    """Re-sign the server's handshake messages with a different authorized
-    server's leaked keys: the client authenticates one server identity, the
-    other one believes it owns the session."""
+def resign(**stages):
+    """A rewrite for `relay` that re-signs the message of each stage given
+    as ``stage=(key, changes)``: signed with `key`, over its fields with
+    `changes` applied.  `changes` may be a function of the world, called
+    when its stage passes.  Other stages and error responses pass as they
+    are."""
     def rewrite(world, stage, term):
-        if term == MSG_ERROR:
+        if stage not in stages or term == MSG_ERROR:
             return term
-        recs = world.cfg.recs
-        if stage == "m4":
-            return M4.sign(other.sk_sa, recs,
-                           **{**M4.read(term, recs), "cert": other.cert_sa})
-        if stage == "m8":
-            return M8.sign(other.sk_sp, recs,
-                           **{**M8.read(term, recs), "cert": other.cert_sp})
-        if stage == "m12":
-            return M12.sign(other.sk_sp, **M12.read(term))
-        return term
-    return rewrite
-
-
-def swap_client_identity(sk_u, cert_u, own_share: bool = False):
-    """Replace the signature and certificate on the client's signed
-    messages with a compromised eUICC's; optionally substitute the key
-    share so the adversary itself knows the resulting session key."""
-    def rewrite(world, stage, term):
-        recs = world.cfg.recs
-        if stage == "m7":
-            return M7.sign(sk_u, recs, **{**M7.read(term, recs), "cert": cert_u})
-        if stage == "m11":
-            m11 = M11.read(term)
-            if own_share:
-                m11["q_u"] = dh_pub(world.adversary.fresh_dh("swap-d"))
-            return M11.sign(sk_u, **m11)
-        return term
-    return rewrite
-
-
-def swap_code(sk_u, cert_u, new_iac):
-    """Rewrite the activation code inside the signed client response; needs
-    the client's own signing key, so only a leaked-eUICC scenario can run it."""
-    def rewrite(world, stage, term):
-        if stage != "m7":
-            return term
-        recs = world.cfg.recs
-        return M7.sign(sk_u, recs, **{**M7.read(term, recs), "iac": new_iac,
-                                      "cert": cert_u})
+        key, changes = stages[stage]
+        if callable(changes):
+            changes = changes(world)
+        msg, recs = STAGE_MESSAGES[stage], world.cfg.recs
+        return msg.sign(key, recs, **{**msg.read(term, recs), **changes})
     return rewrite
 
 
@@ -171,7 +139,7 @@ def fake_client_download(world: World, domain: str, cert_u, sk_u,
                          iac: Term = NULL, notify: bool = True,
                          qu_override: Optional[Term] = None) -> Optional[Term]:
     """Run the client side of a download with raw key material.  Returns
-    the delivery's ciphertext, or None as soon as the server refuses."""
+    the m12 delivery received, or None as soon as the server refuses."""
     adv = world.adversary
     dial = world.servers[domain].identity.domain
     recs = world.cfg.recs
@@ -191,10 +159,9 @@ def fake_client_download(world: World, domain: str, cert_u, sk_u,
     m12 = adversary_request(world, dial, M11.sign(sk_u, it=it, q_u=q_u))
     if m12 == MSG_ERROR:
         return None
-    enc = M12.parse(m12, "adv")["enc"]
     if notify:
         adversary_request(world, dial, M15.sign(sk_u, s=s, oid=oid, it=it))
-    return enc
+    return m12
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +181,9 @@ class Script:
 
 
 def _use_stolen_code(world: World, code: Code) -> DownloadResult:
-    stolen = world.adversary_code(code.iac, code.s, code.oid)
-    return world.start_download(ADVERSARY_USER, code=stolen)
+    # the download gates a code no user was handed on its derivability
+    return world.start_download(ADVERSARY_USER,
+                                code=Code(code.iac, code.s, code.oid))
 
 
 def _script_1(world: World) -> Code:
@@ -269,8 +237,12 @@ def _script_4(world: World) -> None:
 def _script_5(world: World) -> None:
     code = world.request_profile(VICTIM)
     own = world.euiccs[ADV_EID].identity
+    # the client share is swapped for one the adversary draws as m11
+    # passes: it then knows the session key the profile is delivered under
     relay(world, world.download(VICTIM, code, intercepted=True),
-          swap_client_identity(own.sk_u, own.cert_u, own_share=True))
+          resign(m7=(own.sk_u, {"cert": own.cert_u}),
+                 m11=(own.sk_u, lambda world: {
+                     "q_u": dh_pub(world.adversary.fresh_dh("swap-d"))})))
 
 
 def _script_6(world: World) -> None:
@@ -313,24 +285,27 @@ def _script_b(world: World) -> None:
 
 def _script_c(world: World) -> DownloadResult:
     code = world.request_profile(VICTIM)
+    other = world.servers[SERVER2].identity
     return relay(world, world.download(VICTIM, code, intercepted=True),
-                 resign_as(world.servers[SERVER2].identity))
+                 resign(m4=(other.sk_sa, {"cert": other.cert_sa}),
+                        m8=(other.sk_sp, {"cert": other.cert_sp}),
+                        m12=(other.sk_sp, {})))
 
 
 def _script_d(world: World) -> DownloadResult:
     if ("euicc", ADV_EID) in world.grants:
         # adversary's own key: rewrite the victim's identity to its own
-        own = world.euiccs[ADV_EID].identity
+        signer, user = world.euiccs[ADV_EID].identity, VICTIM
         world.request_profile(ADVERSARY_USER)  # gives the server a matching order
-        code = world.request_profile(VICTIM)
-        return relay(world, world.download(VICTIM, code, intercepted=True),
-                     swap_client_identity(own.sk_u, own.cert_u))
-    # victim's key leaked: rewrite an honest bystander's identity to the victim's
-    victim = world.euiccs[VICTIM_EID].identity
-    world.request_profile(VICTIM)
-    code = world.request_profile(BYSTANDER)
-    return relay(world, world.download(BYSTANDER, code, intercepted=True),
-                 swap_client_identity(victim.sk_u, victim.cert_u))
+    else:
+        # victim's key leaked: rewrite an honest bystander's identity to the
+        # victim's
+        signer, user = world.euiccs[VICTIM_EID].identity, BYSTANDER
+        world.request_profile(VICTIM)
+    code = world.request_profile(user)
+    return relay(world, world.download(user, code, intercepted=True),
+                 resign(m7=(signer.sk_u, {"cert": signer.cert_u}),
+                        m11=(signer.sk_u, {})))
 
 
 def _script_e(world: World) -> None:
@@ -338,7 +313,7 @@ def _script_e(world: World) -> None:
     own = world.request_profile(ADVERSARY_USER)
     victim = world.euiccs[VICTIM_EID].identity
     relay(world, world.download(VICTIM, code, intercepted=True),
-          swap_code(victim.sk_u, victim.cert_u, own.iac))
+          resign(m7=(victim.sk_u, {"iac": own.iac, "cert": victim.cert_u})))
 
 
 def _applies(scenarios, approach=None, tls=None):
@@ -517,38 +492,27 @@ def _ctl_replayed_server_share(world: World) -> None:
     first = fake_client_download(world, SERVER1, own.cert_u, own.sk_u,
                                  iac=code.iac, notify=False)
     assert first is not None
-    # fish the server's share out of the observed delivery and replay it as
-    # the client share of a second run
-    m12 = None
-    for entry in world.trace.entries:
-        if isinstance(entry, MessageOp) and entry.direction == "server->adv":
-            if isinstance(entry.term, Pair) and entry.term.left == M12.tag:
-                m12 = entry.term
-    assert m12 is not None
-    q_s_prev = M12.read(m12)["q_s"]
+    # replay the server's share from the first delivery as the client share
+    # of a second run
     code2 = world.request_profile(ADVERSARY_USER)
     second = fake_client_download(world, SERVER1, own.cert_u, own.sk_u,
                                   iac=code2.iac, notify=False,
-                                  qu_override=q_s_prev)
+                                  qu_override=M12.read(first)["q_s"])
     if second is not None:
         # the replayed share pairs two server-side ephemerals; neither private
         # component ever leaves its owner, so the delivery must stay sealed
-        assert not world.adversary.knows(second.body), \
+        assert not world.adversary.knows(M12.read(second)["enc"].body), \
             "replayed server share must not open the delivery"
     world.trace.note("info", "control", "replayed key share gained nothing")
 
 
 def _ctl_notification_replay(world: World) -> None:
     code = world.request_profile(VICTIM)
-    world.start_download(VICTIM, code=code)
-    m15 = None
-    for entry in world.trace.entries:
-        if isinstance(entry, MessageOp) and entry.direction.endswith("m15"):
-            if entry.channel == CH_LPA_SERVER and "lpa->server" in entry.direction:
-                m15 = entry.term
-    assert m15 is not None
+    seen = {}  # each stage's term, recorded as an honest relay passes it on
+    relay(world, world.download(VICTIM, code),
+          lambda world, stage, term: seen.setdefault(stage, term))
     dial = world.servers[SERVER1].identity.domain
-    reply = adversary_request(world, dial, m15)
+    reply = adversary_request(world, dial, seen["m15"])
     assert reply == MSG_ERROR, "replayed notification should be refused"
     s3_count = len(world.trace.events_tagged("S3"))
     assert s3_count == 1, f"expected one notification acceptance, saw {s3_count}"

@@ -418,8 +418,7 @@ def _cmd_goals(args) -> int:
 def _cmd_explain(args) -> int:
     script = ATTACKS_BY_ID.get(args.marker)
     if script is None:
-        print(f"unknown attack marker {args.marker!r}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown attack id {args.marker!r}")
     print(f"attack {script.id}: {script.title}")
     print(f"typically violates: {', '.join(sorted(script.claims))}")
     print()

@@ -20,7 +20,7 @@ each world's fresh source continues from the id after the PKI's keys.
 from __future__ import annotations
 
 import functools
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .terms import (Atom, FreshSource, NULL, PrivKey, PubKey, Sign, Term,
@@ -71,11 +71,7 @@ def parse_certificate(term: Term) -> tuple[Certificate, Sign]:
 class CiRoot:
     """The single trust root of a world."""
     sk: PrivKey
-    ski_label: InitVar[str] = "ski-ci"
-    ski: Atom = field(init=False)
-
-    def __post_init__(self, ski_label: str) -> None:
-        object.__setattr__(self, "ski", Atom(ski_label))
+    ski = Atom("ski-ci")
 
     @property
     def pk(self) -> PubKey:
@@ -91,7 +87,7 @@ class CiRoot:
 def verify_cert(cert_term: Term, ci: "CiRoot", policy: Atom) -> Certificate:
     """Deterministic, total check: CI signature, SKI and policy must match.
     Memoized (see the terms module): a failed check raises on every call,
-    and a CiRoot is keyed by its key and SKI, all the check reads of it."""
+    and a CiRoot is keyed by its key: every root has the same SKI."""
     cert, signed = parse_certificate(cert_term)
     try:
         unseal("sign", ci.pk, signed)
@@ -131,14 +127,10 @@ class EuiccIdentity:
     default_server: Optional[Atom] = None      # domain pre-provisioned on-chip
 
 
-def new_ci(fresh) -> CiRoot:
-    return CiRoot(fresh.privkey("sk-ci"))
-
-
 def issue_server(ci: CiRoot, fresh, domain: str, oid: str,
-                 subject: Optional[str] = None) -> ServerIdentity:
+                 subject: str) -> ServerIdentity:
     dom = Atom(domain)
-    subj = Atom(subject or domain.split(".")[0])
+    subj = Atom(subject)
     oid_atom = Atom(oid)
     sk_tls = fresh.privkey(f"sk-tls-{domain}")
     sk_sa = fresh.privkey(f"sk-sa-{domain}")
@@ -174,7 +166,7 @@ def issue_pki(servers, eids, default_server: str) -> Pki:
     """Issue the CI, then each (domain, oid, subject) server identity, then
     each eUICC identity with `default_server` provisioned on-chip."""
     fresh = FreshSource()
-    ci = new_ci(fresh)
+    ci = CiRoot(fresh.privkey("sk-ci"))
     return Pki(
         ci,
         tuple(issue_server(ci, fresh, *spec) for spec in servers),

@@ -186,6 +186,10 @@ ORDER_REQUEST = Message(Atom("order-request"), ("user", "mno", "eid"))
 ORDER_REPLY = Message(Atom("order-reply"), ("iac", "s"), "oid", "R1")
 CODE_DELIVERY = Message(Atom("code-delivery"), ("iac", "s"), "oid", "R1")
 
+# the message that travels on the LPA-to-server channel at each stage
+STAGE_MESSAGES = {"m3": M3, "m4": M4, "m7": M7, "m8": M8, "m11": M11,
+                  "m12": M12, "m15": M15}
+
 
 def delivery(ident, eid: Term, it: Term, d_s: Term, q_u: Term, profile: Term,
              mno: Term) -> tuple[Term, Term]:

@@ -222,12 +222,6 @@ class World:
                                  code.message(CODE_DELIVERY))
         return Code(code.iac, code.s, code.oid, for_user=user_label)
 
-    def adversary_code(self, iac: Term, s: Atom, oid: Optional[Atom] = None) -> Code:
-        """A code the adversary intends to type into a device it controls;
-        only constructible if the matching id is actually derivable."""
-        self.adversary.require(iac, "activation code")
-        return Code(iac, s, oid, for_user=None)
-
     # -- profile download ------------------------------------------------------
 
     def start_download(self, user_label: str, code: Optional[Code] = None,

@@ -275,6 +275,7 @@ class TestCli:
         ["run", "--config", "{unknown_key}"],
         ["matrix", "--approach", "ds", "--scenario", "1",
          "--out", "{missing}/x.json"],
+        ["explain", "zz"],
     ], ids=" ".join)
     def test_input_errors_exit_2_with_one_line(self, argv, tmp_path, capsys):
         (tmp_path / "latin1.cfg").write_bytes(b"scenario = \xe9\n")

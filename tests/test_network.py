@@ -4,7 +4,8 @@ private-channel isolation, and the post-hoc capability audit."""
 import pytest
 
 from dy_oracle import subterms
-from rsplab.attacks import audit_trace, fake_client_download, honest_script
+from rsplab.attacks import (audit_trace, fake_client_download, honest_script,
+                            resign)
 from rsplab.events import MessageOp, Note
 from rsplab.fixture import GOALS
 from rsplab.goals import check_all
@@ -178,19 +179,20 @@ class TestSession:
     @pytest.mark.parametrize("approach", ["ds", "ac"])
     def test_relay_that_rewrites_nothing_is_the_honest_download(self, approach):
         # without the tunnel the adversary reads an honest download anyway,
-        # so relaying it unchanged must leave the very same trace
+        # so relaying it unchanged, or through a re-sign that names no
+        # stage, must leave the very same trace
         traces = []
-        for relayed in (False, True):
+        for rewrite in (None, lambda world, stage, term: term, resign()):
             w = build_world(ScenarioConfig(approach, 1, False))
             code = w.request_profile(VICTIM)
-            if relayed:
+            if rewrite:
                 lpa = w.download(VICTIM, code, intercepted=True)
-                result = relay(w, lpa, lambda world, stage, term: term)
+                result = relay(w, lpa, rewrite)
             else:
                 result = w.start_download(VICTIM, code)
             assert result.completed
             traces.append(w.trace.render())
-        assert traces[0] == traces[1]
+        assert traces[0] == traces[1] == traces[2]
 
     def test_abort_thrown_into_a_session_ends_it(self):
         w = build_world(ScenarioConfig("ac", 1, False))
@@ -231,7 +233,7 @@ def _own_code(w):
 
 def _steal_victims_code(w):
     code = w.request_profile(VICTIM)
-    w.adversary_code(code.iac, code.s, code.oid)
+    w.start_download(ADVERSARY_USER, Code(code.iac, code.s, code.oid))
 
 
 def _proxy_order(w):

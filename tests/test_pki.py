@@ -2,7 +2,7 @@ import pytest
 
 from rsplab.pki import (POLICY_EUICC, POLICY_PROFILE_BINDING,
                         POLICY_SERVER_AUTH, POLICY_TLS, CertError,
-                        issue_euicc, issue_server, new_ci, parse_certificate,
+                        CiRoot, issue_euicc, issue_server, parse_certificate,
                         verify_cert)
 from rsplab.scenarios import (ADV_EID, SERVER1, VICTIM_EID, ScenarioConfig,
                               build_world)
@@ -11,12 +11,12 @@ from rsplab.terms import Atom, FreshSource, Sign, seal
 
 @pytest.fixture
 def ci():
-    return new_ci(FreshSource())
+    return CiRoot(FreshSource().privkey("sk-ci"))
 
 
 class TestIssuance:
     def test_server_certs_share_subject_and_oid(self, ci):
-        srv = issue_server(ci, FreshSource(), "dl.example", "oid-9")
+        srv = issue_server(ci, FreshSource(), "dl.example", "oid-9", "dl")
         sa, _ = parse_certificate(srv.cert_sa)
         sp, _ = parse_certificate(srv.cert_sp)
         assert sa.subject == sp.subject
@@ -24,14 +24,14 @@ class TestIssuance:
         assert sa.policy != sp.policy
 
     def test_tls_cert_subject_is_the_domain(self, ci):
-        srv = issue_server(ci, FreshSource(), "dl.example", "oid-9")
+        srv = issue_server(ci, FreshSource(), "dl.example", "oid-9", "dl")
         st, _ = parse_certificate(srv.cert_st)
         assert st.subject == Atom("dl.example")
 
     def test_two_servers_get_distinct_keys_and_oids(self, ci):
         fresh = FreshSource()
-        a = issue_server(ci, fresh, "a.example", "oid-a")
-        b = issue_server(ci, fresh, "b.example", "oid-b")
+        a = issue_server(ci, fresh, "a.example", "oid-a", "a")
+        b = issue_server(ci, fresh, "b.example", "oid-b", "b")
         assert a.oid != b.oid
         assert {a.sk_tls, a.sk_sa, a.sk_sp}.isdisjoint({b.sk_tls, b.sk_sa, b.sk_sp})
 
@@ -48,12 +48,11 @@ class TestVerification:
             verify_cert(dev.cert_u, ci, POLICY_SERVER_AUTH)
 
     def test_foreign_issuer_rejected(self):
-        from rsplab.pki import CiRoot
         fresh = FreshSource()
-        ci = CiRoot(fresh.privkey("sk-ci"), "ski-ci")
-        rogue = CiRoot(fresh.privkey("sk-rogue"), "ski-rogue")
+        ci = CiRoot(fresh.privkey("sk-ci"))
+        rogue = CiRoot(fresh.privkey("sk-rogue"))
         dev = issue_euicc(rogue, fresh, "eid-66")
-        with pytest.raises(CertError):
+        with pytest.raises(CertError, match="issuer signature invalid"):
             verify_cert(dev.cert_u, ci, POLICY_EUICC)
 
     def test_resigned_body_with_wrong_key_rejected(self, ci):
@@ -69,7 +68,6 @@ class TestVerification:
             verify_cert(Atom("not-a-cert"), ci, POLICY_TLS)
 
     def test_a_failed_check_raises_on_every_call(self, ci):
-        from rsplab.pki import CiRoot
         fresh = FreshSource()
         dev = issue_euicc(ci, fresh, "eid-44")
         # a foreign root under the same key identifier, and a success under

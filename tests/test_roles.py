@@ -11,8 +11,9 @@ from rsplab import roles
 from rsplab.attacks import honest_script
 from rsplab.events import EVENT_FIELDS, Event, LearnOp, MessageOp, Note
 from rsplab.goals import EventPattern, OptVar, Var, W, ep
-from rsplab.network import CH_LPA_SERVER, adversary_request, relay
-from rsplab.roles import (M4, M7, M8, M11, M12, M15, SIG4, SIG8, Message,
+from rsplab.network import (CH_LPA_SERVER, RESPONSE_STAGE, adversary_request,
+                            relay)
+from rsplab.roles import (M4, M8, M12, SIG4, SIG8, STAGE_MESSAGES, Message,
                           ProtocolAbort)
 from rsplab.scenarios import (SERVER1, SERVER2, VICTIM, VICTIM_EID,
                               ScenarioConfig, build_world)
@@ -275,6 +276,14 @@ class TestSchema:
         assert functions_with(calls("verify_cert")) == {("roles.py", "_open")}
         assert functions_with(turns_cert_error_into_abort) == {("roles.py", "_open")}
 
+    def test_each_stage_on_the_server_channel_has_its_message(self):
+        # every request and every response but the m16 acknowledgement,
+        # which carries no message of the schema
+        stages = set(RESPONSE_STAGE) | set(RESPONSE_STAGE.values())
+        assert set(STAGE_MESSAGES) == stages - {"m16"}
+        for stage, msg in STAGE_MESSAGES.items():
+            assert msg.tag.label.startswith(f"{stage}-")
+
     def test_only_roles_spells_a_message_tag(self):
         tags = {m.tag.label for m in MESSAGES}
         offenders = []
@@ -290,6 +299,9 @@ class TestSchema:
 # ---------------------------------------------------------------------------
 # The event schema: one declaration of each tag's fields
 # ---------------------------------------------------------------------------
+
+EVENT_NAMES = {"event", "e", "q", "p"}  # the names src/rsplab gives an event
+
 
 class TestEventSchema:
     @pytest.mark.parametrize("tag", sorted(EVENT_FIELDS))
@@ -319,7 +331,14 @@ class TestEventSchema:
 
     def test_only_the_schema_builds_an_event_by_position(self):
         # everywhere else an event is built through its tag's constructor
-        # and read by field name: no call of Event(...) and no params[<int>]
+        # and read by field name: no call of Event(...) and no integer index
+        # into an event, whether an entries[...] or one named as events are
+        def holds_an_event(node):
+            return (isinstance(node, ast.Name) and node.id in EVENT_NAMES
+                    or isinstance(node, ast.Subscript)
+                    and getattr(node.value, "attr",
+                                getattr(node.value, "id", None)) == "entries")
+
         offenders = []
         for path in sorted(Path(roles.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -327,9 +346,7 @@ class TestEventSchema:
                     path.name != "events.py" and isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name) and node.func.id == "Event")
                 indexed = (
-                    isinstance(node, ast.Subscript)
-                    and getattr(node.value, "attr", getattr(node.value, "id", None))
-                    == "params"
+                    isinstance(node, ast.Subscript) and holds_an_event(node.value)
                     and isinstance(node.slice, ast.Constant)
                     and type(node.slice.value) is int)
                 if by_position or indexed:
@@ -427,14 +444,9 @@ class TestTraceEntries:
 # ---------------------------------------------------------------------------
 
 # stage -> (signed message, signing key attribute of the sender)
-SIGNED = {
-    "m4": (M4, "sk_sa"),
-    "m7": (M7, "sk_u"),
-    "m8": (M8, "sk_sp"),
-    "m11": (M11, "sk_u"),
-    "m12": (M12, "sk_sp"),
-    "m15": (M15, "sk_u"),
-}
+SIGNED = {stage: (STAGE_MESSAGES[stage], key) for stage, key in (
+    ("m4", "sk_sa"), ("m7", "sk_u"), ("m8", "sk_sp"), ("m11", "sk_u"),
+    ("m12", "sk_sp"), ("m15", "sk_u"))}
 
 # Every other flip must stop the run.  The sig7 activation code stops in
 # both approaches: an unknown code is refused, and in the default-server
